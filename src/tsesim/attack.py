@@ -164,37 +164,38 @@ def clone_factor(rate_pps: float) -> int:
     return math.ceil(rate_pps / 1000)
 
 
+def emission_time(schedule: AttackSchedule, k: int) -> float:
+    """Timestamp of emission k (0-based) of a schedule whose rate is positive.
+
+    Packets are spaced 1/rate apart during attack phases; a duty-cycled
+    schedule sends `round(t_attack * rate)` packets per phase.
+    """
+    if schedule.t_attack is None:
+        return schedule.start + k / schedule.rate
+    per_phase = int(round(schedule.t_attack * schedule.rate))
+    if per_phase < 1:
+        raise ValueError("attack phase shorter than one packet interval")
+    phase, idx = divmod(k, per_phase)
+    return schedule.start + phase * (schedule.t_attack + schedule.t_sleep) + idx / schedule.rate
+
+
 def schedule_emissions(
     trace: Trace, schedule: AttackSchedule, horizon_seconds: float
 ) -> Iterator[tuple[float, int, HeaderValue]]:
     """Yield (timestamp, trace_index, header) for every emission before the horizon.
 
-    Packets are spaced 1/rate apart during attack phases; each trace packet
-    repeats `clone` times back to back; the trace position carries across
-    sleep phases and wraps cyclically.
+    Each trace packet repeats `clone` times back to back; the trace position
+    carries across sleep phases and wraps cyclically.
     """
     if len(trace) == 0:
         raise ValueError("trace is empty")
-    rate = schedule.rate
-    if rate <= 0:
+    if schedule.rate <= 0:
         return
     n = schedule.clone
     length = len(trace)
-    if schedule.t_attack is None:
-        per_phase = None
-        cycle = None
-    else:
-        per_phase = int(round(schedule.t_attack * rate))
-        if per_phase < 1:
-            raise ValueError("attack phase shorter than one packet interval")
-        cycle = schedule.t_attack + schedule.t_sleep
     k = 0
     while True:
-        if per_phase is None:
-            t = schedule.start + k / rate
-        else:
-            phase, idx = divmod(k, per_phase)
-            t = schedule.start + phase * cycle + idx / rate
+        t = emission_time(schedule, k)
         if t >= horizon_seconds:
             return
         pos = (k // n) % length

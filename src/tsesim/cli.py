@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -226,38 +226,36 @@ def cmd_render_map(path: str) -> int:
 
 
 def cmd_sweep(scenario: Scenario, cores_list: list[int], rates_list: list[float]) -> int:
-    victims = victim_flow_headers(FIVE_TUPLE, scenario.victim_flows)
-    use_case = UseCase(scenario.use_case)
-    acl = scenario_acl(use_case, victim_flows=victims)
-    trace = build_trace(use_case, acl)
+    schedules = [
+        AttackSchedule(
+            rate=rate,
+            t_attack=scenario.t_attack,
+            t_sleep=scenario.t_sleep,
+            clone=clone_factor(rate),
+            start=scenario.attack_start,
+        )
+        for rate in rates_list
+    ]
+    # Attack-phase seconds after the first full cycle and a 2 s margin; the
+    # phase pattern is the same at every rate.
     steady_start = scenario.attack_start + scenario.t_attack + scenario.t_sleep + 2
+    attack_secs = [
+        s
+        for s in range(int(steady_start), int(scenario.duration))
+        if schedules[0].phase_at(s + 0.5) == "attack"
+    ]
+    if not attack_secs:
+        raise ConfigError(
+            f"duration {scenario.duration:g} s leaves no steady-state attack second "
+            f"(steady state starts at {steady_start:g} s)"
+        )
+    acl, trace, victims = _load_scenario_parts(scenario)
+    base = scenario.sim_config(build_cache_map=False)
     rows = []
     min_rate: dict[int, float] = {}
     for cores in cores_list:
-        for rate in rates_list:
-            sched = AttackSchedule(
-                rate=rate,
-                t_attack=scenario.t_attack,
-                t_sleep=scenario.t_sleep,
-                clone=clone_factor(rate),
-                start=scenario.attack_start,
-            )
-            cfg = SimConfig(
-                cores=cores,
-                budget_per_core=scenario.budget_per_core,
-                victim_offered=scenario.victim_offered,
-                emc_enabled=scenario.emc,
-                tick=scenario.tick,
-                duration=scenario.duration,
-                seed=scenario.seed,
-                build_cache_map=False,
-            )
-            result = run(cfg, acl, [(trace, sched)], victims)
-            attack_secs = [
-                s
-                for s in range(int(steady_start), int(scenario.duration))
-                if sched.phase_at(s + 0.5) == "attack"
-            ]
+        for rate, sched in zip(rates_list, schedules):
+            result = run(replace(base, cores=cores), acl, [(trace, sched)], victims)
             mean = sum(result.fractions[s] for s in attack_secs) / len(attack_secs)
             dos = mean <= scenario.eps_down
             if dos and cores not in min_rate:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .attack import AttackSchedule, Trace, schedule_emissions, simple_acl, use_case_acl, UseCase
+from .attack import AttackSchedule, Trace, emission_time, simple_acl, use_case_acl, UseCase
 from .flow_cache import CostModel, FlowCache
 from .headers import (
     FIVE_TUPLE,
@@ -290,17 +290,27 @@ class MaskBatches:
 
 
 def emission_count(schedule: AttackSchedule, horizon: float) -> int:
-    """Closed-form number of emissions strictly before the horizon."""
+    """Number of emissions strictly before the horizon.
+
+    A closed-form estimate, stepped by one until it agrees with
+    `emission_time`, so it equals the length of `schedule_emissions` exactly.
+    """
     if schedule.rate <= 0 or horizon <= schedule.start:
         return 0
     window = horizon - schedule.start
     if schedule.t_attack is None:
-        return math.ceil(window * schedule.rate - 1e-9)
-    per_phase = int(round(schedule.t_attack * schedule.rate))
-    cycle = schedule.t_attack + schedule.t_sleep
-    full = int(window // cycle)
-    rem = window - full * cycle
-    return full * per_phase + min(per_phase, math.ceil(rem * schedule.rate - 1e-9))
+        k = math.ceil(window * schedule.rate)
+    else:
+        per_phase = int(round(schedule.t_attack * schedule.rate))
+        cycle = schedule.t_attack + schedule.t_sleep
+        full = int(window // cycle)
+        rem = window - full * cycle
+        k = full * per_phase + min(per_phase, math.ceil(rem * schedule.rate))
+    while k > 0 and emission_time(schedule, k - 1) >= horizon:
+        k -= 1
+    while emission_time(schedule, k) < horizon:
+        k += 1
+    return k
 
 
 def covered_positions(schedule: AttackSchedule, trace_len: int, horizon: float) -> int:
@@ -315,23 +325,42 @@ def covered_positions(schedule: AttackSchedule, trace_len: int, horizon: float) 
 
 
 class _Emitter:
-    """Buffered pull over one schedule's emission stream."""
+    """Pull over one schedule's emissions, one tick at a time, as runs.
+
+    A run is `(header, count)`: consecutive emissions of one trace position.
+    Tick boundaries come from `emission_count`, so a tick costs O(runs), not
+    O(packets).
+    """
 
     def __init__(self, trace: Trace, schedule: AttackSchedule, horizon: float):
+        if len(trace) == 0:
+            raise ValueError("trace is empty")
+        if schedule.rate > 0:
+            emission_time(schedule, 0)  # rejects a phase shorter than one packet
         self.schedule = schedule
         self.trace = trace
-        self._it = schedule_emissions(trace, schedule, horizon)
-        self._next = next(self._it, None)
+        self._k = 0
+        self._end = emission_count(schedule, horizon)
         self.last_pos: Optional[int] = None
 
-    def due(self, until: float) -> list[HeaderValue]:
-        out = []
-        while self._next is not None and self._next[0] < until:
-            _, pos, h = self._next
-            out.append(h)
-            self.last_pos = pos
-            self._next = next(self._it, None)
-        return out
+    def due(self, until: float) -> list[tuple[HeaderValue, int]]:
+        """Runs of the emissions before `until` not yet returned, in order."""
+        k0 = self._k
+        k1 = min(emission_count(self.schedule, until), self._end)
+        if k1 <= k0:
+            return []
+        self._k = k1
+        n = self.schedule.clone
+        packets = self.trace.packets
+        length = len(packets)
+        runs = []
+        k = k0
+        while k < k1:
+            nxt = min(k1, (k // n + 1) * n)
+            runs.append((packets[(k // n) % length], nxt - k))
+            k = nxt
+        self.last_pos = ((k1 - 1) // n) % length
+        return runs
 
 
 def run(
@@ -397,7 +426,7 @@ def run(
 
     for step in range(total_ticks):
         t1 = (step + 1) * config.tick
-        due: list[HeaderValue] = []
+        due: list[tuple[HeaderValue, int]] = []
         for em in emitters:
             due.extend(em.due(t1))
         batch = cache.classify_batch(due, now=t1)

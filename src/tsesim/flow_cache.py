@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -90,6 +91,8 @@ class Subtable:
     created_at: float
     entries: dict[MaskedKey, MegaflowEntry] = field(default_factory=dict)
     interval_hits: int = 0
+    # Index in FlowCache._rev plus the cache's position offset.
+    pos: int = field(default=0, compare=False)
 
 
 @dataclass
@@ -128,9 +131,13 @@ class FlowCache:
         self.sort_interval_ms = sort_interval_ms
         # Search order is reversed in storage: the last element of _rev is
         # probed first, so creating a subtable is an O(1) append that leaves
-        # every existing position untouched.
+        # every existing position untouched.  A subtable's storage index is
+        # `st.pos - _pos_offset`: expire removes subtables and renumbers only
+        # the storage prefix up to the highest one removed, and raises the
+        # offset to shift everything above it.
         self._rev: list[Subtable] = []
-        self._revpos: dict[HeaderMask, int] = {}
+        self._pos_offset = 0
+        self._entry_count = 0
         self._by_mask: dict[HeaderMask, Subtable] = {}
         self._expiry: list[tuple[float, int, HeaderMask, MaskedKey, float]] = []
         self._seq = itertools.count()
@@ -148,10 +155,10 @@ class FlowCache:
 
     @property
     def entry_count(self) -> int:
-        return sum(len(st.entries) for st in self._rev)
+        return self._entry_count
 
     def search_index(self, mask: HeaderMask) -> int:
-        return len(self._rev) - 1 - self._revpos[mask]
+        return len(self._rev) - 1 - (self._by_mask[mask].pos - self._pos_offset)
 
     def entries(self) -> Iterable[tuple[MaskedKey, HeaderMask, Action]]:
         for st in self._rev:
@@ -193,31 +200,44 @@ class FlowCache:
         (key, mask) only refreshes the entry's idle clock.
         """
         st = self._by_mask.get(mask)
-        if st is None:
-            st = Subtable(mask=mask, created_at=now)
-            self._by_mask[mask] = st
-            self._revpos[mask] = len(self._rev)
-            self._rev.append(st)
-            created = True
-        else:
-            created = False
+        created = st is None
+        if created:
+            st = self._add_subtable(mask, now)
         entry = st.entries.get(key)
         if entry is not None:
             entry.last_hit = now
             return created, False
-        st.entries[key] = MegaflowEntry(key=key, action=action, last_hit=now)
-        heapq.heappush(
-            self._expiry, (now + self.idle_timeout, next(self._seq), mask, key, now)
-        )
+        self._add_entry(st, key, action, now)
         return created, True
+
+    def _add_subtable(self, mask: HeaderMask, now: float) -> Subtable:
+        st = Subtable(mask=mask, created_at=now, pos=len(self._rev) + self._pos_offset)
+        self._by_mask[mask] = st
+        self._rev.append(st)
+        return st
+
+    def _add_entry(
+        self, st: Subtable, key: MaskedKey, action: Action, now: float
+    ) -> MegaflowEntry:
+        entry = MegaflowEntry(key=key, action=action, last_hit=now)
+        st.entries[key] = entry
+        self._entry_count += 1
+        heapq.heappush(
+            self._expiry, (now + self.idle_timeout, next(self._seq), st.mask, key, now)
+        )
+        return entry
 
     def expire(self, now: float) -> tuple[list[tuple[MaskedKey, HeaderMask]], list[HeaderMask]]:
         """Remove entries idle for >= idle_timeout; drop emptied subtables.
 
-        Returns (expired entries, removed subtable masks).
+        Returns (expired entries, removed subtable masks).  Only the storage
+        prefix up to the highest removed subtable is rebuilt; expired
+        subtables have gone unhit, so they rank last and sit low in storage.
         """
         removed_entries: list[tuple[MaskedKey, HeaderMask]] = []
         removed_masks: list[HeaderMask] = []
+        offset = self._pos_offset
+        top = -1  # highest storage index of a removed subtable
         while self._expiry and self._expiry[0][0] <= now:
             _, _, mask, key, stamp = heapq.heappop(self._expiry)
             st = self._by_mask.get(mask)
@@ -244,18 +264,27 @@ class FlowCache:
             if not st.entries:
                 del self._by_mask[mask]
                 removed_masks.append(mask)
+                top = max(top, st.pos - offset)
+        self._entry_count -= len(removed_entries)
         if removed_masks:
-            self._rev = [st for st in self._rev if st.mask in self._by_mask]
-            self._revpos = {st.mask: i for i, st in enumerate(self._rev)}
+            kept = [st for st in self._rev[: top + 1] if st.entries]
+            self._rev[: top + 1] = kept
+            self._pos_offset = offset = offset + top + 1 - len(kept)
+            for i, st in enumerate(kept, start=offset):
+                st.pos = i
         return removed_entries, removed_masks
 
     def rebalance(self, now: float) -> None:
-        """Reorder subtables by interval hits (descending, stable) and reset counts."""
-        order = sorted(self.subtables(), key=lambda st: -st.interval_hits)
-        for st in order:
+        """Reorder subtables by interval hits (descending, stable) and reset counts.
+
+        Storage is the search order reversed, so a stable ascending sort of
+        storage is the stable descending sort of the search order.
+        """
+        self._rev.sort(key=operator.attrgetter("interval_hits"))
+        for i, st in enumerate(self._rev):
             st.interval_hits = 0
-        self._rev = order[::-1]
-        self._revpos = {st.mask: i for i, st in enumerate(self._rev)}
+            st.pos = i
+        self._pos_offset = 0
 
     def classify(self, h: HeaderValue, now: float) -> ClassifyResult:
         """Full pipeline for one packet: EMC, then MFC, then slow path."""
@@ -290,38 +319,67 @@ class FlowCache:
     # sequential probe while charging the same probe count the scan would
     # have.
 
-    def classify_batch(self, headers: Iterable[HeaderValue], now: float) -> BatchResult:
+    def classify_batch(
+        self, runs: Iterable[tuple[HeaderValue, int]], now: float
+    ) -> BatchResult:
+        """Price runs `(header, count)` of back-to-back identical packets.
+
+        A run costs O(1).  With the EMC on, its first packet is classified
+        like a lone packet, which leaves the header in the EMC, so the other
+        count - 1 are EMC hits.  With the EMC off, every packet of the run
+        sees what the first saw: an MFC hit repeats count times (count
+        interval hits), and a miss repeats count times (the install is not
+        visible within the batch) with one install.  A run is charged
+        count x its per-packet price; with integer-valued cost knobs, as the
+        defaults and every calibration in use are, that equals the
+        per-packet sum exactly.
+        """
         c = self.costs
-        len0 = len(self._rev)
+        emc = self.emc
+        emc_on = emc.enabled
+        memo = self._synth_memo
+        by_mask = self._by_mask
+        c_emc, c_sub = c.c_emc, c.c_sub
+        emc_probe = (1 if emc_on else 0) * c_emc
+        miss_cost = emc_probe + len(self._rev) * c_sub + c.c_slow
+        # A subtable's 1-based search position at batch start is base - st.pos.
+        base = len(self._rev) + self._pos_offset
         res = BatchResult()
-        batch_new: set[tuple[HeaderMask, MaskedKey]] = set()
-        for h in headers:
-            res.packets += 1
-            emc_probes = 1 if self.emc.enabled else 0
-            if emc_probes:
-                action = self.emc.lookup(h)
-                if action is not None:
-                    res.emc_hits += 1
-                    res.total_cost += c.c_emc
+        batch_new: set[int] = set()  # ids of entries installed by this batch
+        for h, count in runs:
+            res.packets += count
+            rest = 0
+            if emc_on:
+                if emc.lookup(h) is not None:
+                    res.emc_hits += count
+                    res.total_cost += count * c_emc
                     continue
-            flow = self.synthesize(h)
-            st = self._by_mask.get(flow.mask)
+                rest, count = count - 1, 1
+            flow = memo.get(h)
+            if flow is None:
+                flow = self.synthesize(h)
+            st = by_mask.get(flow.mask)
             entry = st.entries.get(flow.key) if st is not None else None
-            if entry is not None and (flow.mask, flow.key) not in batch_new:
-                pos = len0 - 1 - self._revpos[flow.mask]
-                res.mfc_hits += 1
-                res.total_cost += emc_probes * c.c_emc + (pos + 1) * c.c_sub
-                st.interval_hits += 1
+            if entry is not None and id(entry) not in batch_new:
+                res.mfc_hits += count
+                res.total_cost += count * (emc_probe + (base - st.pos) * c_sub)
+                st.interval_hits += count
                 entry.last_hit = now
-                self.emc.insert(h, entry.action)
-                continue
-            res.slow_path += 1
-            res.total_cost += emc_probes * c.c_emc + len0 * c.c_sub + c.c_slow
-            created, _ = self.mfc_insert(flow.key, flow.mask, flow.action, now)
-            if created:
-                res.created_masks.append(flow.mask)
-            batch_new.add((flow.mask, flow.key))
-            self.emc.insert(h, flow.action)
+                action = entry.action
+            else:
+                res.slow_path += count
+                res.total_cost += count * miss_cost
+                if entry is None:
+                    if st is None:
+                        st = self._add_subtable(flow.mask, now)
+                        res.created_masks.append(flow.mask)
+                    batch_new.add(id(self._add_entry(st, flow.key, flow.action, now)))
+                action = flow.action
+            if emc_on:
+                emc.insert(h, action)
+                if rest:
+                    res.emc_hits += rest
+                    res.total_cost += rest * c_emc
         return res
 
     def probe_cost(self, h: HeaderValue) -> float:
@@ -351,6 +409,33 @@ class FlowCache:
         entry.last_hit = now
 
     # -- introspection ---------------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """Raise AssertionError if the cache's bookkeeping disagrees with its contents.
+
+        Checks that stored positions match storage, the entry counter matches
+        the entries, `_by_mask` and storage hold the same non-empty subtables,
+        and every live entry has an expiry-heap record.
+        """
+
+        def require(ok: bool, what: str) -> None:
+            if not ok:
+                raise AssertionError(what)
+
+        for i, st in enumerate(self._rev):
+            require(st.pos - self._pos_offset == i, f"subtable at storage {i} has pos {st.pos}")
+            require(self._by_mask.get(st.mask) is st, f"subtable {i} not indexed by its mask")
+            require(bool(st.entries), f"subtable {i} is empty")
+        require(len(self._by_mask) == len(self._rev), "_by_mask holds subtables not in storage")
+        require(
+            self._entry_count == sum(len(st.entries) for st in self._rev),
+            "entry counter disagrees with the entries",
+        )
+        queued = {(mask, key) for _, _, mask, key, _ in self._expiry}
+        for st in self._rev:
+            for key in st.entries:
+                require((st.mask, key) in queued, "live entry without an expiry record")
+
 
     def snapshot_lines(self) -> list[str]:
         """Search-order dump: one line per subtable with mask, size and hits."""

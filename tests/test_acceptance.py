@@ -140,7 +140,7 @@ def test_criterion_02_mask_counts_vs_oracle_and_published():
         trace = build_trace(uc, acl)
         cache = FlowCache(acl, emc_enabled=False)
         for i, p in enumerate(trace.packets):
-            cache.classify_batch([p], now=i / 1000.0)
+            cache.classify_batch([(p, 1)], now=i / 1000.0)
         assert cache.subtable_count == FROZEN_MASKS[name]
         assert cache.entry_count == FROZEN_ENTRIES[name]
     assert FROZEN_MASKS["dp"] == 16
@@ -187,7 +187,7 @@ def test_criterion_04_ranking_properties_fuzz():
             )
             flow = cache.synthesize(h)
             existed = flow.mask in {st.mask for st in cache.subtables()}
-            cache.classify_batch([h], now)
+            cache.classify_batch([(h, 1)], now)
             if not existed:
                 creations += 1
                 assert cache.search_index(flow.mask) == 0
@@ -229,7 +229,7 @@ def test_criterion_05_expiry_property_fuzz():
                 sport=rng.getrandbits(16),
                 dport=rng.getrandbits(16),
             )
-            cache.classify_batch([h], now)
+            cache.classify_batch([(h, 1)], now)
         snapshot = {
             (st.mask, key): e.last_hit for st in cache.subtables() for key, e in st.entries.items()
         }
@@ -258,7 +258,7 @@ def test_criterion_06_disjointness_brute_force(reference_run):
         trace = build_trace(uc, acl)
         cache = FlowCache(acl, emc_enabled=False)
         for i, p in enumerate(trace.packets):
-            cache.classify_batch([p], now=i / 1000.0)
+            cache.classify_batch([(p, 1)], now=i / 1000.0)
         counts[name] = assert_pairwise_disjoint(cache)
     result, _, _ = reference_run
     counts["reference-run"] = assert_pairwise_disjoint(result.cache)
@@ -323,7 +323,7 @@ def test_criterion_08_tse20_confs_no_recovery_and_conf3_recovers():
         "the reference synthesis walk spawns 8209 distinct masks for the full "
         "three-field trace versus the published ~8976; the 10s-idle/2s-sleep "
         "steady state then floors at ~6859 active masks, short of the 7000 the "
-        "criterion pins to the published population (see notes/decisions.md)"
+        "criterion pins to the published population (see README, 'Known deviation')"
     ),
 )
 def test_criterion_08b_conf2_keeps_7000_masks():

@@ -161,7 +161,7 @@ def test_clone_invariance_of_mask_production():
         cache = FlowCache(acl, emc_enabled=False)
         sched = AttackSchedule(rate=rate, clone=clone, start=0.0)
         for t, _, p in schedule_emissions(trace, sched, horizon):
-            cache.classify_batch([p], t)
+            cache.classify_batch([(p, 1)], t)
         return {st.mask for st in cache.subtables()}
 
     base = masks_after(rate=1000, clone=1, horizon=0.4)

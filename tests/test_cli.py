@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -180,3 +181,59 @@ def test_sweep_small_grid(tmp_path, capsys):
     body = out.read_text().splitlines()
     assert body[0] == "cores,rate,mean_attack_fraction,dos"
     assert len(body) == 3
+
+
+SMALL_SWEEP = [
+    "sweep", "--use-case", "dp", "--cores-list", "1", "--rates-list", "1000",
+    "--duration", "20", "--attack-start", "2", "--t-attack", "5", "--t-sleep", "1",
+]
+
+
+def test_sweep_without_steady_state_exits_2(capsys):
+    rc = main(["sweep", "--duration", "30", "--cores-list", "1", "--rates-list", "1000"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: duration 30 s leaves no steady-state attack second")
+    assert len(err.splitlines()) == 1
+
+
+def test_sweep_rejects_acl_without_catch_all(tmp_path, capsys):
+    acl = tmp_path / "no_catch_all.acl"
+    acl.write_text("priority=100 dport=80 action=allow\n")
+    assert main(SMALL_SWEEP + ["--acl", str(acl)]) == 2
+    assert "catch-all" in capsys.readouterr().err
+
+
+def test_sweep_replays_trace_file(tmp_path, capsys):
+    trace = tmp_path / "one.trace"
+    trace.write_text("t=0 ip_src=192.0.2.1 ip_dst=198.51.100.7 proto=6 sport=55555 dport=81\n")
+    flags = ["--budget-per-core", "1e6"]
+    assert main(SMALL_SWEEP + flags) == 0
+    generated = capsys.readouterr().out
+    assert main(SMALL_SWEEP + flags + ["--trace", str(trace)]) == 0
+    replayed = capsys.readouterr().out
+    # One repeated header costs one MFC hit per packet; the dp trace costs more.
+    assert "mean_attack_fraction=0.998000" in replayed
+    assert generated != replayed
+
+
+def test_sweep_cells_use_scenario_config(monkeypatch):
+    import tsesim.cli as cli
+
+    seen = []
+    real_run = cli.run
+
+    def spy(config, *args):
+        seen.append(config)
+        return real_run(config, *args)
+
+    monkeypatch.setattr(cli, "run", spy)
+    flags = ["--cores-list", "1,3", "--victim-flows", "4", "--eps-down", "0.02", "--tick", "0.25"]
+    assert main(SMALL_SWEEP + flags) == 0  # the later --cores-list wins
+    scenario = parse_config(
+        None,
+        dict(use_case="dp", duration=20.0, attack_start=2.0, t_attack=5.0, t_sleep=1.0,
+             victim_flows=4, eps_down=0.02, tick=0.25, tse="2.1"),
+    )
+    base = scenario.sim_config(build_cache_map=False)
+    assert seen == [replace(base, cores=1), replace(base, cores=3)]

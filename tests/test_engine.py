@@ -115,6 +115,41 @@ def test_emission_count_matches_generator():
             assert emission_count(sched, horizon) == want
 
 
+@pytest.mark.parametrize("tick", [0.1, 0.25])
+@pytest.mark.parametrize("rate", [333, 1500, 12000])
+@pytest.mark.parametrize("clone", [1, 3, 12])
+@pytest.mark.parametrize(
+    "duty", [None, (1.0, 0.5), (0.7, 0.05)], ids=["continuous", "duty", "short_sleep"]
+)
+def test_emitter_runs_expand_to_schedule_emissions(duty, clone, rate, tick):
+    """Tick by tick, the emitter's runs are the generator's emissions, grouped."""
+    from tsesim.attack import schedule_emissions
+    from tsesim.engine import _Emitter
+
+    trace = build_trace(UseCase.DP, scenario_acl(UseCase.DP, victim_flows=victim_flow_headers()))
+    t_attack, t_sleep = duty if duty is not None else (None, 0.0)
+    sched = AttackSchedule(rate=rate, t_attack=t_attack, t_sleep=t_sleep, clone=clone, start=0.35)
+    horizon = 3.37  # not on a tick boundary
+    want = list(schedule_emissions(trace, sched, horizon))
+    em = _Emitter(trace, sched, horizon)
+    i = 0
+    for step in range(int(horizon / tick) + 2):
+        t1 = (step + 1) * tick
+        runs = em.due(t1)
+        assert all(count >= 1 for _, count in runs)
+        assert all(count == clone for _, count in runs[1:-1])  # only the ends are cut
+        got = [h for h, count in runs for _ in range(count)]
+        j = i
+        while j < len(want) and want[j][0] < t1:
+            j += 1
+        assert got == [h for _, _, h in want[i:j]]
+        if j > i:
+            assert em.last_pos == want[j - 1][1]
+        i = j
+    assert i == len(want)
+    assert em.due(horizon + 10.0) == []
+
+
 def test_covered_positions_clone():
     sched = AttackSchedule(rate=3000, clone=3, start=0.0)
     assert covered_positions(sched, trace_len=100, horizon=0.01) == 10
@@ -142,7 +177,7 @@ def test_victim_rules_do_not_change_attack_mask_counts():
         trace = build_trace(uc, acl)
         cache = FlowCache(acl, emc_enabled=False)
         for i, p in enumerate(trace.packets):
-            cache.classify_batch([p], now=i / 1000.0)
+            cache.classify_batch([(p, 1)], now=i / 1000.0)
         assert cache.subtable_count == masks
 
 

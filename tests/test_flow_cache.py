@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tsesim.attack import simple_acl
 from tsesim.flow_cache import CostModel, FlowCache, HitPath
 from tsesim.headers import FIVE_TUPLE, HYP, apply_mask, header, mask, megaflows_overlap
 from tsesim.slowpath import Acl, Action, parse_acl_text, rule
@@ -279,7 +282,7 @@ def test_batch_of_one_matches_sequential():
     for i, h in enumerate(headers):
         now = i * 0.01
         total_seq += seq.classify(h, now).cost_units
-        total_bat += bat.classify_batch([h], now).total_cost
+        total_bat += bat.classify_batch([(h, 1)], now).total_cost
     assert total_bat == pytest.approx(total_seq)
     assert {e for e in bat.entries()} == {e for e in seq.entries()}
     assert [st.mask for st in bat.subtables()] == [st.mask for st in seq.subtables()]
@@ -305,12 +308,119 @@ def test_batch_hit_cost_matches_linear_scan_position():
 
 
 def test_batch_duplicate_miss_within_tick_spawns_once():
-    cache = FlowCache(five_acl(), emc_enabled=False)
     h = header(FIVE_TUPLE, ip_src=9, ip_dst=2, proto=6, sport=3, dport=81)
-    res = cache.classify_batch([h, h, h], now=0.0)
-    assert res.slow_path == 3  # installs are not visible within the batch
-    assert len(res.created_masks) == 1
-    assert cache.entry_count == 1
+    for runs in ([(h, 1)] * 3, [(h, 3)]):
+        cache = FlowCache(five_acl(), emc_enabled=False)
+        res = cache.classify_batch(runs, now=0.0)
+        assert res.slow_path == 3  # installs are not visible within the batch
+        assert len(res.created_masks) == 1
+        assert cache.entry_count == 1
+
+
+# -- run pricing -----------------------------------------------------------------
+
+
+def _five_pool():
+    """Headers that reach every rule of the built-in table, plus random misses."""
+    rng = random.Random(41)
+    pool = [rand_five(rng) for _ in range(8)]
+    pool += [
+        header(FIVE_TUPLE, ip_src=rng.getrandbits(32), ip_dst=5, proto=6, sport=7, dport=80),
+        header(FIVE_TUPLE, ip_src=0x0A000001, ip_dst=5, proto=17, sport=9, dport=443),
+        header(FIVE_TUPLE, ip_src=3, ip_dst=5, proto=6, sport=12345, dport=22),
+        header(FIVE_TUPLE, ip_src=0x0A000003, ip_dst=5, proto=6, sport=12344, dport=81),
+    ]
+    return pool
+
+
+TABLES = {
+    "hyp": (hyp_acl, [hv(v) for v in range(8)]),
+    "builtin": (simple_acl, _five_pool()),
+}
+
+_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("batch"),
+            st.lists(st.tuples(st.integers(0, 11), st.integers(1, 4)), max_size=12),
+            st.sampled_from([0.0, 0.1, 1.0, 4.0, 11.0]),
+        ),
+        st.tuples(st.just("expire")),
+        st.tuples(st.just("rebalance")),
+    ),
+    max_size=25,
+)
+
+
+def _cache_state(cache):
+    return (
+        [
+            (
+                s.mask,
+                s.created_at,
+                s.interval_hits,
+                {k: (e.action, e.last_hit) for k, e in s.entries.items()},
+            )
+            for s in cache.subtables()
+        ],
+        dict(cache.emc.slots),
+        cache.entry_count,
+        list(cache._expiry),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    table=st.sampled_from(sorted(TABLES)),
+    emc_enabled=st.booleans(),
+    emc_capacity=st.sampled_from([1, 3, 8192]),
+    costs=st.sampled_from([CostModel(), CostModel(c_emc=2.0, c_sub=3.0, c_slow=40.0)]),
+    steps=_steps,
+)
+def test_runs_price_like_runs_of_one(table, emc_enabled, emc_capacity, costs, steps):
+    """A run (h, count) gives the same result and state as count runs (h, 1)."""
+    make_acl, pool = TABLES[table]
+    caches = [
+        FlowCache(make_acl(), emc_enabled=emc_enabled, emc_capacity=emc_capacity, costs=costs)
+        for _ in range(2)
+    ]
+    grouped, single = caches
+    now = 0.0
+    for step in steps:
+        if step[0] == "batch":
+            _, picks, dt = step
+            now += dt
+            runs = [(pool[i % len(pool)], count) for i, count in picks]
+            ones = [(h, 1) for h, count in runs for _ in range(count)]
+            assert grouped.classify_batch(runs, now) == single.classify_batch(ones, now)
+        elif step[0] == "expire":
+            before = grouped.subtables()
+            expired = grouped.expire(now)
+            assert expired == single.expire(now)
+            removed = set(expired[1])
+            assert grouped.subtables() == [s for s in before if s.mask not in removed]
+        else:
+            grouped.rebalance(now)
+            single.rebalance(now)
+        for cache in caches:
+            cache.check_invariants()
+        assert _cache_state(grouped) == _cache_state(single)
+
+
+def test_check_invariants_detects_corruption():
+    cache = table_b_cache()
+    cache.check_invariants()
+    cache.subtables()[0].pos += 1
+    with pytest.raises(AssertionError, match="pos"):
+        cache.check_invariants()
+    cache = table_b_cache()
+    cache._entry_count += 1
+    with pytest.raises(AssertionError, match="entry counter"):
+        cache.check_invariants()
+    cache = table_b_cache()
+    cache._expiry.pop()
+    with pytest.raises(AssertionError, match="expiry record"):
+        cache.check_invariants()
 
 
 def test_probe_cost_is_read_only():
