@@ -9,13 +9,10 @@ from .headers import (
     HeaderValue,
     MaskedKey,
     apply_mask,
-    first_diff_bit,
-    mask_union,
     megaflows_overlap,
-    prefix_mask,
 )
 from .slowpath import Acl, Action, FlowRule, slowpath_lookup, synthesize_megaflow, validate_acl
-from .flow_cache import ClassifyResult, CostModel, EmcCache, FlowCache, HitPath
+from .flow_cache import CostModel, EmcCache, FlowCache
 from .attack import (
     AttackSchedule,
     Trace,

@@ -27,13 +27,13 @@ from .engine import (
     DEFAULT_VICTIM_OFFERED,
     SimConfig,
     cachemap_to_csv,
+    distinct_mask_count,
     metrics_to_lines,
     run,
     scenario_acl,
     series_to_csv,
     victim_flow_headers,
 )
-from .flow_cache import FlowCache
 from .headers import FIVE_TUPLE
 from .slowpath import load_acl, validate_acl
 
@@ -59,7 +59,6 @@ class Scenario:
     victim_flows: int = 2
     emc: bool = False
     tick: float = 0.1
-    seed: int = 42
     eps_down: float = 0.01
     eps_up: float = 0.05
     out: str = "out"
@@ -85,7 +84,6 @@ class Scenario:
             emc_enabled=self.emc,
             tick=self.tick,
             duration=self.duration,
-            seed=self.seed,
             eps_down=self.eps_down,
             eps_up=self.eps_up,
             build_cache_map=build_cache_map,
@@ -145,11 +143,6 @@ def _load_scenario_parts(scenario: Scenario):
         acl = scenario_acl(use_case, victim_flows=victims)
     trace = load_trace(scenario.trace) if scenario.trace else build_trace(use_case, acl)
     return acl, trace, victims
-
-
-def distinct_mask_count(trace, acl) -> int:
-    cache = FlowCache(acl, emc_enabled=False)
-    return len({cache.synthesize(p).mask for p in trace.packets})
 
 
 def cmd_gen_trace(scenario: Scenario) -> int:
@@ -226,16 +219,7 @@ def cmd_render_map(path: str) -> int:
 
 
 def cmd_sweep(scenario: Scenario, cores_list: list[int], rates_list: list[float]) -> int:
-    schedules = [
-        AttackSchedule(
-            rate=rate,
-            t_attack=scenario.t_attack,
-            t_sleep=scenario.t_sleep,
-            clone=clone_factor(rate),
-            start=scenario.attack_start,
-        )
-        for rate in rates_list
-    ]
+    schedules = [replace(scenario, rate=rate).schedule() for rate in rates_list]
     # Attack-phase seconds after the first full cycle and a 2 s margin; the
     # phase pattern is the same at every rate.
     steady_start = scenario.attack_start + scenario.t_attack + scenario.t_sleep + 2
@@ -293,7 +277,6 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--victim-flows", dest="victim_flows", type=int)
     p.add_argument("--emc", dest="emc", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--tick", type=float)
-    p.add_argument("--seed", type=int)
     p.add_argument("--eps-down", dest="eps_down", type=float)
     p.add_argument("--eps-up", dest="eps_up", type=float)
     p.add_argument("--out", help="output file (gen-trace, sweep) or directory (run)")

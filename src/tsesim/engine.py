@@ -51,7 +51,6 @@ class SimConfig:
     emc_enabled: bool = False
     tick: float = 0.1
     duration: float = 60.0
-    seed: int = 42
     eps_down: float = 0.01
     eps_up: float = 0.05
     victim_floor: float = 1e-3
@@ -289,6 +288,13 @@ class MaskBatches:
         }
 
 
+def distinct_mask_count(trace: Trace, acl: Acl, cache: Optional[FlowCache] = None) -> int:
+    """Distinct masks the trace's packets synthesize to."""
+    if cache is None:
+        cache = FlowCache(acl, emc_enabled=False)  # synthesis memo holder only
+    return len({cache.synthesize(p).mask for p in trace.packets})
+
+
 def emission_count(schedule: AttackSchedule, horizon: float) -> int:
     """Number of emissions strictly before the horizon.
 
@@ -389,8 +395,7 @@ def run(
         costs=config.costs,
         idle_timeout=config.idle_timeout,
     )
-    for h in victims:
-        cache.classify(h, now=0.0)
+    cache.warm(victims, now=0.0)
 
     batches: Optional[MaskBatches] = None
     never: set[int] = set()
@@ -405,7 +410,7 @@ def run(
             never = batches.never_created(covered)
             batch_present = [0] * batches.count
         else:
-            masks_total = len({cache.synthesize(p).mask for p in trace0.packets})
+            masks_total = distinct_mask_count(trace0, acl, cache)
 
     emitters = [_Emitter(trace, sched, config.duration) for trace, sched in attacks]
     attack_start = min((sched.start for _, sched in attacks), default=0.0)

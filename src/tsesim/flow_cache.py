@@ -1,15 +1,17 @@
 """Two-layer flow cache: exact-match cache plus a ranked megaflow tuple space.
 
-Lookups try the exact-match cache (EMC), then probe the megaflow cache's
-subtables sequentially (one subtable per distinct wildcard mask), and fall
-back to the slow path, whose result is cached.  Subtables are re-ranked by
-per-interval hit counts once per sort interval; entries idle for the timeout
-are expired; a brand-new subtable always enters the search order first.
+Packets are priced as a sequential tuple-space search would price them: try
+the exact-match cache (EMC), then probe the megaflow cache's subtables in
+search order (one subtable per distinct wildcard mask), and fall back to the
+slow path, whose result is cached.  The matching entry is found through
+synthesis rather than by scanning, and charged the scan's probe count.
+Subtables are re-ranked by per-interval hit counts once per sort interval;
+entries idle for the timeout are expired; a brand-new subtable always enters
+the search order first.
 """
 
 from __future__ import annotations
 
-import enum
 import heapq
 import itertools
 import operator
@@ -20,7 +22,6 @@ from .headers import (
     HeaderMask,
     HeaderValue,
     MaskedKey,
-    apply_mask,
     header_hash64,
 )
 from .slowpath import Acl, Action, SynthesizedFlow, synthesize_megaflow
@@ -33,21 +34,6 @@ class CostModel:
     c_emc: float = 1.0
     c_sub: float = 1.0
     c_slow: float = 50.0
-
-
-class HitPath(enum.Enum):
-    EMC = "emc"
-    MFC = "mfc"
-    SLOW = "slow"
-
-
-@dataclass(frozen=True)
-class ClassifyResult:
-    action: Action
-    path: HitPath
-    emc_probes: int
-    subtables_probed: int
-    cost_units: float
 
 
 class EmcCache:
@@ -174,42 +160,6 @@ class FlowCache:
             self._synth_memo[h] = flow
         return flow
 
-    def emc_lookup(self, h: HeaderValue, now: float) -> Optional[Action]:
-        return self.emc.lookup(h)
-
-    def emc_insert(self, h: HeaderValue, action: Action) -> None:
-        self.emc.insert(h, action)
-
-    def mfc_lookup(self, h: HeaderValue, now: float) -> Optional[tuple[Action, int]]:
-        """Probe subtables sequentially; on a hit, count it and refresh the entry."""
-        for probed, st in enumerate(reversed(self._rev), start=1):
-            key = apply_mask(h, st.mask)
-            entry = st.entries.get(key)
-            if entry is not None:
-                st.interval_hits += 1
-                entry.last_hit = now
-                return entry.action, probed
-        return None
-
-    def mfc_insert(
-        self, key: MaskedKey, mask: HeaderMask, action: Action, now: float
-    ) -> tuple[bool, bool]:
-        """Add an entry; returns (created_subtable, created_entry).
-
-        A new mask creates a subtable at search index 0.  A duplicate
-        (key, mask) only refreshes the entry's idle clock.
-        """
-        st = self._by_mask.get(mask)
-        created = st is None
-        if created:
-            st = self._add_subtable(mask, now)
-        entry = st.entries.get(key)
-        if entry is not None:
-            entry.last_hit = now
-            return created, False
-        self._add_entry(st, key, action, now)
-        return created, True
-
     def _add_subtable(self, mask: HeaderMask, now: float) -> Subtable:
         st = Subtable(mask=mask, created_at=now, pos=len(self._rev) + self._pos_offset)
         self._by_mask[mask] = st
@@ -286,28 +236,6 @@ class FlowCache:
             st.pos = i
         self._pos_offset = 0
 
-    def classify(self, h: HeaderValue, now: float) -> ClassifyResult:
-        """Full pipeline for one packet: EMC, then MFC, then slow path."""
-        c = self.costs
-        emc_probes = 1 if self.emc.enabled else 0
-        if emc_probes:
-            action = self.emc.lookup(h)
-            if action is not None:
-                return ClassifyResult(action, HitPath.EMC, 1, 0, c.c_emc)
-        hit = self.mfc_lookup(h, now)
-        if hit is not None:
-            action, probed = hit
-            self.emc.insert(h, action)
-            return ClassifyResult(
-                action, HitPath.MFC, emc_probes, probed, emc_probes * c.c_emc + probed * c.c_sub
-            )
-        probed = self.subtable_count
-        flow = self.synthesize(h)
-        self.mfc_insert(flow.key, flow.mask, flow.action, now)
-        self.emc.insert(h, flow.action)
-        cost = emc_probes * c.c_emc + probed * c.c_sub + c.c_slow
-        return ClassifyResult(flow.action, HitPath.SLOW, emc_probes, probed, cost)
-
     # -- engine fast paths ---------------------------------------------------
     #
     # The batch path prices every packet against the megaflow state at batch
@@ -334,6 +262,20 @@ class FlowCache:
         defaults and every calibration in use are, that equals the
         per-packet sum exactly.
         """
+        return self._price_runs(runs, now)
+
+    def warm(self, headers: Iterable[HeaderValue], now: float) -> None:
+        """Classify each header as a batch of its own, discarding the price.
+
+        For traffic before the run (the victim's first packets), which is not
+        attacker load and so stays out of `classify_batch`.
+        """
+        for h in headers:
+            self._price_runs(((h, 1),), now)
+
+    def _price_runs(
+        self, runs: Iterable[tuple[HeaderValue, int]], now: float
+    ) -> BatchResult:
         c = self.costs
         emc = self.emc
         emc_on = emc.enabled

@@ -1,6 +1,9 @@
 """Bit-level header model: field layouts, header values, wildcard masks, masked keys.
 
-Layouts are plain data so the same code paths serve both the real five-field
+A header, mask or masked key is a layout plus one unsigned int: the layout's
+fields concatenated with the first field in the highest bits.  Masking,
+overlap and hashing work on that int; per-field values are derived views.
+Layouts are plain data so the same code serves both the real five-field
 layout and tiny synthetic layouts used in tests.  Bit index 0 is the most
 significant bit of a field.
 """
@@ -8,7 +11,7 @@ significant bit of a field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 class LayoutMismatch(ValueError):
@@ -38,17 +41,28 @@ class HeaderLayout:
     fields: tuple[FieldSpec, ...]
 
     def __post_init__(self) -> None:
-        names = [f.name for f in self.fields]
+        names = tuple(f.name for f in self.fields)
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate field names in layout: {names}")
-        object.__setattr__(self, "_hash", hash(self.fields))
-
-    def __hash__(self) -> int:  # cached; layouts are hashed on every cache probe
-        return self._hash  # type: ignore[attr-defined]
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.fields)
+            raise ValueError(f"duplicate field names in layout: {list(names)}")
+        width = shift = sum(f.width for f in self.fields)
+        slot: dict[str, tuple[int, int]] = {}  # name -> (shift, field mask), layout order
+        # Hash input: each field's value as whole big-endian bytes.  A field
+        # of whole bytes extends the previous run, so a run is one
+        # (shift, mask, nbytes) over the packed int.
+        plan: list[tuple[int, int, int]] = []
+        for f in self.fields:
+            shift -= f.width
+            slot[f.name] = (shift, f.full_mask)
+            if plan and f.width % 8 == 0:
+                _, m, n = plan[-1]
+                plan[-1] = (shift, (m << f.width) | f.full_mask, n + f.width // 8)
+            else:
+                plan.append((shift, f.full_mask, (f.width + 7) // 8))
+        set_ = object.__setattr__
+        set_(self, "names", names)
+        set_(self, "width", width)
+        set_(self, "_slot", slot)
+        set_(self, "_hash_plan", tuple(plan))
 
     def index(self, name: str) -> int:
         for i, f in enumerate(self.fields):
@@ -59,53 +73,74 @@ class HeaderLayout:
     def spec(self, name: str) -> FieldSpec:
         return self.fields[self.index(name)]
 
-    def check_values(self, values: tuple[int, ...], what: str) -> None:
+    def pack(self, values: Iterable[int], what: str = "header") -> int:
+        """Concatenate per-field values, first field highest; each must fit its width."""
+        values = tuple(values)
         if len(values) != len(self.fields):
             raise ValueError(f"{what}: expected {len(self.fields)} fields, got {len(values)}")
+        bits = 0
         for f, v in zip(self.fields, values):
             if not 0 <= v <= f.full_mask:
                 raise ValueError(f"{what}: field {f.name!r} value {v:#x} exceeds {f.width} bits")
+            bits = (bits << f.width) | v
+        return bits
 
 
-@dataclass(frozen=True)
-class FieldVector:
-    """Per-field unsigned integers bound to a layout.  Immutable and hashable."""
+class _Packed:
+    """A layout plus its fields packed into one int.  Hashable; never mutated."""
 
-    layout: HeaderLayout
-    values: tuple[int, ...]
+    __slots__ = ("layout", "bits", "_hash")
 
-    def __post_init__(self) -> None:
-        self.layout.check_values(self.values, type(self).__name__)
-        object.__setattr__(
-            self, "_hash", hash((type(self).__name__, hash(self.layout), self.values))
-        )
+    def __init__(self, layout: HeaderLayout, bits: int):
+        if bits < 0 or bits >> layout.width:  # type: ignore[attr-defined]
+            raise ValueError(f"{type(self).__name__}: {bits:#x} exceeds the layout's bits")
+        self.layout = layout
+        self.bits = bits
+        # hash(int) is the int modulo 2**61 - 1, which folds high fields onto
+        # low ones, so many packed masks would share a hash; pairing it with
+        # the high part tells them apart.
+        self._hash = hash((bits >> 61, bits))
 
     def __hash__(self) -> int:  # cached; these are dictionary keys on hot paths
-        return self._hash  # type: ignore[attr-defined]
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        same = type(other) is type(self)
+        return same and (other.bits, other.layout) == (self.bits, self.layout)  # type: ignore
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())})"
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        """Per-field values in layout order."""
+        slots = self.layout._slot.values()  # type: ignore[attr-defined]
+        return tuple((self.bits >> s) & m for s, m in slots)
 
     def get(self, name: str) -> int:
-        return self.values[self.layout.index(name)]
+        shift, full = self.layout._slot[name]  # type: ignore[attr-defined]
+        return (self.bits >> shift) & full
 
     def items(self) -> Iterable[tuple[str, int]]:
         return zip(self.layout.names, self.values)
 
 
-class HeaderValue(FieldVector):
+class HeaderValue(_Packed):
     """One packet's classifier-relevant field values."""
 
+    __slots__ = ()
 
-class HeaderMask(FieldVector):
+
+class HeaderMask(_Packed):
     """Bitwise wildcard mask; a set bit means the bit is examined (un-wildcarded)."""
 
-    def is_full(self) -> bool:
-        return all(v == f.full_mask for f, v in zip(self.layout.fields, self.values))
+    __slots__ = ()
 
 
-class MaskedKey(FieldVector):
-    """A header AND-ed with a mask; key & ~mask == 0 holds per field by construction."""
+class MaskedKey(_Packed):
+    """A header AND-ed with a mask; key & ~mask == 0 holds by construction."""
 
-    def as_header(self) -> HeaderValue:
-        return HeaderValue(self.layout, self.values)
+    __slots__ = ()
 
 
 def header(layout: HeaderLayout, **fields: int) -> HeaderValue:
@@ -116,7 +151,7 @@ def header(layout: HeaderLayout, **fields: int) -> HeaderValue:
     extra = set(fields) - set(layout.names)
     if extra:
         raise ValueError(f"unknown header fields: {sorted(extra)}")
-    return HeaderValue(layout, tuple(fields[n] for n in layout.names))
+    return HeaderValue(layout, layout.pack((fields[n] for n in layout.names), "HeaderValue"))
 
 
 def mask(layout: HeaderLayout, **fields: int) -> HeaderMask:
@@ -124,44 +159,14 @@ def mask(layout: HeaderLayout, **fields: int) -> HeaderMask:
     extra = set(fields) - set(layout.names)
     if extra:
         raise ValueError(f"unknown mask fields: {sorted(extra)}")
-    return HeaderMask(layout, tuple(fields.get(n, 0) for n in layout.names))
-
-
-def full_mask(layout: HeaderLayout) -> HeaderMask:
-    return HeaderMask(layout, tuple(f.full_mask for f in layout.fields))
+    return HeaderMask(layout, layout.pack((fields.get(n, 0) for n in layout.names), "HeaderMask"))
 
 
 def apply_mask(h: HeaderValue, m: HeaderMask) -> MaskedKey:
-    """Per-field bitwise AND of a header with a mask."""
+    """Bitwise AND of a header with a mask."""
     if h.layout != m.layout:
         raise LayoutMismatch("header and mask use different layouts")
-    return MaskedKey(h.layout, tuple(v & mv for v, mv in zip(h.values, m.values)))
-
-
-def first_diff_bit(a: int, b: int, width: int) -> Optional[int]:
-    """Smallest bit index (0 = MSB) where a and b differ, or None if equal."""
-    if a >> width or b >> width or a < 0 or b < 0:
-        raise ValueError(f"values must fit in {width} bits")
-    diff = a ^ b
-    if diff == 0:
-        return None
-    return width - diff.bit_length()
-
-
-def prefix_mask(width: int, length: int) -> int:
-    """Mask with the `length` most-significant bits of a `width`-bit field set."""
-    if not 0 <= length <= width:
-        raise ValueError(f"prefix length {length} out of range for width {width}")
-    if length == 0:
-        return 0
-    return ((1 << length) - 1) << (width - length)
-
-
-def mask_union(m1: HeaderMask, m2: HeaderMask) -> HeaderMask:
-    """Per-field bitwise OR of two masks."""
-    if m1.layout != m2.layout:
-        raise LayoutMismatch("masks use different layouts")
-    return HeaderMask(m1.layout, tuple(a | b for a, b in zip(m1.values, m2.values)))
+    return MaskedKey(h.layout, h.bits & m.bits)
 
 
 def megaflows_overlap(e1: tuple[MaskedKey, HeaderMask], e2: tuple[MaskedKey, HeaderMask]) -> bool:
@@ -174,25 +179,24 @@ def megaflows_overlap(e1: tuple[MaskedKey, HeaderMask], e2: tuple[MaskedKey, Hea
     k2, m2 = e2
     if k1.layout != k2.layout:
         raise LayoutMismatch("entries use different layouts")
-    for a, ma, b, mb in zip(k1.values, m1.values, k2.values, m2.values):
-        common = ma & mb
-        if (a ^ b) & common:
-            return False
-    return True
+    return not (k1.bits ^ k2.bits) & m1.bits & m2.bits
 
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def header_hash64(h: HeaderValue) -> int:
-    """Stable 64-bit FNV-1a hash over the header's fields, MSB-first per field."""
+    """Stable 64-bit FNV-1a hash over the header's fields, MSB-first per field.
+
+    Each field contributes its value as (width + 7) // 8 big-endian bytes.
+    """
     acc = _FNV_OFFSET
-    for f, v in zip(h.layout.fields, h.values):
-        nbytes = (f.width + 7) // 8
-        for byte in v.to_bytes(nbytes, "big"):
-            acc ^= byte
-            acc = (acc * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    bits = h.bits
+    for shift, m, nbytes in h.layout._hash_plan:  # type: ignore[attr-defined]
+        for byte in ((bits >> shift) & m).to_bytes(nbytes, "big"):
+            acc = ((acc ^ byte) * _FNV_PRIME) & _MASK64
     return acc
 
 

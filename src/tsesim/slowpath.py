@@ -5,13 +5,15 @@ rule constrains some fields to exact values and wildcards the rest.  A lookup
 returns the highest-priority matching rule.  Synthesis turns one lookup into
 a cached (key, mask, action) entry that covers the triggering header, stays
 disjoint from every other entry the same table can produce, and wildcards as
-many bits as the rule set allows.
+many bits as the rule set allows.  Both work on packed headers: each rule is
+precomputed as a packed (mask, value) pair.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -20,11 +22,9 @@ from .headers import (
     HeaderMask,
     HeaderValue,
     MaskedKey,
-    apply_mask,
-    first_diff_bit,
     int_to_ip,
     ip_to_int,
-    prefix_mask,
+    mask,
     IP_FIELDS,
 )
 
@@ -44,12 +44,6 @@ class FlowRule:
     priority: int
     matches: tuple[tuple[str, int], ...]  # (field, exact value), layout order
     action: Action
-
-    def constraint(self, name: str) -> Optional[int]:
-        for f, v in self.matches:
-            if f == name:
-                return v
-        return None
 
     @property
     def is_catch_all(self) -> bool:
@@ -75,6 +69,23 @@ class Acl:
     def from_rules(layout: HeaderLayout, rules: Iterable[FlowRule]) -> "Acl":
         ordered = tuple(sorted(rules, key=lambda r: -r.priority))
         return Acl(layout, ordered)
+
+    @cached_property
+    def packed(self) -> tuple[tuple[int, int, FlowRule], ...]:
+        """(mask, value, rule) per rule: h matches the rule iff h.bits & mask == value.
+
+        Raises on a rule that `validate_acl` rejects for an unknown field or
+        a value wider than its field.
+        """
+        full = {f.name: f.full_mask for f in self.layout.fields}
+        return tuple(
+            (
+                mask(self.layout, **{name: full[name] for name, _ in r.matches}).bits,
+                mask(self.layout, **dict(r.matches)).bits,  # constraints, others 0
+                r,
+            )
+            for r in self.rules
+        )
 
 
 def validate_acl(acl: Acl) -> list[str]:
@@ -106,8 +117,9 @@ def validate_acl(acl: Acl) -> list[str]:
 
 def slowpath_lookup(h: HeaderValue, acl: Acl) -> FlowRule:
     """First rule, in descending priority, whose exact constraints all match."""
-    for r in acl.rules:
-        if all(h.get(name) == value for name, value in r.matches):
+    bits = h.bits
+    for m, value, r in acl.packed:
+        if bits & m == value:
             return r
     raise RuntimeError("ACL has no catch-all; validate_acl should have caught this")
 
@@ -129,26 +141,23 @@ def synthesize_megaflow(h: HeaderValue, acl: Acl) -> SynthesizedFlow:
     The first rule whose constrained fields all match ends the walk; the
     catch-all ends it with a deny.  Only examined bits ever enter the mask,
     so the entry is as broad as the rule set permits.
+
+    On packed ints a rule's walk is one expression: fields are packed first
+    field highest, so the highest bit where the header differs from the rule
+    under the rule's mask is the walk's first mismatch, and the walk examined
+    exactly the rule's mask bits at or above it.
     """
-    layout = h.layout
-    acc = [0] * len(layout.fields)
-    for r in acl.rules:
-        matched = True
-        for name, value in r.matches:
-            i = layout.index(name)
-            width = layout.fields[i].width
-            hv = h.values[i]
-            if hv == value:
-                acc[i] = layout.fields[i].full_mask
-            else:
-                diff = first_diff_bit(hv, value, width)
-                assert diff is not None
-                acc[i] |= prefix_mask(width, diff + 1)
-                matched = False
-                break
-        if matched:
-            m = HeaderMask(layout, tuple(acc))
-            return SynthesizedFlow(apply_mask(h, m), m, r.action)
+    bits = h.bits
+    acc = 0
+    for m, value, r in acl.packed:
+        diff = (bits ^ value) & m
+        if not diff:
+            acc |= m
+            return SynthesizedFlow(
+                MaskedKey(h.layout, bits & acc), HeaderMask(h.layout, acc), r.action
+            )
+        low = diff.bit_length() - 1
+        acc |= m >> low << low
     raise RuntimeError("ACL has no catch-all; validate_acl should have caught this")
 
 
@@ -205,7 +214,3 @@ def format_acl_text(acl: Acl) -> str:
 
 def load_acl(path: str | Path, layout: HeaderLayout) -> Acl:
     return parse_acl_text(layout, Path(path).read_text())
-
-
-def save_acl(path: str | Path, acl: Acl) -> None:
-    Path(path).write_text(format_acl_text(acl))

@@ -51,24 +51,11 @@ def hyp_acl():
 
 
 def pack_entries(cache):
-    """Pack every (key, mask) into two uint64 columns for the pair check."""
-    shifts = []
-    offset = 0
-    for f in reversed(cache.acl.layout.fields):
-        shifts.append(offset)
-        offset += f.width
-    shifts.reverse()
-
-    def pack(values):
-        acc = 0
-        for v, s in zip(values, shifts):
-            acc |= v << s
-        return acc
-
+    """Split every packed (key, mask) into two uint64 columns for the pair check."""
     keys, masks = [], []
     for k, m, _ in cache.entries():
-        keys.append(pack(k.values))
-        masks.append(pack(m.values))
+        keys.append(k.bits)
+        masks.append(m.bits)
     lo = (1 << 64) - 1
     k_arr = np.array([[v >> 64, v & lo] for v in keys], dtype=np.uint64)
     m_arr = np.array([[v >> 64, v & lo] for v in masks], dtype=np.uint64)
@@ -114,7 +101,7 @@ def test_criterion_01_hyp_golden_table():
     started = time.monotonic()
     cache = FlowCache(hyp_acl(), emc_enabled=False)
     for v in range(8):
-        cache.classify(header(HYP, hyp=v), now=0.0)
+        cache.classify_batch([(header(HYP, hyp=v), 1)], now=0.0)
     rows = {(k.values[0], m.values[0], a) for k, m, a in cache.entries()}
     expected = {
         (0b001, 0b111, Action.ALLOW),
@@ -250,7 +237,7 @@ def test_criterion_06_disjointness_brute_force(reference_run):
     counts = {}
     cache = FlowCache(hyp_acl(), emc_enabled=False)
     for v in range(8):
-        cache.classify(header(HYP, hyp=v), now=0.0)
+        cache.classify_batch([(header(HYP, hyp=v), 1)], now=0.0)
     counts["hyp"] = assert_pairwise_disjoint(cache)
     for name in ("dp", "sp_dp", "sip_sp_dp"):
         uc = UseCase(name)
@@ -390,5 +377,5 @@ def test_criterion_11_determinism(reference_run):
     result, _, (cfg, acl, trace, sched, victims) = reference_run
     again = run(cfg, acl, [(trace, sched)], victims)
     same = series_to_csv(result.series) == series_to_csv(again.series)
-    report(11, same, "same seed and scenario give byte-identical series CSV")
+    report(11, same, "the same scenario gives a byte-identical series CSV")
     assert same

@@ -1,8 +1,14 @@
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 
-from tsesim.attack import (
+sys.path.insert(0, str(Path(__file__).parent))
+
+from oracle_synth import o_first_diff  # noqa: E402
+
+from tsesim.attack import (  # noqa: E402
     AttackSchedule,
     Trace,
     UseCase,
@@ -18,8 +24,8 @@ from tsesim.attack import (
     schedule_emissions,
     use_case_acl,
 )
-from tsesim.flow_cache import FlowCache
-from tsesim.headers import first_diff_bit, ip_to_int
+from tsesim.flow_cache import FlowCache  # noqa: E402
+from tsesim.headers import ip_to_int  # noqa: E402
 
 
 def test_probe_values_3bit():
@@ -32,7 +38,7 @@ def test_probe_values_first_diff_oracle():
         assert len(values) == width + 1
         assert values[0] == allow
         for i, v in enumerate(values[1:]):
-            assert first_diff_bit(v, allow, width) == i
+            assert o_first_diff(v, allow, width) == i
 
 
 def test_trace_sizes():
@@ -147,7 +153,7 @@ def test_dp_replay_spawns_16_masks():
     trace = build_trace(UseCase.DP, acl)
     cache = FlowCache(acl, emc_enabled=False)
     for i, p in enumerate(trace.packets):
-        cache.classify(p, now=i * 0.001)
+        cache.classify_batch([(p, 1)], now=i * 0.001)
     assert cache.subtable_count == 16
     assert cache.entry_count == 17
 

@@ -237,3 +237,32 @@ def test_sweep_cells_use_scenario_config(monkeypatch):
     )
     base = scenario.sim_config(build_cache_map=False)
     assert seen == [replace(base, cores=1), replace(base, cores=3)]
+
+
+def test_sweep_tse_20_is_not_the_clone_replay(monkeypatch, tmp_path, capsys):
+    """A 2.0 cell replays without clones: it differs from 2.1 and equals `run --tse 2.0`."""
+    import tsesim.cli as cli
+    from tsesim.engine import series_to_csv
+
+    results = []
+    real_run = cli.run
+
+    def spy(*args):
+        results.append(real_run(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run", spy)
+    common = [
+        "--use-case", "dp", "--duration", "20", "--attack-start", "2",
+        "--t-attack", "5", "--t-sleep", "1", "--budget-per-core", "1e6",
+    ]
+    sweep = ["sweep", "--cores-list", "1", "--rates-list", "3000"] + common
+    lines = {}
+    for tse in ("2.0", "2.1"):
+        assert main(sweep + ["--tse", tse]) == 0
+        lines[tse] = capsys.readouterr().out.splitlines()[0]
+    assert lines["2.0"] != lines["2.1"]
+    out = tmp_path / "run"
+    run_args = ["run", "--tse", "2.0", "--cores", "1", "--rate", "3000", "--out", str(out)]
+    assert main(run_args + common) == 0
+    assert (out / "series.csv").read_text() == series_to_csv(results[0].series)

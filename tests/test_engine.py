@@ -1,7 +1,14 @@
+import sys
+from pathlib import Path
+
 import pytest
 
-from tsesim.attack import AttackSchedule, UseCase, build_trace
-from tsesim.engine import (
+sys.path.insert(0, str(Path(__file__).parent))
+
+from oracle_cache import SequentialCache, cache_state  # noqa: E402
+
+from tsesim.attack import AttackSchedule, UseCase, build_trace  # noqa: E402
+from tsesim.engine import (  # noqa: E402
     CacheMapFrame,
     MaskBatches,
     Metrics,
@@ -19,8 +26,9 @@ from tsesim.engine import (
     victim_flow_headers,
     SERIES_CSV_HEADER,
 )
-from tsesim.flow_cache import FlowCache
-from tsesim.slowpath import Action
+from tsesim.flow_cache import FlowCache  # noqa: E402
+from tsesim.headers import header  # noqa: E402
+from tsesim.slowpath import Action  # noqa: E402
 
 
 def reference_setup(use_case=UseCase.SIP_SP_DP):
@@ -185,15 +193,14 @@ def test_victim_cost_probe_positions():
     flows = victim_flow_headers()
     acl = scenario_acl(UseCase.DP, victim_flows=flows)
     cache = FlowCache(acl, emc_enabled=False)
-    for h in flows:
-        cache.classify(h, now=0.0)
+    cache.warm(flows, now=0.0)
     # both victim flows share one subtable at the front
     assert cache.subtable_count == 1
     assert victim_cost_probe(cache, flows) == pytest.approx(cache.costs.c_sub)
     # bury the victim behind attack masks
     trace = build_trace(UseCase.DP, acl)
     for i, p in enumerate(trace.packets):
-        cache.classify(p, now=0.1 + i * 0.001)
+        cache.classify_batch([(p, 1)], now=0.1 + i * 0.001)
     victim_mask = cache.synthesize(flows[0]).mask
     idx = cache.search_index(victim_mask)
     assert idx == 16  # 16 fresh attack masks rank first
@@ -204,9 +211,25 @@ def test_victim_cost_probe_emc():
     flows = victim_flow_headers()
     acl = scenario_acl(UseCase.DP, victim_flows=flows)
     cache = FlowCache(acl, emc_enabled=True)
-    for h in flows:
-        cache.classify(h, now=0.0)
+    cache.warm(flows, now=0.0)
     assert victim_cost_probe(cache, flows) == pytest.approx(cache.costs.c_emc)
+
+
+@pytest.mark.parametrize("emc", [False, True])
+def test_victim_warm_up_matches_sequential_classify(emc):
+    """The engine's t=0 warm-up leaves the state a one-by-one sequential scan leaves."""
+    flows = victim_flow_headers(count=4)
+    acl = scenario_acl(UseCase.SIP_SP_DP, victim_flows=flows)
+    # Repeats hit the EMC (or, with it off, the MFC); a new source address
+    # misses the EMC but hits the flow's megaflow, whose mask wildcards ip_src.
+    other_src = header(flows[0].layout, **{**dict(flows[0].items()), "ip_src": 1})
+    victims = flows + [flows[0], other_src, flows[3]]
+    res = run(SimConfig(duration=0.0, emc_enabled=emc), acl, [], victims)
+    oracle = SequentialCache(acl, emc_enabled=emc)
+    for h in victims:
+        oracle.classify(h, now=0.0)
+    assert cache_state(res.cache) == cache_state(oracle)
+    assert res.cache.subtables()[0].interval_hits == (1 if emc else 3)
 
 
 # -- the run loop ------------------------------------------------------------------

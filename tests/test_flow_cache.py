@@ -1,13 +1,26 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsesim.attack import simple_acl
-from tsesim.flow_cache import CostModel, FlowCache, HitPath
-from tsesim.headers import FIVE_TUPLE, HYP, apply_mask, header, mask, megaflows_overlap
-from tsesim.slowpath import Acl, Action, parse_acl_text, rule
+sys.path.insert(0, str(Path(__file__).parent))
+
+from oracle_cache import SequentialCache, cache_state  # noqa: E402
+
+from tsesim.attack import simple_acl  # noqa: E402
+from tsesim.flow_cache import CostModel, FlowCache  # noqa: E402
+from tsesim.headers import (  # noqa: E402
+    FIVE_TUPLE,
+    HYP,
+    apply_mask,
+    header,
+    mask,
+    megaflows_overlap,
+)
+from tsesim.slowpath import Acl, Action, parse_acl_text, rule  # noqa: E402
 
 
 def hyp_acl():
@@ -47,28 +60,28 @@ def rand_five(rng):
 
 
 def test_emc_read_your_write():
-    cache = FlowCache(hyp_acl())
-    cache.emc_insert(hv(0b001), Action.ALLOW)
-    assert cache.emc_lookup(hv(0b001), now=0.0) is Action.ALLOW
-    assert cache.emc_lookup(hv(0b011), now=0.0) is None
+    emc = FlowCache(hyp_acl()).emc
+    emc.insert(hv(0b001), Action.ALLOW)
+    assert emc.lookup(hv(0b001)) is Action.ALLOW
+    assert emc.lookup(hv(0b011)) is None
 
 
 def test_emc_disabled_always_misses():
-    cache = FlowCache(hyp_acl(), emc_enabled=False)
-    cache.emc_insert(hv(0b001), Action.ALLOW)
-    assert cache.emc_lookup(hv(0b001), now=0.0) is None
+    emc = FlowCache(hyp_acl(), emc_enabled=False).emc
+    emc.insert(hv(0b001), Action.ALLOW)
+    assert emc.lookup(hv(0b001)) is None
 
 
 def test_emc_collision_eviction_capacity_one():
-    cache = FlowCache(hyp_acl(), emc_capacity=1)
-    cache.emc_insert(hv(0b001), Action.ALLOW)
-    cache.emc_insert(hv(0b010), Action.DENY)
-    assert cache.emc_lookup(hv(0b001), now=0.0) is None
-    assert cache.emc_lookup(hv(0b010), now=0.0) is Action.DENY
-    assert cache.emc.occupancy <= 1
+    emc = FlowCache(hyp_acl(), emc_capacity=1).emc
+    emc.insert(hv(0b001), Action.ALLOW)
+    emc.insert(hv(0b010), Action.DENY)
+    assert emc.lookup(hv(0b001)) is None
+    assert emc.lookup(hv(0b010)) is Action.DENY
+    assert emc.occupancy <= 1
 
 
-# -- MFC lookup / insert -------------------------------------------------------
+# -- MFC lookup / insert (the sequential reference) ----------------------------
 
 
 def table_b_cache(emc=False):
@@ -77,7 +90,7 @@ def table_b_cache(emc=False):
     Rows #1 and #4 share mask 111 and therefore one subtable; the resulting
     search order over masks is [111, 100, 110].
     """
-    cache = FlowCache(hyp_acl(), emc_enabled=emc)
+    cache = SequentialCache(hyp_acl(), emc_enabled=emc)
     rows = [
         (0b010, 0b110, Action.DENY),
         (0b100, 0b100, Action.DENY),
@@ -91,7 +104,7 @@ def table_b_cache(emc=False):
 
 
 def test_mfc_lookup_empty():
-    cache = FlowCache(hyp_acl())
+    cache = SequentialCache(hyp_acl())
     assert cache.mfc_lookup(hv(0b101), now=0.0) is None
     assert cache.subtable_count == 0
 
@@ -110,7 +123,7 @@ def test_mfc_lookup_probe_counts():
 
 
 def test_mfc_insert_new_mask_ranked_first():
-    cache = FlowCache(five_acl(), emc_enabled=False)
+    cache = SequentialCache(five_acl(), emc_enabled=False)
     ma = mask(FIVE_TUPLE, dport=0xFFFF)
     mb = mask(FIVE_TUPLE, sport=0x8000)
     h = header(FIVE_TUPLE, ip_src=1, ip_dst=2, proto=6, sport=3, dport=80)
@@ -122,7 +135,7 @@ def test_mfc_insert_new_mask_ranked_first():
 
 
 def test_mfc_insert_same_mask_no_new_subtable():
-    cache = FlowCache(hyp_acl())
+    cache = SequentialCache(hyp_acl())
     m = mask(HYP, hyp=0b111)
     cache.mfc_insert(apply_mask(hv(0b001), m), m, Action.ALLOW, now=0.0)
     created, new_entry = cache.mfc_insert(apply_mask(hv(0b000), m), m, Action.DENY, now=0.0)
@@ -132,7 +145,7 @@ def test_mfc_insert_same_mask_no_new_subtable():
 
 
 def test_mfc_insert_duplicate_refreshes_only():
-    cache = FlowCache(hyp_acl())
+    cache = SequentialCache(hyp_acl())
     m = mask(HYP, hyp=0b111)
     k = apply_mask(hv(0b001), m)
     cache.mfc_insert(k, m, Action.ALLOW, now=0.0)
@@ -146,7 +159,7 @@ def test_mfc_insert_duplicate_refreshes_only():
 
 
 def test_expiry_boundaries():
-    cache = FlowCache(hyp_acl())
+    cache = SequentialCache(hyp_acl())
     m = mask(HYP, hyp=0b111)
     k = apply_mask(hv(0b001), m)
     cache.mfc_insert(k, m, Action.ALLOW, now=0.0)
@@ -158,7 +171,7 @@ def test_expiry_boundaries():
 
 
 def test_expiry_respects_refresh():
-    cache = FlowCache(hyp_acl())
+    cache = SequentialCache(hyp_acl())
     m = mask(HYP, hyp=0b111)
     k = apply_mask(hv(0b001), m)
     cache.mfc_insert(k, m, Action.ALLOW, now=0.0)
@@ -173,7 +186,7 @@ def test_expiry_respects_refresh():
 
 def test_expiry_random_soundness():
     rng = random.Random(5)
-    cache = FlowCache(five_acl(), emc_enabled=False)
+    cache = SequentialCache(five_acl(), emc_enabled=False)
     last_hits = {}
     now = 0.0
     for _ in range(2000):
@@ -196,7 +209,7 @@ def test_expiry_random_soundness():
 
 
 def test_rebalance_orders_by_hits_and_resets():
-    cache = FlowCache(five_acl(), emc_enabled=False)
+    cache = SequentialCache(five_acl(), emc_enabled=False)
     h = header(FIVE_TUPLE, ip_src=1, ip_dst=2, proto=6, sport=3, dport=80)
     masks = [
         mask(FIVE_TUPLE, dport=0xFFFF),
@@ -215,7 +228,7 @@ def test_rebalance_orders_by_hits_and_resets():
 
 
 def test_rebalance_all_zero_is_stable():
-    cache = FlowCache(five_acl(), emc_enabled=False)
+    cache = SequentialCache(five_acl(), emc_enabled=False)
     h = header(FIVE_TUPLE, ip_src=1, ip_dst=2, proto=6, sport=3, dport=80)
     for m in [mask(FIVE_TUPLE, dport=0xFFFF), mask(FIVE_TUPLE, sport=0xFFFF)]:
         cache.mfc_insert(apply_mask(h, m), m, Action.DENY, now=0.0)
@@ -229,26 +242,25 @@ def test_rebalance_all_zero_is_stable():
 
 def test_classify_emc_on_second_hit():
     cache = FlowCache(hyp_acl(), emc_enabled=True)
-    first = cache.classify(hv(0b001), now=0.0)
-    second = cache.classify(hv(0b001), now=0.1)
-    assert first.path is HitPath.SLOW
-    assert second.path is HitPath.EMC
-    assert second.cost_units == cache.costs.c_emc
+    first = cache.classify_batch([(hv(0b001), 1)], now=0.0)
+    second = cache.classify_batch([(hv(0b001), 1)], now=0.1)
+    assert first.slow_path == 1
+    assert second.emc_hits == 1
+    assert second.total_cost == cache.costs.c_emc
 
 
 def test_classify_fresh_header_slow_path():
     cache = FlowCache(hyp_acl(), emc_enabled=False)
-    res = cache.classify(hv(0b101), now=0.0)
-    assert res.path is HitPath.SLOW
-    assert res.subtables_probed == 0
+    res = cache.classify_batch([(hv(0b101), 1)], now=0.0)
+    assert res.slow_path == 1
     assert cache.entry_count == 1
-    assert res.cost_units == cache.costs.c_slow
+    assert res.total_cost == cache.costs.c_slow  # no subtable to probe
 
 
 def test_classify_hyp_sweep_builds_golden_table():
     cache = FlowCache(hyp_acl(), emc_enabled=False)
     for v in range(8):
-        cache.classify(hv(v), now=0.0)
+        cache.classify_batch([(hv(v), 1)], now=0.0)
     rows = {(k.values[0], m.values[0], a) for k, m, a in cache.entries()}
     assert rows == {
         (0b001, 0b111, Action.ALLOW),
@@ -261,12 +273,12 @@ def test_classify_hyp_sweep_builds_golden_table():
 def test_classify_cost_formula():
     costs = CostModel(c_emc=2.0, c_sub=3.0, c_slow=40.0)
     cache = FlowCache(hyp_acl(), emc_enabled=True, costs=costs)
-    res = cache.classify(hv(0b001), now=0.0)  # miss EMC, miss MFC (empty), slow
-    assert res.cost_units == 2.0 + 0 * 3.0 + 40.0
-    res = cache.classify(hv(0b000), now=0.0)  # miss EMC, probe 1 subtable, slow
-    assert res.cost_units == 2.0 + 1 * 3.0 + 40.0
-    res = cache.classify(hv(0b000), now=0.1)  # EMC hit
-    assert res.cost_units == 2.0
+    res = cache.classify_batch([(hv(0b001), 1)], now=0.0)  # miss EMC, miss MFC (empty), slow
+    assert res.total_cost == 2.0 + 0 * 3.0 + 40.0
+    res = cache.classify_batch([(hv(0b000), 1)], now=0.0)  # miss EMC, probe 1 subtable, slow
+    assert res.total_cost == 2.0 + 1 * 3.0 + 40.0
+    res = cache.classify_batch([(hv(0b000), 1)], now=0.1)  # EMC hit
+    assert res.total_cost == 2.0
 
 
 # -- batch path vs sequential oracle -------------------------------------------
@@ -275,7 +287,7 @@ def test_classify_cost_formula():
 def test_batch_of_one_matches_sequential():
     rng = random.Random(17)
     headers = [rand_five(rng) for _ in range(400)]
-    seq = FlowCache(five_acl(), emc_enabled=False)
+    seq = SequentialCache(five_acl(), emc_enabled=False)
     bat = FlowCache(five_acl(), emc_enabled=False)
     total_seq = 0.0
     total_bat = 0.0
@@ -294,7 +306,7 @@ def test_batch_hit_cost_matches_linear_scan_position():
     cache = FlowCache(five_acl(), emc_enabled=False)
     headers = [rand_five(rng) for _ in range(150)]
     for i, h in enumerate(headers):
-        cache.classify(h, now=i * 0.01)
+        cache.classify_batch([(h, 1)], now=i * 0.01)
     cache.rebalance(2.0)
     for h in rng.sample(headers, 50):
         flow = cache.synthesize(h)
@@ -352,23 +364,6 @@ _steps = st.lists(
 )
 
 
-def _cache_state(cache):
-    return (
-        [
-            (
-                s.mask,
-                s.created_at,
-                s.interval_hits,
-                {k: (e.action, e.last_hit) for k, e in s.entries.items()},
-            )
-            for s in cache.subtables()
-        ],
-        dict(cache.emc.slots),
-        cache.entry_count,
-        list(cache._expiry),
-    )
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     table=st.sampled_from(sorted(TABLES)),
@@ -404,7 +399,7 @@ def test_runs_price_like_runs_of_one(table, emc_enabled, emc_capacity, costs, st
             single.rebalance(now)
         for cache in caches:
             cache.check_invariants()
-        assert _cache_state(grouped) == _cache_state(single)
+        assert cache_state(grouped) == cache_state(single)
 
 
 def test_check_invariants_detects_corruption():
@@ -426,7 +421,7 @@ def test_check_invariants_detects_corruption():
 def test_probe_cost_is_read_only():
     cache = FlowCache(five_acl(), emc_enabled=False)
     h = header(FIVE_TUPLE, ip_src=9, ip_dst=2, proto=6, sport=3, dport=81)
-    cache.classify(h, now=0.0)
+    cache.classify_batch([(h, 1)], now=0.0)
     st = cache.subtables()[0]
     hits_before = st.interval_hits
     entry = next(iter(st.entries.values()))
@@ -440,7 +435,7 @@ def test_probe_cost_is_read_only():
 def test_credit_hits_bulk():
     cache = FlowCache(five_acl(), emc_enabled=False)
     h = header(FIVE_TUPLE, ip_src=9, ip_dst=2, proto=6, sport=3, dport=81)
-    cache.classify(h, now=0.0)
+    cache.classify_batch([(h, 1)], now=0.0)
     cache.credit_hits(h, 500, now=3.0)
     st = cache.subtables()[0]
     assert st.interval_hits == 500
@@ -461,7 +456,7 @@ def test_fuzz_disjointness_and_ranking_properties():
             h = rand_five(rng)
             flow = cache.synthesize(h)
             existed = any(st.mask == flow.mask for st in cache.subtables())
-            cache.classify(h, now)
+            cache.classify_batch([(h, 1)], now)
             if not existed:
                 assert cache.search_index(flow.mask) == 0  # new subtable ranks first
         elif op < 0.9:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsesim.headers import (
     FIVE_TUPLE,
@@ -8,19 +10,20 @@ from tsesim.headers import (
     FieldSpec,
     HeaderLayout,
     HeaderMask,
+    HeaderValue,
     LayoutMismatch,
+    MaskedKey,
     apply_mask,
-    first_diff_bit,
-    full_mask,
     header,
     header_hash64,
     int_to_ip,
     ip_to_int,
     mask,
-    mask_union,
     megaflows_overlap,
-    prefix_mask,
 )
+
+# Widths that are not byte-aligned, so each field hashes as its own padded bytes.
+ODD = HeaderLayout((FieldSpec("a", 3), FieldSpec("b", 5), FieldSpec("c", 9)))
 
 
 def hyp_header(v):
@@ -54,36 +57,11 @@ def test_apply_mask_idempotent():
             sport=rng.getrandbits(16),
             dport=rng.getrandbits(16),
         )
-        m = HeaderMask(FIVE_TUPLE, tuple(rng.getrandbits(f.width) for f in FIVE_TUPLE.fields))
+        m = HeaderMask(FIVE_TUPLE, rng.getrandbits(FIVE_TUPLE.width))
         once = apply_mask(h, m)
-        twice = apply_mask(once.as_header(), m)
+        twice = apply_mask(HeaderValue(FIVE_TUPLE, once.bits), m)
         assert once.values == twice.values
-
-
-def test_first_diff_bit():
-    assert first_diff_bit(0b001, 0b001, 3) is None
-    assert first_diff_bit(0b100, 0b001, 3) == 0
-    assert first_diff_bit(0b010, 0b001, 3) == 1
-    assert first_diff_bit(0b000, 0b001, 3) == 2
-    assert first_diff_bit(0x8000, 0x0000, 16) == 0
-
-
-def test_prefix_mask():
-    assert prefix_mask(3, 2) == 0b110
-    assert prefix_mask(3, 0) == 0b000
-    assert prefix_mask(3, 3) == 0b111
-    assert prefix_mask(16, 16) == 0xFFFF
-    with pytest.raises(ValueError):
-        prefix_mask(3, 4)
-
-
-def test_mask_union():
-    assert mask_union(hyp_mask(0b110), hyp_mask(0b001)).values == (0b111,)
-    assert mask_union(hyp_mask(0), hyp_mask(0)).values == (0,)
-    m1 = mask(FIVE_TUPLE, dport=0xFFFF)
-    m2 = mask(FIVE_TUPLE, sport=0x8000)
-    u = mask_union(m1, m2)
-    assert u.get("dport") == 0xFFFF and u.get("sport") == 0x8000 and u.get("ip_src") == 0
+        assert once.values == tuple(v & mv for v, mv in zip(h.values, m.values))
 
 
 def entry(key_bits, mask_bits):
@@ -119,9 +97,36 @@ def test_overlap_matches_enumeration_oracle():
         assert megaflows_overlap(e1, e1)
 
 
+SMALL = HeaderLayout((FieldSpec("x", 2), FieldSpec("y", 3), FieldSpec("z", 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k1=st.integers(0, 63), m1=st.integers(0, 63), k2=st.integers(0, 63), m2=st.integers(0, 63)
+)
+def test_overlap_matches_enumeration_multi_field(k1, m1, k2, m2):
+    """On a 2/3/1-bit layout, overlap holds iff one of the 64 headers matches both."""
+    e1 = (MaskedKey(SMALL, k1 & m1), HeaderMask(SMALL, m1))
+    e2 = (MaskedKey(SMALL, k2 & m2), HeaderMask(SMALL, m2))
+    common = False
+    for x in range(4):
+        for y in range(8):
+            for z in range(2):
+                h = header(SMALL, x=x, y=y, z=z)
+                if apply_mask(h, e1[1]) == e1[0] and apply_mask(h, e2[1]) == e2[0]:
+                    common = True
+    assert megaflows_overlap(e1, e2) == common
+
+
 def test_field_width_validation():
     with pytest.raises(ValueError):
         header(HYP, hyp=8)
+    with pytest.raises(ValueError):
+        mask(FIVE_TUPLE, proto=0x100)
+    with pytest.raises(ValueError):
+        HeaderValue(HYP, 8)
+    with pytest.raises(ValueError):
+        HeaderValue(HYP, -1)
     with pytest.raises(ValueError):
         FieldSpec("zero", 0)
     with pytest.raises(ValueError):
@@ -135,6 +140,33 @@ def test_hash_is_stable_and_spreads():
     assert header_hash64(h) != header_hash64(other)
 
 
+def test_hash_values_are_pinned():
+    """EMC slots are header_hash64(h) % capacity, so the values must not drift."""
+    cases = [
+        (
+            header(
+                FIVE_TUPLE,
+                ip_src=ip_to_int("10.0.0.1"),
+                ip_dst=ip_to_int("198.51.100.7"),
+                proto=6,
+                sport=12345,
+                dport=80,
+            ),
+            0x3EBAD8EE0498C007,
+        ),
+        (header(FIVE_TUPLE, ip_src=0, ip_dst=0, proto=0, sport=0, dport=0), 0x7C96179F62DAE92F),
+        (
+            header(
+                FIVE_TUPLE, ip_src=0xFFFFFFFF, ip_dst=0x01234567, proto=255, sport=65535, dport=1
+            ),
+            0x85F45A183834D0CB,
+        ),
+        (header(ODD, a=5, b=17, c=300), 0xC07DC35642263BBE),
+    ]
+    for h, expected in cases:
+        assert header_hash64(h) == expected
+
+
 def test_ip_helpers_roundtrip():
     for dotted in ("0.0.0.0", "10.0.0.1", "192.0.2.1", "255.255.255.255"):
         assert int_to_ip(ip_to_int(dotted)) == dotted
@@ -144,9 +176,19 @@ def test_ip_helpers_roundtrip():
         ip_to_int("10.0.0.300")
 
 
-def test_full_mask_and_custom_layout():
+def test_custom_layout_packs_first_field_highest():
     layout = HeaderLayout((FieldSpec("a", 4), FieldSpec("b", 2)))
-    fm = full_mask(layout)
-    assert fm.values == (0xF, 0b11)
-    assert fm.is_full()
-    assert not mask(layout, a=0xF).is_full()
+    h = header(layout, a=0b1001, b=0b10)
+    assert h.bits == 0b1001_10
+    assert h.values == (0b1001, 0b10)
+    assert h.get("a") == 0b1001 and h.get("b") == 0b10
+    assert dict(h.items()) == {"a": 0b1001, "b": 0b10}
+    assert mask(layout, a=0xF).bits == 0b1111_00
+    assert layout.pack((0xF, 0b11)) == (1 << layout.width) - 1
+    with pytest.raises(ValueError):
+        layout.pack((0x10, 0))
+    with pytest.raises(ValueError):
+        layout.pack((1,))
+    # Equal bits on a different type or layout are a different value.
+    assert h != HeaderMask(layout, h.bits)
+    assert h != HeaderValue(HeaderLayout((FieldSpec("c", 6),)), h.bits)

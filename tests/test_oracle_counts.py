@@ -51,7 +51,9 @@ def test_cache_replay_matches_oracle_counts_and_mask_sets():
             cache.classify_batch([(p, 1)], now=i / 1000.0)
         assert cache.subtable_count == masks
         assert cache.entry_count == entries
-        oracle_masks = {HeaderMask(FIVE_TUPLE, m) for m in o_counts(uc_name)["spawn_order"]}
+        oracle_masks = {
+            HeaderMask(FIVE_TUPLE, FIVE_TUPLE.pack(m)) for m in o_counts(uc_name)["spawn_order"]
+        }
         cache_masks = {st.mask for st in cache.subtables()}
         assert cache_masks == oracle_masks
 

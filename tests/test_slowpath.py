@@ -1,9 +1,17 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tsesim.headers import FIVE_TUPLE, HYP, apply_mask, header, ip_to_int
-from tsesim.slowpath import (
+sys.path.insert(0, str(Path(__file__).parent))
+
+from oracle_synth import ORDER, WIDTH, o_synthesize  # noqa: E402
+
+from tsesim.headers import FIVE_TUPLE, HYP, apply_mask, header, ip_to_int  # noqa: E402
+from tsesim.slowpath import (  # noqa: E402
     Acl,
     Action,
     format_acl_text,
@@ -63,6 +71,9 @@ def test_validate_reports_duplicate_priority_and_width():
     problems = validate_acl(acl)
     assert any("duplicate priorities" in v for v in problems)
     assert any("exceeds field width" in v for v in problems)
+    h = header(FIVE_TUPLE, ip_src=1, ip_dst=2, proto=6, sport=1, dport=80)
+    with pytest.raises(ValueError):
+        synthesize_megaflow(h, acl)  # a too-wide value must not spill into another field
 
 
 def test_lookup_hyp():
@@ -160,6 +171,50 @@ def test_decision_consistency_sampled_five_tuple():
             h2 = header(FIVE_TUPLE, **probe)
             assert apply_mask(h2, flow.mask).values == flow.key.values
             assert slowpath_lookup(h2, acl).action is flow.action
+
+
+@st.composite
+def _acl_and_headers(draw):
+    """Rules on 1-3 fields with random priorities, and headers near their values."""
+    count = draw(st.integers(1, 6))
+    priorities = draw(st.lists(st.integers(1, 1000), min_size=count, max_size=count, unique=True))
+    rules = []
+    for priority in priorities:
+        names = draw(st.lists(st.sampled_from(ORDER), min_size=1, max_size=3, unique=True))
+        matches = {n: draw(st.integers(0, (1 << WIDTH[n]) - 1)) for n in names}
+        rules.append((priority, matches, draw(st.sampled_from(Action))))
+    headers = []
+    for _ in range(draw(st.integers(1, 8))):
+        fields = {}
+        for n in ORDER:
+            near = [m[n] for _, m, _ in rules if n in m]
+            value = draw(st.sampled_from(near)) if near and draw(st.booleans()) else None
+            if value is None:
+                value = draw(st.integers(0, (1 << WIDTH[n]) - 1))
+            elif draw(st.booleans()):
+                value ^= 1 << draw(st.integers(0, WIDTH[n] - 1))
+            fields[n] = value
+        headers.append(fields)
+    return rules, headers
+
+
+@settings(max_examples=300, deadline=None)
+@given(_acl_and_headers())
+def test_synthesis_matches_independent_oracle(case):
+    """The packed walk equals the per-field reference walk on random multi-field ACLs."""
+    rules, headers = case
+    acl = Acl.from_rules(
+        FIVE_TUPLE,
+        [rule(FIVE_TUPLE, p, action, **matches) for p, matches, action in rules]
+        + [rule(FIVE_TUPLE, 0, Action.DENY)],
+    )
+    by_priority = sorted(rules, key=lambda r: -r[0])
+    oracle_rules = [(matches, action.value) for _, matches, action in by_priority] + [({}, "deny")]
+    for fields in headers:
+        flow = synthesize_megaflow(header(FIVE_TUPLE, **fields), acl)
+        key, msk, action = o_synthesize(fields, oracle_rules)
+        assert (flow.key.values, flow.mask.values, flow.action.value) == (key, msk, action)
+        assert slowpath_lookup(header(FIVE_TUPLE, **fields), acl).action is flow.action
 
 
 def test_synthesized_entries_same_acl_disjoint_or_identical():
