@@ -35,7 +35,7 @@ from .engine import (
     victim_flow_headers,
 )
 from .headers import FIVE_TUPLE
-from .slowpath import load_acl, validate_acl
+from .slowpath import Acl, load_acl, validate_acl
 
 
 class ConfigError(Exception):
@@ -131,14 +131,19 @@ def parse_config(config_path: Optional[str], overrides: dict) -> Scenario:
     return scenario
 
 
+def _load_valid_acl(path: str) -> Acl:
+    acl = load_acl(path, FIVE_TUPLE)
+    problems = validate_acl(acl)
+    if problems:
+        raise ConfigError(f"ACL invalid: {problems}")
+    return acl
+
+
 def _load_scenario_parts(scenario: Scenario):
     victims = victim_flow_headers(FIVE_TUPLE, scenario.victim_flows)
     use_case = UseCase(scenario.use_case)
     if scenario.acl:
-        acl = load_acl(scenario.acl, FIVE_TUPLE)
-        problems = validate_acl(acl)
-        if problems:
-            raise ConfigError(f"ACL invalid: {problems}")
+        acl = _load_valid_acl(scenario.acl)
     else:
         acl = scenario_acl(use_case, victim_flows=victims)
     trace = load_trace(scenario.trace) if scenario.trace else build_trace(use_case, acl)
@@ -147,10 +152,7 @@ def _load_scenario_parts(scenario: Scenario):
 
 def cmd_gen_trace(scenario: Scenario) -> int:
     use_case = UseCase(scenario.use_case)
-    if scenario.acl:
-        acl = load_acl(scenario.acl, FIVE_TUPLE)
-    else:
-        acl = use_case_acl(use_case)
+    acl = _load_valid_acl(scenario.acl) if scenario.acl else use_case_acl(use_case)
     trace = build_trace(use_case, acl)
     out = Path(scenario.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -6,15 +6,15 @@ search order (one subtable per distinct wildcard mask), and fall back to the
 slow path, whose result is cached.  The matching entry is found through
 synthesis rather than by scanning, and charged the scan's probe count.
 Subtables are re-ranked by per-interval hit counts once per sort interval;
-entries idle for the timeout are expired; a brand-new subtable always enters
-the search order first.
+a brand-new subtable always enters the search order first.  Entries idle for
+the timeout are expired from a list kept in last-hit order: an install
+appends, a hit moves the entry to the end, and expiry pops from the front.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import operator
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -64,7 +64,7 @@ class EmcCache:
         return len(self.slots)
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity: a key of FlowCache._idle
 class MegaflowEntry:
     key: MaskedKey
     action: Action
@@ -74,7 +74,6 @@ class MegaflowEntry:
 @dataclass
 class Subtable:
     mask: HeaderMask
-    created_at: float
     entries: dict[MaskedKey, MegaflowEntry] = field(default_factory=dict)
     interval_hits: int = 0
     # Index in FlowCache._rev plus the cache's position offset.
@@ -123,10 +122,11 @@ class FlowCache:
         # offset to shift everything above it.
         self._rev: list[Subtable] = []
         self._pos_offset = 0
-        self._entry_count = 0
         self._by_mask: dict[HeaderMask, Subtable] = {}
-        self._expiry: list[tuple[float, int, HeaderMask, MaskedKey, float]] = []
-        self._seq = itertools.count()
+        # Live entries in last-hit order, oldest first.  `_advance` rejects a
+        # `now` below `_clock`, the latest one, so this is `last_hit` order too.
+        self._idle: OrderedDict[MegaflowEntry, Subtable] = OrderedDict()
+        self._clock = float("-inf")
         self._synth_memo: dict[HeaderValue, SynthesizedFlow] = {}
 
     # -- views -------------------------------------------------------------
@@ -141,7 +141,7 @@ class FlowCache:
 
     @property
     def entry_count(self) -> int:
-        return self._entry_count
+        return len(self._idle)
 
     def search_index(self, mask: HeaderMask) -> int:
         return len(self._rev) - 1 - (self._by_mask[mask].pos - self._pos_offset)
@@ -160,8 +160,18 @@ class FlowCache:
             self._synth_memo[h] = flow
         return flow
 
-    def _add_subtable(self, mask: HeaderMask, now: float) -> Subtable:
-        st = Subtable(mask=mask, created_at=now, pos=len(self._rev) + self._pos_offset)
+    def _advance(self, now: float) -> None:
+        """Raise ValueError if `now` is earlier than a time already stamped."""
+        if now < self._clock:
+            raise ValueError(f"time went backwards: {now} < {self._clock}")
+        self._clock = now
+
+    def _refresh(self, entry: MegaflowEntry, now: float) -> None:
+        entry.last_hit = now
+        self._idle.move_to_end(entry)
+
+    def _add_subtable(self, mask: HeaderMask) -> Subtable:
+        st = Subtable(mask=mask, pos=len(self._rev) + self._pos_offset)
         self._by_mask[mask] = st
         self._rev.append(st)
         return st
@@ -171,51 +181,30 @@ class FlowCache:
     ) -> MegaflowEntry:
         entry = MegaflowEntry(key=key, action=action, last_hit=now)
         st.entries[key] = entry
-        self._entry_count += 1
-        heapq.heappush(
-            self._expiry, (now + self.idle_timeout, next(self._seq), st.mask, key, now)
-        )
+        self._idle[entry] = st
         return entry
 
     def expire(self, now: float) -> tuple[list[tuple[MaskedKey, HeaderMask]], list[HeaderMask]]:
         """Remove entries idle for >= idle_timeout; drop emptied subtables.
 
-        Returns (expired entries, removed subtable masks).  Only the storage
-        prefix up to the highest removed subtable is rebuilt; expired
+        Returns (expired entries in last-hit order, removed subtable masks).
+        Costs O(expired + 1): the idle list is in last-hit order, so expiry
+        stops at its first entry that is still young.  Only the storage
+        prefix up to the highest removed subtable is renumbered; expired
         subtables have gone unhit, so they rank last and sit low in storage.
         """
         removed_entries: list[tuple[MaskedKey, HeaderMask]] = []
         removed_masks: list[HeaderMask] = []
         offset = self._pos_offset
         top = -1  # highest storage index of a removed subtable
-        while self._expiry and self._expiry[0][0] <= now:
-            _, _, mask, key, stamp = heapq.heappop(self._expiry)
-            st = self._by_mask.get(mask)
-            if st is None:
-                continue
-            entry = st.entries.get(key)
-            if entry is None:
-                continue
-            if entry.last_hit != stamp:
-                # Refreshed since queued; requeue at its current deadline.
-                heapq.heappush(
-                    self._expiry,
-                    (
-                        entry.last_hit + self.idle_timeout,
-                        next(self._seq),
-                        mask,
-                        key,
-                        entry.last_hit,
-                    ),
-                )
-                continue
-            del st.entries[key]
-            removed_entries.append((key, mask))
+        while self._idle and (entry := next(iter(self._idle))).last_hit + self.idle_timeout <= now:
+            st = self._idle.pop(entry)
+            del st.entries[entry.key]
+            removed_entries.append((entry.key, st.mask))
             if not st.entries:
-                del self._by_mask[mask]
-                removed_masks.append(mask)
+                del self._by_mask[st.mask]
+                removed_masks.append(st.mask)
                 top = max(top, st.pos - offset)
-        self._entry_count -= len(removed_entries)
         if removed_masks:
             kept = [st for st in self._rev[: top + 1] if st.entries]
             self._rev[: top + 1] = kept
@@ -260,8 +249,10 @@ class FlowCache:
         visible within the batch) with one install.  A run is charged
         count x its per-packet price; with integer-valued cost knobs, as the
         defaults and every calibration in use are, that equals the
-        per-packet sum exactly.
+        per-packet sum exactly.  Raises ValueError if `now` is earlier than
+        a time already passed to `classify_batch`, `warm` or `credit_hits`.
         """
+        self._advance(now)
         return self._price_runs(runs, now)
 
     def warm(self, headers: Iterable[HeaderValue], now: float) -> None:
@@ -270,6 +261,7 @@ class FlowCache:
         For traffic before the run (the victim's first packets), which is not
         attacker load and so stays out of `classify_batch`.
         """
+        self._advance(now)
         for h in headers:
             self._price_runs(((h, 1),), now)
 
@@ -306,14 +298,14 @@ class FlowCache:
                 res.mfc_hits += count
                 res.total_cost += count * (emc_probe + (base - st.pos) * c_sub)
                 st.interval_hits += count
-                entry.last_hit = now
+                self._refresh(entry, now)
                 action = entry.action
             else:
                 res.slow_path += count
                 res.total_cost += count * miss_cost
                 if entry is None:
                     if st is None:
-                        st = self._add_subtable(flow.mask, now)
+                        st = self._add_subtable(flow.mask)
                         res.created_masks.append(flow.mask)
                     batch_new.add(id(self._add_entry(st, flow.key, flow.action, now)))
                 action = flow.action
@@ -338,6 +330,7 @@ class FlowCache:
 
     def credit_hits(self, h: HeaderValue, packets: int, now: float) -> None:
         """Bulk interval-hit increment and idle refresh for h's megaflow."""
+        self._advance(now)
         if packets <= 0:
             return
         flow = self.synthesize(h)
@@ -348,16 +341,17 @@ class FlowCache:
         if entry is None:
             return
         st.interval_hits += packets
-        entry.last_hit = now
+        self._refresh(entry, now)
 
     # -- introspection ---------------------------------------------------------
 
     def check_invariants(self) -> None:
         """Raise AssertionError if the cache's bookkeeping disagrees with its contents.
 
-        Checks that stored positions match storage, the entry counter matches
-        the entries, `_by_mask` and storage hold the same non-empty subtables,
-        and every live entry has an expiry-heap record.
+        Checks that stored positions match storage, `_by_mask` and storage
+        hold the same non-empty subtables, and the idle list holds exactly the
+        live entries, each mapped to its own subtable, with `last_hit`
+        non-decreasing along the list.
         """
 
         def require(ok: bool, what: str) -> None:
@@ -370,14 +364,16 @@ class FlowCache:
             require(bool(st.entries), f"subtable {i} is empty")
         require(len(self._by_mask) == len(self._rev), "_by_mask holds subtables not in storage")
         require(
-            self._entry_count == sum(len(st.entries) for st in self._rev),
-            "entry counter disagrees with the entries",
+            len(self._idle) == sum(len(st.entries) for st in self._rev),
+            "idle list length disagrees with the entries",
         )
-        queued = {(mask, key) for _, _, mask, key, _ in self._expiry}
-        for st in self._rev:
-            for key in st.entries:
-                require((st.mask, key) in queued, "live entry without an expiry record")
-
+        for entry, st in self._idle.items():
+            require(
+                st.entries.get(entry.key) is entry and self._by_mask.get(st.mask) is st,
+                "idle list entry is not live in its own subtable",
+            )
+        hits = [entry.last_hit for entry in self._idle]
+        require(all(a <= b for a, b in zip(hits, hits[1:])), "idle list is out of last-hit order")
 
     def snapshot_lines(self) -> list[str]:
         """Search-order dump: one line per subtable with mask, size and hits."""

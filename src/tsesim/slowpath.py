@@ -190,6 +190,8 @@ def parse_acl_text(layout: HeaderLayout, text: str) -> Acl:
                 priority = int(raw)
             elif key == "action":
                 action = Action(raw)
+            elif key not in layout.names:
+                raise ValueError(f"line {lineno}: unknown field {key!r}")
             else:
                 matches[key] = _parse_value(layout, key, raw)
         if priority is None or action is None:

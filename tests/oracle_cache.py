@@ -37,11 +37,12 @@ class ClassifyResult:
 class SequentialCache(FlowCache):
     def mfc_lookup(self, h: HeaderValue, now: float) -> Optional[tuple[Action, int]]:
         """Probe subtables sequentially; on a hit, count it and refresh the entry."""
+        self._advance(now)
         for probed, st in enumerate(self.subtables(), start=1):
             entry = st.entries.get(apply_mask(h, st.mask))
             if entry is not None:
                 st.interval_hits += 1
-                entry.last_hit = now
+                self._refresh(entry, now)
                 return entry.action, probed
         return None
 
@@ -53,13 +54,14 @@ class SequentialCache(FlowCache):
         A new mask creates a subtable at search index 0.  A duplicate
         (key, mask) only refreshes the entry's idle clock.
         """
+        self._advance(now)
         st = self._by_mask.get(mask)
         created = st is None
         if created:
-            st = self._add_subtable(mask, now)
+            st = self._add_subtable(mask)
         entry = st.entries.get(key)
         if entry is not None:
-            entry.last_hit = now
+            self._refresh(entry, now)
             return created, False
         self._add_entry(st, key, action, now)
         return created, True
@@ -88,12 +90,11 @@ class SequentialCache(FlowCache):
 
 
 def cache_state(cache: FlowCache):
-    """Everything classification can change: subtables in order, EMC, expiry records."""
+    """Everything classification can change: subtables in order, EMC, idle list."""
     return (
         [
             (
                 s.mask,
-                s.created_at,
                 s.interval_hits,
                 {k: (e.action, e.last_hit) for k, e in s.entries.items()},
             )
@@ -101,5 +102,5 @@ def cache_state(cache: FlowCache):
         ],
         dict(cache.emc.slots),
         cache.entry_count,
-        list(cache._expiry),
+        [(e.key, st.mask, e.last_hit) for e, st in cache._idle.items()],
     )

@@ -122,6 +122,34 @@ def test_exit_code_2_on_config_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_gen_trace_rejects_acl_without_catch_all(tmp_path, capsys):
+    acl = tmp_path / "no_catch_all.acl"
+    acl.write_text("priority=100 dport=80 action=allow\n")
+    out = tmp_path / "dp.trace"
+    assert main(["gen-trace", "--use-case", "dp", "--acl", str(acl), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ACL invalid:") and "catch-all" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+UNKNOWN_FIELD_ARGS = {
+    "run": ["run", "--use-case", "dp", "--duration", "5", "--attack-start", "1"],
+    "gen-trace": ["gen-trace", "--use-case", "dp"],
+    "sweep": ["sweep", "--use-case", "dp", "--cores-list", "1", "--rates-list", "1000",
+              "--duration", "20", "--attack-start", "2", "--t-attack", "5", "--t-sleep", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNKNOWN_FIELD_ARGS))
+def test_unknown_acl_field_exits_2(command, tmp_path, capsys):
+    acl = tmp_path / "typo.acl"
+    acl.write_text("priority=100 nofield=80 action=allow\npriority=0 action=deny\n")
+    args = UNKNOWN_FIELD_ARGS[command] + ["--acl", str(acl), "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: line 1: unknown field 'nofield'\n"
+
+
 def test_exit_code_2_on_bad_flag():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--tse", "9.9"])

@@ -409,12 +409,110 @@ def test_check_invariants_detects_corruption():
     with pytest.raises(AssertionError, match="pos"):
         cache.check_invariants()
     cache = table_b_cache()
-    cache._entry_count += 1
-    with pytest.raises(AssertionError, match="entry counter"):
+    cache._idle.popitem()
+    with pytest.raises(AssertionError, match="idle list length"):
         cache.check_invariants()
     cache = table_b_cache()
-    cache._expiry.pop()
-    with pytest.raises(AssertionError, match="expiry record"):
+    cache._idle[next(iter(cache._idle))] = cache.subtables()[0]  # another subtable
+    with pytest.raises(AssertionError, match="own subtable"):
+        cache.check_invariants()
+    cache = table_b_cache()
+    cache.mfc_lookup(hv(0b000), now=5.0)
+    cache.check_invariants()
+    cache._idle.move_to_end(next(reversed(cache._idle)), last=False)
+    with pytest.raises(AssertionError, match="out of last-hit order"):
+        cache.check_invariants()
+
+
+STAMPING = {
+    "classify_batch": lambda cache, h, now: cache.classify_batch([(h, 1)], now),
+    "warm": lambda cache, h, now: cache.warm([h], now),
+    "credit_hits": lambda cache, h, now: cache.credit_hits(h, 1, now),
+}
+
+
+@pytest.mark.parametrize("first", sorted(STAMPING))
+@pytest.mark.parametrize("second", sorted(STAMPING))
+def test_time_going_backwards_raises(first, second):
+    """The last-hit list stays sorted only if no call stamps a time earlier than the latest."""
+    h = header(FIVE_TUPLE, ip_src=9, ip_dst=2, proto=6, sport=3, dport=80)
+    cache = FlowCache(five_acl(), emc_enabled=False)
+    cache.classify_batch([(h, 1)], now=1.0)
+    STAMPING[first](cache, h, 3.0)
+    STAMPING[second](cache, h, 3.0)  # the same tick again is fine
+    before = cache_state(cache)
+    with pytest.raises(ValueError, match="backwards"):
+        STAMPING[second](cache, h, 2.5)
+    assert cache_state(cache) == before
+    cache.check_invariants()
+
+
+def five_header():
+    """Random FIVE_TUPLE headers; some fields take the rule values of `five_acl`."""
+    def field(width, *special):
+        return st.one_of(st.sampled_from(special), st.integers(0, (1 << width) - 1))
+
+    return st.builds(
+        lambda **values: header(FIVE_TUPLE, **values),
+        ip_src=field(32, 0x0A000001, 0x0A000003),
+        ip_dst=field(32, 5),
+        proto=field(8, 6, 17),
+        sport=field(16, 12345, 12344),
+        dport=field(16, 80, 81),
+    )
+
+
+_expiry_dt = st.sampled_from([0.0, 0.1, 2.5, 5.0, 10.0])  # ties and exact deadlines
+_expiry_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("batch"),
+            st.lists(st.tuples(st.integers(0, 11), st.integers(1, 3)), max_size=8),
+            _expiry_dt,
+        ),
+        st.tuples(st.just("credit"), st.integers(0, 11), st.integers(0, 3), _expiry_dt),
+        st.tuples(st.just("expire"), _expiry_dt),
+        st.tuples(st.just("rebalance"), _expiry_dt),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pool=st.one_of(
+        st.just([hv(v) for v in range(8)]), st.lists(five_header(), min_size=1, max_size=12)
+    ),
+    emc_enabled=st.booleans(),
+    steps=_expiry_steps,
+)
+def test_expire_removes_exactly_the_idle_entries(pool, emc_enabled, steps):
+    """expire(now) removes every entry with last_hit + idle_timeout <= now, and only those."""
+    acl = hyp_acl() if pool[0].layout is HYP else five_acl()
+    cache = FlowCache(acl, emc_enabled=emc_enabled)
+    now = 0.0
+    for step in steps:
+        now += step[-1]
+        if step[0] == "batch":
+            cache.classify_batch([(pool[i % len(pool)], n) for i, n in step[1]], now)
+        elif step[0] == "credit":
+            cache.credit_hits(pool[step[1] % len(pool)], step[2], now)
+        elif step[0] == "rebalance":
+            cache.rebalance(now)
+        else:
+            stamps = {(e.key, s.mask): e.last_hit for s in cache.subtables() for e in s.entries.values()}
+            old = {k for k, t in stamps.items() if t + cache.idle_timeout <= now}
+            emptied = {
+                s.mask
+                for s in cache.subtables()
+                if all((k, s.mask) in old for k in s.entries)
+            }
+            expired, removed = cache.expire(now)
+            assert len(expired) == len(old) and set(expired) == old
+            assert len(removed) == len(emptied) and set(removed) == emptied
+            hits = [stamps[e] for e in expired]
+            assert hits == sorted(hits)  # returned in last-hit order
+            assert all(s.mask not in emptied for s in cache.subtables())
         cache.check_invariants()
 
 

@@ -252,3 +252,5 @@ def test_acl_text_rejects_garbage():
         parse_acl_text(FIVE_TUPLE, "priority=1 dport80 action=allow")
     with pytest.raises(ValueError):
         parse_acl_text(FIVE_TUPLE, "dport=80 action=allow")
+    with pytest.raises(ValueError, match="^line 2: unknown field 'nofield'$"):
+        parse_acl_text(FIVE_TUPLE, "priority=0 action=deny\npriority=100 nofield=80 action=allow")
