@@ -68,6 +68,12 @@ class SimConfig:
             raise ValueError("tick must divide 1.0 exactly")
         if not 0 < self.victim_floor < 1:
             raise ValueError("victim_floor must be in (0, 1)")
+        if not self.budget_per_core > 0:
+            raise ValueError("budget_per_core must be > 0")
+        if not self.victim_offered > 0:
+            raise ValueError("victim_offered must be > 0")
+        if self.victim_flow_count < 0:
+            raise ValueError("victim_flow_count must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -334,8 +340,9 @@ class _Emitter:
     """Pull over one schedule's emissions, one tick at a time, as runs.
 
     A run is `(header, count)`: consecutive emissions of one trace position.
-    Tick boundaries come from `emission_count`, so a tick costs O(runs), not
-    O(packets).
+    Tick boundaries come from `emission_count`, and a tick's runs are built
+    in one pass over its trace positions, every run a whole clone group but
+    the two ends, so a tick costs O(runs), not O(packets).
     """
 
     def __init__(self, trace: Trace, schedule: AttackSchedule, horizon: float):
@@ -359,13 +366,13 @@ class _Emitter:
         n = self.schedule.clone
         packets = self.trace.packets
         length = len(packets)
-        runs = []
-        k = k0
-        while k < k1:
-            nxt = min(k1, (k // n + 1) * n)
-            runs.append((packets[(k // n) % length], nxt - k))
-            k = nxt
-        self.last_pos = ((k1 - 1) // n) % length
+        p0, p1 = k0 // n, (k1 - 1) // n
+        runs = [(packets[p % length], n) for p in range(p0, p1 + 1)]
+        # Cut the end runs at k1, then at k0; with p0 == p1 both cuts fall
+        # on the one run, leaving k1 - k0.
+        runs[-1] = (runs[-1][0], k1 - p1 * n)
+        runs[0] = (runs[0][0], runs[0][1] - (k0 - p0 * n))
+        self.last_pos = p1 % length
         return runs
 
 

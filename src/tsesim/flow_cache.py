@@ -37,7 +37,15 @@ class CostModel:
 
 
 class EmcCache:
-    """Fixed-size direct-mapped exact-match cache; full header is the key."""
+    """Fixed-size direct-mapped exact-match cache; full header is the key.
+
+    A header's slot is `header_hash64(h) % capacity`, computed once per
+    distinct header and kept in `_slot_of`, as a datapath carries one hash
+    per packet instead of rehashing at each probe.  The memo belongs to the
+    instance because the slot depends on `capacity`.  It holds one int per
+    header ever looked up or inserted, which in a run is the trace packets
+    and the victim headers.
+    """
 
     def __init__(self, capacity: int = 8192, enabled: bool = True):
         if capacity < 1:
@@ -45,19 +53,28 @@ class EmcCache:
         self.capacity = capacity
         self.enabled = enabled
         self.slots: dict[int, tuple[HeaderValue, Action]] = {}
+        self._slot_of: dict[HeaderValue, int] = {}
+
+    def _slot(self, h: HeaderValue) -> int:
+        slot = self._slot_of.get(h)
+        if slot is None:
+            slot = self._slot_of[h] = header_hash64(h) % self.capacity
+        return slot
 
     def lookup(self, h: HeaderValue) -> Optional[Action]:
         if not self.enabled:
             return None
-        slot = self.slots.get(header_hash64(h) % self.capacity)
-        if slot is not None and slot[0] == h:
-            return slot[1]
+        stored = self.slots.get(self._slot(h))
+        # Replayed trace packets are the stored objects themselves, so the
+        # identity test settles most hits without a field comparison.
+        if stored is not None and (stored[0] is h or stored[0] == h):
+            return stored[1]
         return None
 
     def insert(self, h: HeaderValue, action: Action) -> None:
         if not self.enabled:
             return
-        self.slots[header_hash64(h) % self.capacity] = (h, action)
+        self.slots[self._slot(h)] = (h, action)
 
     @property
     def occupancy(self) -> int:

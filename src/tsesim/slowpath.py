@@ -186,14 +186,17 @@ def parse_acl_text(layout: HeaderLayout, text: str) -> Acl:
             if "=" not in token:
                 raise ValueError(f"line {lineno}: bad token {token!r}")
             key, _, raw = token.partition("=")
-            if key == "priority":
-                priority = int(raw)
-            elif key == "action":
-                action = Action(raw)
-            elif key not in layout.names:
+            if key not in ("priority", "action") and key not in layout.names:
                 raise ValueError(f"line {lineno}: unknown field {key!r}")
-            else:
-                matches[key] = _parse_value(layout, key, raw)
+            try:
+                if key == "priority":
+                    priority = int(raw)
+                elif key == "action":
+                    action = Action(raw)
+                else:
+                    matches[key] = _parse_value(layout, key, raw)
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad {key} value {raw!r}") from None
         if priority is None or action is None:
             raise ValueError(f"line {lineno}: rule needs priority= and action=")
         rules.append(rule(layout, priority, action, **matches))

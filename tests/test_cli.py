@@ -150,6 +150,22 @@ def test_unknown_acl_field_exits_2(command, tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 1: unknown field 'nofield'\n"
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--budget-per-core", "-5", "budget_per_core must be > 0"),
+        ("--victim-offered", "0", "victim_offered must be > 0"),
+        ("--victim-flows", "-3", "victim_flow_count must be >= 0"),
+    ],
+)
+def test_bad_budget_or_victim_value_exits_2(command, flag, value, message, tmp_path, capsys):
+    args = UNKNOWN_FIELD_ARGS[command] + [flag, value, "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_2_on_bad_flag():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--tse", "9.9"])

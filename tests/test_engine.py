@@ -124,7 +124,7 @@ def test_emission_count_matches_generator():
 
 
 @pytest.mark.parametrize("tick", [0.1, 0.25])
-@pytest.mark.parametrize("rate", [333, 1500, 12000])
+@pytest.mark.parametrize("rate", [60, 333, 1500, 12000])  # at 60, a clone-12 group outlasts a tick
 @pytest.mark.parametrize("clone", [1, 3, 12])
 @pytest.mark.parametrize(
     "duty", [None, (1.0, 0.5), (0.7, 0.05)], ids=["continuous", "duty", "short_sleep"]

@@ -17,6 +17,7 @@ from tsesim.headers import (  # noqa: E402
     HYP,
     apply_mask,
     header,
+    header_hash64,
     mask,
     megaflows_overlap,
 )
@@ -399,6 +400,8 @@ def test_runs_price_like_runs_of_one(table, emc_enabled, emc_capacity, costs, st
             single.rebalance(now)
         for cache in caches:
             cache.check_invariants()
+            for slot, (h, _) in cache.emc.slots.items():
+                assert slot == header_hash64(h) % cache.emc.capacity
         assert cache_state(grouped) == cache_state(single)
 
 

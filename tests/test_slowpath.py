@@ -254,3 +254,12 @@ def test_acl_text_rejects_garbage():
         parse_acl_text(FIVE_TUPLE, "dport=80 action=allow")
     with pytest.raises(ValueError, match="^line 2: unknown field 'nofield'$"):
         parse_acl_text(FIVE_TUPLE, "priority=0 action=deny\npriority=100 nofield=80 action=allow")
+    for bad, message in [
+        ("dport=eighty", "bad dport value 'eighty'"),
+        ("action=alow", "bad action value 'alow'"),
+        ("priority=abc", "bad priority value 'abc'"),
+        ("ip_src=10.0.0", "bad ip_src value '10.0.0'"),
+    ]:
+        text = f"priority=0 action=deny\n\npriority=100 action=allow {bad}"
+        with pytest.raises(ValueError, match=f"^line 3: {message}$"):
+            parse_acl_text(FIVE_TUPLE, text)
