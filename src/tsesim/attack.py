@@ -130,10 +130,7 @@ def _single_field_allow(acl: Acl, field_name: str) -> int:
 
 
 def build_trace(
-    use_case: UseCase,
-    acl: Acl,
-    benign_fill: Optional[HeaderValue] = None,
-    wire_bytes: int = DEFAULT_WIRE_BYTES,
+    use_case: UseCase, acl: Acl, benign_fill: Optional[HeaderValue] = None
 ) -> Trace:
     """Cross product of per-field probes; the last targeted field cycles fastest."""
     layout = acl.layout
@@ -154,7 +151,7 @@ def build_trace(
             emit(i + 1, partial)
 
     emit(0, {})
-    return Trace(tuple(packets), wire_bytes)
+    return Trace(tuple(packets))
 
 
 def clone_factor(rate_pps: float) -> int:
@@ -236,11 +233,7 @@ def simple_acl(layout: HeaderLayout = FIVE_TUPLE) -> Acl:
 
 def use_case_acl(use_case: UseCase, layout: HeaderLayout = FIVE_TUPLE) -> Acl:
     """The subset of the standard table a use case probes, plus the catch-all."""
-    keep = {
-        UseCase.DP: {"dport"},
-        UseCase.SP_DP: {"dport", "sport"},
-        UseCase.SIP_SP_DP: {"dport", "sport", "ip_src"},
-    }[use_case]
+    keep = use_case.targeted_fields
     rules = [
         r
         for r in simple_acl(layout).rules

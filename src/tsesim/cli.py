@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -25,9 +26,9 @@ from .attack import (
 from .engine import (
     DEFAULT_BUDGET_PER_CORE,
     DEFAULT_VICTIM_OFFERED,
+    MaskBatches,
     SimConfig,
     cachemap_to_csv,
-    distinct_mask_count,
     metrics_to_lines,
     run,
     scenario_acl,
@@ -80,7 +81,6 @@ class Scenario:
             cores=self.cores,
             budget_per_core=self.budget_per_core,
             victim_offered=self.victim_offered,
-            victim_flow_count=self.victim_flows,
             emc_enabled=self.emc,
             tick=self.tick,
             duration=self.duration,
@@ -94,9 +94,25 @@ _SCENARIO_FIELDS = {f.name: f for f in fields(Scenario)}
 _VALID_TSE = ("1.0", "2.0", "2.1")
 _VALID_USE_CASES = tuple(u.value for u in UseCase)
 
+# Scenario field annotation -> (accepted types, name in messages); a bool is no number.
+_FIELD_TYPES = {
+    "bool": ((bool,), "true or false"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a finite number"),
+    "str": ((str,), "a string"),
+    "Optional[str]": ((str, type(None)), "a string or null"),
+}
+
+
+def _check_value(key: str, value) -> None:
+    types, kind = _FIELD_TYPES[_SCENARIO_FIELDS[key].type]
+    bad_type = not isinstance(value, types) or (isinstance(value, bool) and bool not in types)
+    if bad_type or (isinstance(value, float) and not math.isfinite(value)):
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+
 
 def parse_config(config_path: Optional[str], overrides: dict) -> Scenario:
-    """File values first, command-line flags on top; unknown keys are rejected."""
+    """File values first, flags on top; a bad key or value is a ConfigError naming it."""
     values: dict = {}
     if config_path:
         try:
@@ -107,15 +123,13 @@ def parse_config(config_path: Optional[str], overrides: dict) -> Scenario:
             raise ConfigError(f"config file is not valid JSON: {e}")
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        for key in loaded:
-            if key not in _SCENARIO_FIELDS:
-                raise ConfigError(f"unknown config key: {key!r}")
         values.update(loaded)
     values.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        scenario = Scenario(**values)
-    except TypeError as e:
-        raise ConfigError(str(e))
+    for key, value in values.items():
+        if key not in _SCENARIO_FIELDS:
+            raise ConfigError(f"unknown config key: {key!r}")
+        _check_value(key, value)
+    scenario = Scenario(**values)
     if scenario.tse not in _VALID_TSE:
         raise ConfigError(f"tse must be one of {_VALID_TSE}")
     if scenario.use_case not in _VALID_USE_CASES:
@@ -124,6 +138,8 @@ def parse_config(config_path: Optional[str], overrides: dict) -> Scenario:
         raise ConfigError("rate must be >= 0, duration > 0, cores >= 1")
     if scenario.rate > 0 and scenario.attack_start > scenario.duration:
         raise ConfigError("attack_start must not exceed duration")
+    if scenario.victim_flows < 0:
+        raise ConfigError("victim_flows must be >= 0")
     if scenario.acl is not None and not Path(scenario.acl).exists():
         raise ConfigError(f"ACL file not found: {scenario.acl}")
     if scenario.trace is not None and not Path(scenario.trace).exists():
@@ -157,7 +173,7 @@ def cmd_gen_trace(scenario: Scenario) -> int:
     out = Path(scenario.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_trace(out, trace, rate=scenario.rate)
-    masks = distinct_mask_count(trace, acl)
+    masks = MaskBatches(trace, acl).mask_count
     print(f"wrote {out}: {len(trace)} packets, {masks} distinct masks")
     return 0
 
@@ -325,8 +341,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_render_map(args.csv)
         if args.command == "sweep":
             scenario = _scenario_from_args(args)
-            cores_list = [int(x) for x in args.cores_list.split(",") if x]
-            rates_list = [float(x) for x in args.rates_list.split(",") if x]
+            cores_list = _parse_list("--cores-list", args.cores_list, int)
+            rates_list = _parse_list("--rates-list", args.rates_list, float)
             if not cores_list or not rates_list:
                 raise ConfigError("cores-list and rates-list must be non-empty")
             if scenario.tse == "1.0":
@@ -335,15 +351,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 scenario.duration = 45.0
             return cmd_sweep(scenario, cores_list, rates_list)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+
+
+def _parse_list(flag: str, text: str, kind: type) -> list:
+    """Comma-separated values of one flag; a bad or non-finite one exits 2 naming the flag."""
+    values = []
+    for x in filter(None, text.split(",")):
+        try:
+            v = kind(x)
+        except ValueError:
+            v = math.nan
+        if not math.isfinite(v):
+            raise ConfigError(f"{flag}: bad value {x!r}")
+        values.append(v)
+    return values
 
 
 def _explicit(args: argparse.Namespace) -> set[str]:

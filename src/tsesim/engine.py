@@ -12,11 +12,11 @@ creation batches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .attack import AttackSchedule, Trace, emission_time, simple_acl, use_case_acl, UseCase
-from .flow_cache import CostModel, FlowCache
+from .attack import AttackSchedule, Trace, emission_time, use_case_acl, UseCase
+from .flow_cache import FlowCache
 from .headers import (
     FIVE_TUPLE,
     HeaderLayout,
@@ -47,15 +47,11 @@ class SimConfig:
     cores: int = 1
     budget_per_core: float = DEFAULT_BUDGET_PER_CORE
     victim_offered: float = DEFAULT_VICTIM_OFFERED
-    victim_flow_count: int = 2
     emc_enabled: bool = False
     tick: float = 0.1
     duration: float = 60.0
     eps_down: float = 0.01
     eps_up: float = 0.05
-    victim_floor: float = 1e-3
-    costs: CostModel = CostModel()
-    idle_timeout: float = 10.0
     build_cache_map: bool = True
 
     def validate(self) -> None:
@@ -66,14 +62,12 @@ class SimConfig:
         per_second = 1.0 / self.tick
         if abs(per_second - round(per_second)) > 1e-9:
             raise ValueError("tick must divide 1.0 exactly")
-        if not 0 < self.victim_floor < 1:
-            raise ValueError("victim_floor must be in (0, 1)")
         if not self.budget_per_core > 0:
             raise ValueError("budget_per_core must be > 0")
         if not self.victim_offered > 0:
             raise ValueError("victim_offered must be > 0")
-        if self.victim_flow_count < 0:
-            raise ValueError("victim_flow_count must be >= 0")
+        if not (0 <= self.eps_down <= 1 and 0 <= self.eps_up <= 1):
+            raise ValueError("eps_down and eps_up must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -102,26 +96,14 @@ class CacheMapFrame:
 
 
 @dataclass
-class TickAudit:
-    budget: float
-    attacker_demand: float
-    attacker_consumed: float
-    victim_consumed: float
-    fraction: float
-    victim_cost: float
-
-
-@dataclass
 class RunResult:
-    config: SimConfig
+    """What a run produces; `frames` is empty unless `build_cache_map` is set."""
+
     series: list[SecondRecord]
     metrics: Metrics
     frames: list[CacheMapFrame]
     cache: FlowCache
-    victim_headers: list[HeaderValue]
-    attack_start: float
     masks_total: int
-    audits: list[TickAudit] = field(default_factory=list)
 
     @property
     def fractions(self) -> list[float]:
@@ -244,15 +226,11 @@ def victim_allow_rules(flows: Sequence[HeaderValue], base_priority: int = 1000) 
     return rules
 
 
-def scenario_acl(
-    use_case: Optional[UseCase] = None,
-    layout: HeaderLayout = FIVE_TUPLE,
-    victim_flows: Sequence[HeaderValue] = (),
-) -> Acl:
+def scenario_acl(use_case: UseCase, victim_flows: Sequence[HeaderValue] = ()) -> Acl:
     """Victim allow rules above the attack-target rules above the catch-all."""
-    base = use_case_acl(use_case, layout) if use_case is not None else simple_acl(layout)
+    base = use_case_acl(use_case)
     rules = victim_allow_rules(victim_flows) + list(base.rules)
-    acl = Acl.from_rules(layout, rules)
+    acl = Acl.from_rules(base.layout, rules)
     problems = validate_acl(acl)
     if problems:
         raise ValueError(f"scenario ACL invalid: {problems}")
@@ -280,9 +258,6 @@ class MaskBatches:
         self.batch_of = batch_of
         self.mask_count = len(first_pos)
         self.count = (self.mask_count + BATCH_MASKS - 1) // BATCH_MASKS
-        self.sizes = [
-            min(BATCH_MASKS, self.mask_count - b * BATCH_MASKS) for b in range(self.count)
-        ]
         self._first_pos = first_pos
 
     def never_created(self, covered_prefix: int) -> set[int]:
@@ -292,13 +267,6 @@ class MaskBatches:
             for b in range(self.count)
             if self._first_pos[b * BATCH_MASKS] >= covered_prefix
         }
-
-
-def distinct_mask_count(trace: Trace, acl: Acl, cache: Optional[FlowCache] = None) -> int:
-    """Distinct masks the trace's packets synthesize to."""
-    if cache is None:
-        cache = FlowCache(acl, emc_enabled=False)  # synthesis memo holder only
-    return len({cache.synthesize(p).mask for p in trace.packets})
 
 
 def emission_count(schedule: AttackSchedule, horizon: float) -> int:
@@ -380,44 +348,38 @@ def run(
     config: SimConfig,
     acl: Acl,
     attacks: Sequence[tuple[Trace, AttackSchedule]],
-    victim_headers: Optional[Sequence[HeaderValue]] = None,
+    victim_headers: Sequence[HeaderValue],
 ) -> RunResult:
     """Drive attacker and victim through one shared classifier.
 
-    Multi-core scaling is modeled as one classifier with `cores` times the
-    budget; per-core sharding is out of scope.  A run is single-threaded and
-    fully deterministic; parameter sweeps are independent runs.
+    The victim's load is split evenly over `victim_headers`, one header per
+    flow.  The first attack's trace is censused into `MaskBatches` up front;
+    `build_cache_map` adds one frame of them per second.  Multi-core scaling
+    is modeled as one classifier with `cores` times the budget.  A run is
+    single-threaded and deterministic; sweeps are independent runs.
     """
     config.validate()
     problems = validate_acl(acl)
     if problems:
         raise ValueError(f"ACL invalid: {problems}")
-    if victim_headers is None:
-        victim_headers = victim_flow_headers(acl.layout, config.victim_flow_count)
     victims = list(victim_headers)
 
-    cache = FlowCache(
-        acl,
-        emc_enabled=config.emc_enabled,
-        costs=config.costs,
-        idle_timeout=config.idle_timeout,
-    )
+    cache = FlowCache(acl, emc_enabled=config.emc_enabled)
     cache.warm(victims, now=0.0)
 
-    batches: Optional[MaskBatches] = None
+    batches: Optional[MaskBatches] = None  # the census, while the cache map is on
     never: set[int] = set()
     batch_present: list[int] = []
     masks_total = 0
     if attacks:
         trace0, sched0 = attacks[0]
+        census = MaskBatches(trace0, acl, cache)
+        masks_total = census.mask_count
         if config.build_cache_map:
-            batches = MaskBatches(trace0, acl, cache)
-            masks_total = batches.mask_count
+            batches = census
             covered = covered_positions(sched0, len(trace0), config.duration)
             never = batches.never_created(covered)
             batch_present = [0] * batches.count
-        else:
-            masks_total = distinct_mask_count(trace0, acl, cache)
 
     emitters = [_Emitter(trace, sched, config.duration) for trace, sched in attacks]
     attack_start = min((sched.start for _, sched in attacks), default=0.0)
@@ -428,7 +390,6 @@ def run(
 
     series: list[SecondRecord] = []
     frames: list[CacheMapFrame] = []
-    audits: list[TickAudit] = []
 
     frac_acc = 0.0
     cost_acc = 0.0
@@ -451,9 +412,7 @@ def run(
 
         victim_cost = victim_cost_probe(cache, victims)
         victim_demand = config.victim_offered * config.tick * victim_cost
-        fraction = compute_goodput_fraction(
-            budget_tick, batch.total_cost, victim_demand, config.victim_floor
-        )
+        fraction = compute_goodput_fraction(budget_tick, batch.total_cost, victim_demand)
         processed = fraction * config.victim_offered * config.tick
         share = processed / len(victims) if victims else 0.0
         for h in victims:
@@ -470,16 +429,6 @@ def run(
         if (step + 1) % ticks_per_second == 0:
             cache.rebalance(t1)
 
-        audits.append(
-            TickAudit(
-                budget=budget_tick,
-                attacker_demand=batch.total_cost,
-                attacker_consumed=min(batch.total_cost, budget_tick),
-                victim_consumed=fraction * victim_demand,
-                fraction=fraction,
-                victim_cost=victim_cost,
-            )
-        )
         frac_acc += fraction
         cost_acc += victim_cost
         pps_acc += batch.packets
@@ -524,15 +473,7 @@ def run(
         [r.goodput_fraction for r in series], attack_start, config.eps_down, config.eps_up
     )
     return RunResult(
-        config=config,
-        series=series,
-        metrics=metrics,
-        frames=frames,
-        cache=cache,
-        victim_headers=victims,
-        attack_start=attack_start,
-        masks_total=masks_total,
-        audits=audits,
+        series=series, metrics=metrics, frames=frames, cache=cache, masks_total=masks_total
     )
 
 

@@ -5,7 +5,7 @@ the exact-match cache (EMC), then probe the megaflow cache's subtables in
 search order (one subtable per distinct wildcard mask), and fall back to the
 slow path, whose result is cached.  The matching entry is found through
 synthesis rather than by scanning, and charged the scan's probe count.
-Subtables are re-ranked by per-interval hit counts once per sort interval;
+Subtables are re-ranked by per-interval hit counts at each `rebalance`;
 a brand-new subtable always enters the search order first.  Entries idle for
 the timeout are expired from a list kept in last-hit order: an install
 appends, a hit moves the entry to the end, and expiry pops from the front.
@@ -112,9 +112,12 @@ class BatchResult:
 class FlowCache:
     """One classifier instance: EMC, megaflow tuple space, slow-path ACL.
 
-    An instance expects one mutator at a time; run distinct instances for
-    parallel experiments.
+    Megaflows expire after `idle_timeout` idle seconds, fixed at 10 s as in
+    Open vSwitch.  An instance expects one mutator at a time; run distinct
+    instances for parallel experiments.
     """
+
+    idle_timeout = 10.0
 
     def __init__(
         self,
@@ -123,14 +126,10 @@ class FlowCache:
         emc_enabled: bool = True,
         emc_capacity: int = 8192,
         costs: CostModel = CostModel(),
-        idle_timeout: float = 10.0,
-        sort_interval_ms: int = 1000,
     ):
         self.acl = acl
         self.emc = EmcCache(emc_capacity, emc_enabled)
         self.costs = costs
-        self.idle_timeout = idle_timeout
-        self.sort_interval_ms = sort_interval_ms
         # Search order is reversed in storage: the last element of _rev is
         # probed first, so creating a subtable is an O(1) append that leaves
         # every existing position untouched.  A subtable's storage index is

@@ -156,13 +156,96 @@ def test_unknown_acl_field_exits_2(command, tmp_path, capsys):
     [
         ("--budget-per-core", "-5", "budget_per_core must be > 0"),
         ("--victim-offered", "0", "victim_offered must be > 0"),
-        ("--victim-flows", "-3", "victim_flow_count must be >= 0"),
+        ("--victim-flows", "-3", "victim_flows must be >= 0"),
     ],
 )
 def test_bad_budget_or_victim_value_exits_2(command, flag, value, message, tmp_path, capsys):
     args = UNKNOWN_FIELD_ARGS[command] + [flag, value, "--out", str(tmp_path / "out")]
     assert main(args) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--rate", "inf", "rate must be a finite number, got inf"),
+        ("--duration", "nan", "duration must be a finite number, got nan"),
+        ("--t-attack", "inf", "t_attack must be a finite number, got inf"),
+        ("--t-sleep", "nan", "t_sleep must be a finite number, got nan"),
+        ("--tick", "nan", "tick must be a finite number, got nan"),
+        ("--attack-start", "nan", "attack_start must be a finite number, got nan"),
+        ("--budget-per-core", "inf", "budget_per_core must be a finite number, got inf"),
+        ("--victim-offered", "nan", "victim_offered must be a finite number, got nan"),
+        ("--eps-down", "nan", "eps_down must be a finite number, got nan"),
+        ("--eps-down", "-1", "eps_down and eps_up must be in [0, 1]"),
+        ("--eps-up", "2", "eps_down and eps_up must be in [0, 1]"),
+    ],
+)
+def test_non_finite_or_out_of_range_value_exits_2(command, flag, value, message, tmp_path, capsys):
+    args = UNKNOWN_FIELD_ARGS[command] + [flag, value, "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("emc", "no", "emc must be true or false, got 'no'"),
+        ("cores", 2.5, "cores must be an integer, got 2.5"),
+        ("cores", True, "cores must be an integer, got True"),
+        ("victim_flows", 1.5, "victim_flows must be an integer, got 1.5"),
+        ("rate", "fast", "rate must be a finite number, got 'fast'"),
+        ("rate", None, "rate must be a finite number, got None"),
+        ("tse", 2.1, "tse must be a string, got 2.1"),
+        ("use_case", 1, "use_case must be a string, got 1"),
+        ("out", 5, "out must be a string, got 5"),
+        ("acl", 3, "acl must be a string or null, got 3"),
+        ("trace", False, "trace must be a string or null, got False"),
+    ],
+)
+def test_config_value_of_wrong_type_exits_2(key, value, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "error: config file not found: "),
+        ("{\"rate\": ", "error: config file is not valid JSON: "),
+        ("[1000]", "error: config file must hold a JSON object"),
+    ],
+)
+def test_unreadable_config_file_exits_2(text, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, bad",
+    [
+        ("--cores-list", "abc", "abc"),
+        ("--cores-list", "1,2.5", "2.5"),
+        ("--rates-list", "1000,x", "x"),
+        ("--rates-list", "1000,inf", "inf"),
+    ],
+)
+def test_bad_sweep_list_value_names_the_flag(flag, value, bad, tmp_path, capsys):
+    args = UNKNOWN_FIELD_ARGS["sweep"] + [flag, value, "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {flag}: bad value {bad!r}\n"
     assert not (tmp_path / "out").exists()
 
 

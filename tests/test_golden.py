@@ -4,7 +4,8 @@ The scenarios come from `perfbench/workloads.py` and the digests from
 `perfbench/golden.json`; both are only read.  At seed 0 the benchmark's
 inputs are the built-in table's, which is what `tsesim run` builds.
 `reference` covers clone factor 1, the EMC off and the cache map;
-`emc_small` covers clone factor 12 and the EMC on.  A workload run without
+`churn` the TSE 2.0 duty cycle and idle expiry; `clone` clone factor 12 on
+four cores; `emc_small` clone factor 12 and the EMC on.  A workload run without
 the cache map has a header-only golden `cachemap.csv`, so that file is
 compared only where the workload builds the map.
 """
@@ -32,7 +33,7 @@ def _workloads():
     return sys.modules[name].WORKLOADS
 
 
-@pytest.mark.parametrize("name", ["reference", "emc_small"])
+@pytest.mark.parametrize("name", ["reference", "churn", "clone", "emc_small"])
 def test_run_reproduces_golden_artifacts(name, tmp_path):
     workload = _workloads()[name]
     golden = json.loads((PERFBENCH / "golden.json").read_text())[name]["digests"]
