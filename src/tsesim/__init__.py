@@ -12,7 +12,7 @@ from .headers import (
     megaflows_overlap,
 )
 from .slowpath import Acl, Action, FlowRule, slowpath_lookup, synthesize_megaflow, validate_acl
-from .flow_cache import CostModel, EmcCache, FlowCache
+from .flow_cache import CostModel, EmcCache, FlowCache, FlowTable
 from .attack import (
     AttackSchedule,
     Trace,

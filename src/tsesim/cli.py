@@ -179,9 +179,11 @@ def cmd_gen_trace(scenario: Scenario) -> int:
 
 
 def cmd_run(scenario: Scenario) -> int:
+    config = scenario.sim_config()
+    config.validate()  # before any input is built
     acl, trace, victims = _load_scenario_parts(scenario)
     schedule = scenario.schedule()
-    result = run(scenario.sim_config(), acl, [(trace, schedule)], victims)
+    result = run(config, acl, [(trace, schedule)], victims)
     out_dir = Path(scenario.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "series.csv").write_text(series_to_csv(result.series))
@@ -237,6 +239,8 @@ def cmd_render_map(path: str) -> int:
 
 
 def cmd_sweep(scenario: Scenario, cores_list: list[int], rates_list: list[float]) -> int:
+    base = scenario.sim_config(build_cache_map=False)
+    base.validate()  # before any input is built
     schedules = [replace(scenario, rate=rate).schedule() for rate in rates_list]
     # Attack-phase seconds after the first full cycle and a 2 s margin; the
     # phase pattern is the same at every rate.
@@ -252,7 +256,6 @@ def cmd_sweep(scenario: Scenario, cores_list: list[int], rates_list: list[float]
             f"(steady state starts at {steady_start:g} s)"
         )
     acl, trace, victims = _load_scenario_parts(scenario)
-    base = scenario.sim_config(build_cache_map=False)
     rows = []
     min_rate: dict[int, float] = {}
     for cores in cores_list:

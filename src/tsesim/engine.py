@@ -16,16 +16,17 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .attack import AttackSchedule, Trace, emission_time, use_case_acl, UseCase
-from .flow_cache import FlowCache
+from .flow_cache import FlowCache, FlowTable
 from .headers import (
     FIVE_TUPLE,
     HeaderLayout,
-    HeaderMask,
     HeaderValue,
     header,
     ip_to_int,
 )
 from .slowpath import Acl, Action, rule, validate_acl
+
+MAX_TICKS = 1_000_000  # per run; 60 s at the default 0.1 s tick is 600
 
 # One core's processing budget in cost units per second.  Calibrated so that a
 # single saturated core ends the constant-rate reference attack at roughly one
@@ -62,6 +63,11 @@ class SimConfig:
         per_second = 1.0 / self.tick
         if abs(per_second - round(per_second)) > 1e-9:
             raise ValueError("tick must divide 1.0 exactly")
+        if not float(self.duration).is_integer():  # the series has a row per whole second
+            raise ValueError(f"duration must be a whole number of seconds, got {self.duration:g}")
+        if (ticks := self.duration / self.tick) > MAX_TICKS:
+            raise ValueError(f"duration {self.duration:g} s at tick {self.tick:g} s asks for "
+                             f"{ticks:.0f} ticks, more than {MAX_TICKS}")
         if not self.budget_per_core > 0:
             raise ValueError("budget_per_core must be > 0")
         if not self.victim_offered > 0:
@@ -137,7 +143,7 @@ def victim_cost_probe(cache: FlowCache, victim_headers: Sequence[HeaderValue]) -
     """
     if not victim_headers:
         return 0.0
-    return sum(cache.probe_cost(h) for h in victim_headers) / len(victim_headers)
+    return cache.probe_cost(*victim_headers) / len(victim_headers)
 
 
 # --- metrics -------------------------------------------------------------------
@@ -243,22 +249,24 @@ BATCH_MASKS = 1000
 
 
 class MaskBatches:
-    """Distinct masks in first-spawn order, chunked into 1000-mask batches."""
+    """One trace compiled against its ACL's `FlowTable`.
 
-    def __init__(self, trace: Trace, acl: Acl, cache: Optional[FlowCache] = None):
-        if cache is None:
-            cache = FlowCache(acl, emc_enabled=False)  # synthesis memo holder only
-        batch_of: dict[HeaderMask, int] = {}
-        first_pos: list[int] = []
-        for pos, p in enumerate(trace.packets):
-            m = cache.synthesize(p).mask
-            if m not in batch_of:
-                batch_of[m] = len(first_pos) // BATCH_MASKS
-                first_pos.append(pos)
-        self.batch_of = batch_of
+    `flow_ids` holds the megaflow id of each trace position.  The distinct
+    masks, in first-spawn order (the order of the first position at which
+    each mask id appears), are chunked into 1000-mask batches.
+    """
+
+    def __init__(self, trace: Trace, acl: Acl):
+        table = FlowTable.of(acl)
+        self.headers = trace.packets
+        self.flow_ids = table.flow_ids(trace.packets)
+        first_pos: dict[int, int] = {}  # mask id -> first position, in first-spawn order
+        for pos, fid in enumerate(self.flow_ids):
+            first_pos.setdefault(table.mask_of[fid], pos)
+        self.batch_of = {table.masks[m].bits: i // BATCH_MASKS for i, m in enumerate(first_pos)}
         self.mask_count = len(first_pos)
         self.count = (self.mask_count + BATCH_MASKS - 1) // BATCH_MASKS
-        self._first_pos = first_pos
+        self._first_pos = list(first_pos.values())
 
     def never_created(self, covered_prefix: int) -> set[int]:
         """Batches whose masks can never spawn given the trace-position coverage."""
@@ -307,24 +315,25 @@ def covered_positions(schedule: AttackSchedule, trace_len: int, horizon: float) 
 class _Emitter:
     """Pull over one schedule's emissions, one tick at a time, as runs.
 
-    A run is `(header, count)`: consecutive emissions of one trace position.
-    Tick boundaries come from `emission_count`, and a tick's runs are built
-    in one pass over its trace positions, every run a whole clone group but
-    the two ends, so a tick costs O(runs), not O(packets).
+    A run is `(header, flow_id, count)`: consecutive emissions of one trace
+    position.  Tick boundaries come from `emission_count`, and a tick's runs
+    are built in one pass over its trace positions, every run a whole clone
+    group but the two ends, so a tick costs O(runs), not O(packets).
     """
 
-    def __init__(self, trace: Trace, schedule: AttackSchedule, horizon: float):
-        if len(trace) == 0:
+    def __init__(self, compiled: MaskBatches, schedule: AttackSchedule, horizon: float):
+        if not compiled.headers:
             raise ValueError("trace is empty")
         if schedule.rate > 0:
             emission_time(schedule, 0)  # rejects a phase shorter than one packet
         self.schedule = schedule
-        self.trace = trace
+        self.headers = compiled.headers
+        self.flow_ids = compiled.flow_ids
         self._k = 0
         self._end = emission_count(schedule, horizon)
         self.last_pos: Optional[int] = None
 
-    def due(self, until: float) -> list[tuple[HeaderValue, int]]:
+    def due(self, until: float) -> list[tuple[HeaderValue, int, int]]:
         """Runs of the emissions before `until` not yet returned, in order."""
         k0 = self._k
         k1 = min(emission_count(self.schedule, until), self._end)
@@ -332,14 +341,14 @@ class _Emitter:
             return []
         self._k = k1
         n = self.schedule.clone
-        packets = self.trace.packets
-        length = len(packets)
+        headers, fids = self.headers, self.flow_ids
+        length = len(headers)
         p0, p1 = k0 // n, (k1 - 1) // n
-        runs = [(packets[p % length], n) for p in range(p0, p1 + 1)]
+        runs = [(headers[q], fids[q], n) for p in range(p0, p1 + 1) for q in (p % length,)]
         # Cut the end runs at k1, then at k0; with p0 == p1 both cuts fall
         # on the one run, leaving k1 - k0.
-        runs[-1] = (runs[-1][0], k1 - p1 * n)
-        runs[0] = (runs[0][0], runs[0][1] - (k0 - p0 * n))
+        runs[-1] = runs[-1][:2] + (k1 - p1 * n,)
+        runs[0] = runs[0][:2] + (runs[0][2] - (k0 - p0 * n),)
         self.last_pos = p1 % length
         return runs
 
@@ -353,8 +362,9 @@ def run(
     """Drive attacker and victim through one shared classifier.
 
     The victim's load is split evenly over `victim_headers`, one header per
-    flow.  The first attack's trace is censused into `MaskBatches` up front;
-    `build_cache_map` adds one frame of them per second.  Multi-core scaling
+    flow.  Each attack's trace is compiled into `MaskBatches` up front, through
+    the `FlowTable` that all runs on one ACL object share; `build_cache_map`
+    adds one frame of the first one's batches per second.  Multi-core scaling
     is modeled as one classifier with `cores` times the budget.  A run is
     single-threaded and deterministic; sweeps are independent runs.
     """
@@ -366,22 +376,21 @@ def run(
 
     cache = FlowCache(acl, emc_enabled=config.emc_enabled)
     cache.warm(victims, now=0.0)
+    compiled = [MaskBatches(trace, acl) for trace, _ in attacks]
 
     batches: Optional[MaskBatches] = None  # the census, while the cache map is on
     never: set[int] = set()
     batch_present: list[int] = []
     masks_total = 0
     if attacks:
-        trace0, sched0 = attacks[0]
-        census = MaskBatches(trace0, acl, cache)
-        masks_total = census.mask_count
+        masks_total = compiled[0].mask_count
         if config.build_cache_map:
-            batches = census
-            covered = covered_positions(sched0, len(trace0), config.duration)
+            batches = compiled[0]
+            covered = covered_positions(attacks[0][1], len(batches.headers), config.duration)
             never = batches.never_created(covered)
             batch_present = [0] * batches.count
 
-    emitters = [_Emitter(trace, sched, config.duration) for trace, sched in attacks]
+    emitters = [_Emitter(c, sched, config.duration) for c, (_, sched) in zip(compiled, attacks)]
     attack_start = min((sched.start for _, sched in attacks), default=0.0)
 
     ticks_per_second = round(1.0 / config.tick)
@@ -399,13 +408,13 @@ def run(
 
     for step in range(total_ticks):
         t1 = (step + 1) * config.tick
-        due: list[tuple[HeaderValue, int]] = []
+        due: list[tuple[HeaderValue, int, int]] = []
         for em in emitters:
             due.extend(em.due(t1))
         batch = cache.classify_batch(due, now=t1)
         if batches is not None:
             for m in batch.created_masks:
-                b = batches.batch_of.get(m)
+                b = batches.batch_of.get(m.bits)
                 if b is not None:
                     created_this_second.add(b)
                     batch_present[b] += 1
@@ -421,7 +430,7 @@ def run(
         _, removed_masks = cache.expire(t1)
         if batches is not None:
             for m in removed_masks:
-                b = batches.batch_of.get(m)
+                b = batches.batch_of.get(m.bits)
                 if b is not None:
                     expired_this_second.add(b)
                     batch_present[b] -= 1

@@ -4,7 +4,9 @@ Packets are priced as a sequential tuple-space search would price them: try
 the exact-match cache (EMC), then probe the megaflow cache's subtables in
 search order (one subtable per distinct wildcard mask), and fall back to the
 slow path, whose result is cached.  The matching entry is found through
-synthesis rather than by scanning, and charged the scan's probe count.
+synthesis rather than by scanning, and charged the scan's probe count: each
+ACL's synthesized megaflows are interned in a `FlowTable`, and a packet
+arrives with its megaflow's id, which indexes the live entry directly.
 Subtables are re-ranked by per-interval hit counts at each `rebalance`;
 a brand-new subtable always enters the search order first.  Entries idle for
 the timeout are expired from a list kept in last-hit order: an install
@@ -81,16 +83,72 @@ class EmcCache:
         return len(self.slots)
 
 
+class FlowTable:
+    """One ACL's megaflows: an int id per distinct (mask, key) and per mask, in first-sight order.
+
+    Synthesis depends only on the ACL and the header, so all caches and runs
+    on one ACL object share its table (`of`) and synthesize a header once.
+    No output depends on the ids, so none depends on what was interned before.
+    """
+
+    def __init__(self, acl: Acl):
+        self.acl = acl
+        self.flows: list[SynthesizedFlow] = []  # by flow id
+        self.mask_of: list[int] = []  # mask id by flow id
+        self.masks: list[HeaderMask] = []  # by mask id
+        self.mask_ids: dict[int, int] = {}  # mask bits -> mask id
+        self._flow_ids: dict[tuple[int, int], int] = {}  # (mask bits, key bits) -> flow id
+        self._of_header: dict[int, int] = {}  # header bits (of the ACL's layout) -> flow id
+
+    @staticmethod
+    def of(acl: Acl) -> FlowTable:
+        """The ACL's table, kept in the ACL object as `functools.cached_property` keeps values."""
+        table = vars(acl).get("_flow_table")
+        if table is None:
+            table = vars(acl)["_flow_table"] = FlowTable(acl)
+        return table
+
+    def flow_id(self, h: HeaderValue) -> int:
+        fid = self._of_header.get(h.bits)
+        return self.flow_ids((h,))[0] if fid is None else fid
+
+    def flow_ids(self, headers: Iterable[HeaderValue]) -> list[int]:
+        """The flow id of each header's megaflow; a header is synthesized on first sight only."""
+        known = self._of_header
+        ids = []
+        for h in headers:
+            fid = known.get(h.bits)
+            if fid is None:
+                fid = known[h.bits] = self.intern(synthesize_megaflow(h, self.acl))
+            ids.append(fid)
+        return ids
+
+    def intern(self, flow: SynthesizedFlow) -> int:
+        """The id of flow's (mask, key); raise ValueError if it has another action."""
+        fid = self._flow_ids.setdefault((flow.mask.bits, flow.key.bits), len(self.flows))
+        if fid < len(self.flows) and self.flows[fid].action is not flow.action:
+            raise ValueError(f"megaflow {flow.key!r} already has action {self.flows[fid].action}")
+        if fid == len(self.flows):
+            mid = self.mask_ids.setdefault(flow.mask.bits, len(self.masks))
+            if mid == len(self.masks):
+                self.masks.append(flow.mask)
+            self.flows.append(flow)
+            self.mask_of.append(mid)
+        return fid
+
+
 @dataclass(eq=False)  # hashed by identity: a key of FlowCache._idle
 class MegaflowEntry:
     key: MaskedKey
     action: Action
     last_hit: float
+    fid: int  # flow id in the cache's FlowTable
 
 
 @dataclass
 class Subtable:
     mask: HeaderMask
+    mask_id: int = field(compare=False)  # in the cache's FlowTable
     entries: dict[MaskedKey, MegaflowEntry] = field(default_factory=dict)
     interval_hits: int = 0
     # Index in FlowCache._rev plus the cache's position offset.
@@ -127,7 +185,7 @@ class FlowCache:
         emc_capacity: int = 8192,
         costs: CostModel = CostModel(),
     ):
-        self.acl = acl
+        self.table = FlowTable.of(acl)
         self.emc = EmcCache(emc_capacity, emc_enabled)
         self.costs = costs
         # Search order is reversed in storage: the last element of _rev is
@@ -138,12 +196,14 @@ class FlowCache:
         # offset to shift everything above it.
         self._rev: list[Subtable] = []
         self._pos_offset = 0
-        self._by_mask: dict[HeaderMask, Subtable] = {}
+        # Live subtables by mask id and entries by flow id, else None: set on
+        # install, cleared on expire, extended by `_grow` as the table grows.
+        self._sub: list[Optional[Subtable]] = []
+        self._live: list[Optional[MegaflowEntry]] = []
         # Live entries in last-hit order, oldest first.  `_advance` rejects a
         # `now` below `_clock`, the latest one, so this is `last_hit` order too.
         self._idle: OrderedDict[MegaflowEntry, Subtable] = OrderedDict()
         self._clock = float("-inf")
-        self._synth_memo: dict[HeaderValue, SynthesizedFlow] = {}
 
     # -- views -------------------------------------------------------------
 
@@ -160,21 +220,31 @@ class FlowCache:
         return len(self._idle)
 
     def search_index(self, mask: HeaderMask) -> int:
-        return len(self._rev) - 1 - (self._by_mask[mask].pos - self._pos_offset)
+        self._grow()
+        st = self._sub[self.table.mask_ids[mask.bits]]
+        return len(self._rev) - 1 - (st.pos - self._pos_offset)
 
     def entries(self) -> Iterable[tuple[MaskedKey, HeaderMask, Action]]:
         for st in self._rev:
             for e in st.entries.values():
                 yield e.key, st.mask, e.action
 
-    # -- core operations -----------------------------------------------------
+    def flow_id(self, h: HeaderValue) -> int:
+        """The flow id of h's megaflow, the middle of a `(header, flow_id, count)` run."""
+        fid = self.table.flow_id(h)
+        self._grow()
+        return fid
 
     def synthesize(self, h: HeaderValue) -> SynthesizedFlow:
-        flow = self._synth_memo.get(h)
-        if flow is None:
-            flow = synthesize_megaflow(h, self.acl)
-            self._synth_memo[h] = flow
-        return flow
+        return self.table.flows[self.flow_id(h)]
+
+    # -- core operations -----------------------------------------------------
+
+    def _grow(self) -> None:
+        table = self.table
+        if len(self._live) < len(table.flows):  # a new mask comes with a new flow
+            self._live += [None] * (len(table.flows) - len(self._live))
+            self._sub += [None] * (len(table.masks) - len(self._sub))
 
     def _advance(self, now: float) -> None:
         """Raise ValueError if `now` is earlier than a time already stamped."""
@@ -186,17 +256,17 @@ class FlowCache:
         entry.last_hit = now
         self._idle.move_to_end(entry)
 
-    def _add_subtable(self, mask: HeaderMask) -> Subtable:
-        st = Subtable(mask=mask, pos=len(self._rev) + self._pos_offset)
-        self._by_mask[mask] = st
+    def _add_subtable(self, mid: int) -> Subtable:
+        st = Subtable(self.table.masks[mid], mid, pos=len(self._rev) + self._pos_offset)
+        self._sub[mid] = st
         self._rev.append(st)
         return st
 
-    def _add_entry(
-        self, st: Subtable, key: MaskedKey, action: Action, now: float
-    ) -> MegaflowEntry:
-        entry = MegaflowEntry(key=key, action=action, last_hit=now)
-        st.entries[key] = entry
+    def _add_entry(self, st: Subtable, fid: int, now: float) -> MegaflowEntry:
+        flow = self.table.flows[fid]
+        entry = MegaflowEntry(flow.key, flow.action, now, fid)
+        st.entries[entry.key] = entry
+        self._live[fid] = entry
         self._idle[entry] = st
         return entry
 
@@ -216,9 +286,10 @@ class FlowCache:
         while self._idle and (entry := next(iter(self._idle))).last_hit + self.idle_timeout <= now:
             st = self._idle.pop(entry)
             del st.entries[entry.key]
+            self._live[entry.fid] = None
             removed_entries.append((entry.key, st.mask))
             if not st.entries:
-                del self._by_mask[st.mask]
+                self._sub[st.mask_id] = None
                 removed_masks.append(st.mask)
                 top = max(top, st.pos - offset)
         if removed_masks:
@@ -248,14 +319,14 @@ class FlowCache:
     # misses too), then applies all mutations; EMC inserts stay immediate.
     # Results are found through the synthesis shortcut: with all entries
     # derived from one ACL, a header's matching entry is exactly the one its
-    # own synthesis would produce, so a two-dict lookup replaces the
-    # sequential probe while charging the same probe count the scan would
-    # have.
+    # own synthesis would produce, so indexing the live entries by the
+    # packet's flow id replaces the sequential probe while charging the same
+    # probe count the scan would have.
 
     def classify_batch(
-        self, runs: Iterable[tuple[HeaderValue, int]], now: float
+        self, runs: Iterable[tuple[HeaderValue, int, int]], now: float
     ) -> BatchResult:
-        """Price runs `(header, count)` of back-to-back identical packets.
+        """Price runs `(header, flow_id(header), count)` of back-to-back identical packets.
 
         A run costs O(1).  With the EMC on, its first packet is classified
         like a lone packet, which leaves the header in the EMC, so the other
@@ -269,6 +340,7 @@ class FlowCache:
         a time already passed to `classify_batch`, `warm` or `credit_hits`.
         """
         self._advance(now)
+        self._grow()
         return self._price_runs(runs, now)
 
     def warm(self, headers: Iterable[HeaderValue], now: float) -> None:
@@ -279,84 +351,83 @@ class FlowCache:
         """
         self._advance(now)
         for h in headers:
-            self._price_runs(((h, 1),), now)
+            self._price_runs(((h, self.flow_id(h), 1),), now)
+
+    def probe_cost(self, *headers: HeaderValue) -> float:
+        """Total cost of classifying each header right now, without mutating any state."""
+        runs = [(h, self.flow_id(h), 1) for h in headers]
+        return self._price_runs(runs, self._clock, probe=True).total_cost
 
     def _price_runs(
-        self, runs: Iterable[tuple[HeaderValue, int]], now: float
+        self, runs: Iterable[tuple[HeaderValue, int, int]], now: float, probe: bool = False
     ) -> BatchResult:
+        """The one pricing path; with `probe`, change nothing.  Call `_grow` first."""
         c = self.costs
         emc = self.emc
         emc_on = emc.enabled
-        memo = self._synth_memo
-        by_mask = self._by_mask
+        live, sub = self._live, self._sub
+        flows, mask_of = self.table.flows, self.table.mask_of
+        move_to_end = self._idle.move_to_end  # `_refresh`, inlined
         c_emc, c_sub = c.c_emc, c.c_sub
         emc_probe = (1 if emc_on else 0) * c_emc
         miss_cost = emc_probe + len(self._rev) * c_sub + c.c_slow
         # A subtable's 1-based search position at batch start is base - st.pos.
         base = len(self._rev) + self._pos_offset
-        res = BatchResult()
-        batch_new: set[int] = set()  # ids of entries installed by this batch
-        for h, count in runs:
-            res.packets += count
+        packets = emc_hits = mfc_hits = slow_path = 0
+        cost = 0.0
+        created: list[HeaderMask] = []
+        batch_new: set[int] = set()  # flow ids installed by this batch
+        for h, fid, count in runs:
+            packets += count
             rest = 0
             if emc_on:
                 if emc.lookup(h) is not None:
-                    res.emc_hits += count
-                    res.total_cost += count * c_emc
+                    emc_hits += count
+                    cost += count * c_emc
                     continue
                 rest, count = count - 1, 1
-            flow = memo.get(h)
-            if flow is None:
-                flow = self.synthesize(h)
-            st = by_mask.get(flow.mask)
-            entry = st.entries.get(flow.key) if st is not None else None
-            if entry is not None and id(entry) not in batch_new:
-                res.mfc_hits += count
-                res.total_cost += count * (emc_probe + (base - st.pos) * c_sub)
+            entry = live[fid]
+            if entry is not None and fid not in batch_new:
+                st = sub[mask_of[fid]]
+                mfc_hits += count
+                cost += count * (emc_probe + (base - st.pos) * c_sub)
+                if probe:
+                    continue
                 st.interval_hits += count
-                self._refresh(entry, now)
+                entry.last_hit = now
+                move_to_end(entry)
                 action = entry.action
             else:
-                res.slow_path += count
-                res.total_cost += count * miss_cost
+                slow_path += count
+                cost += count * miss_cost
+                if probe:
+                    continue
+                action = flows[fid].action
                 if entry is None:
+                    st = sub[mask_of[fid]]
                     if st is None:
-                        st = self._add_subtable(flow.mask)
-                        res.created_masks.append(flow.mask)
-                    batch_new.add(id(self._add_entry(st, flow.key, flow.action, now)))
-                action = flow.action
+                        st = self._add_subtable(mask_of[fid])
+                        created.append(st.mask)
+                    self._add_entry(st, fid, now)
+                    batch_new.add(fid)
             if emc_on:
                 emc.insert(h, action)
                 if rest:
-                    res.emc_hits += rest
-                    res.total_cost += rest * c_emc
-        return res
-
-    def probe_cost(self, h: HeaderValue) -> float:
-        """Cost of classifying h right now, without mutating any state."""
-        c = self.costs
-        emc_probes = 1 if self.emc.enabled else 0
-        if emc_probes and self.emc.lookup(h) is not None:
-            return c.c_emc
-        flow = self.synthesize(h)
-        st = self._by_mask.get(flow.mask)
-        if st is not None and flow.key in st.entries:
-            return emc_probes * c.c_emc + (self.search_index(flow.mask) + 1) * c.c_sub
-        return emc_probes * c.c_emc + self.subtable_count * c.c_sub + c.c_slow
+                    emc_hits += rest
+                    cost += rest * c_emc
+        return BatchResult(packets=packets, total_cost=cost, slow_path=slow_path,
+                           mfc_hits=mfc_hits, emc_hits=emc_hits, created_masks=created)
 
     def credit_hits(self, h: HeaderValue, packets: int, now: float) -> None:
         """Bulk interval-hit increment and idle refresh for h's megaflow."""
         self._advance(now)
         if packets <= 0:
             return
-        flow = self.synthesize(h)
-        st = self._by_mask.get(flow.mask)
-        if st is None:
-            return
-        entry = st.entries.get(flow.key)
+        fid = self.flow_id(h)
+        entry = self._live[fid]
         if entry is None:
             return
-        st.interval_hits += packets
+        self._sub[self.table.mask_of[fid]].interval_hits += packets
         self._refresh(entry, now)
 
     # -- introspection ---------------------------------------------------------
@@ -364,9 +435,9 @@ class FlowCache:
     def check_invariants(self) -> None:
         """Raise AssertionError if the cache's bookkeeping disagrees with its contents.
 
-        Checks that stored positions match storage, `_by_mask` and storage
-        hold the same non-empty subtables, and the idle list holds exactly the
-        live entries, each mapped to its own subtable, with `last_hit`
+        Checks that stored positions match storage, the id-indexed lists hold
+        exactly the live subtables and entries, and the idle list holds exactly
+        the live entries, each mapped to its own subtable, with `last_hit`
         non-decreasing along the list.
         """
 
@@ -376,18 +447,21 @@ class FlowCache:
 
         for i, st in enumerate(self._rev):
             require(st.pos - self._pos_offset == i, f"subtable at storage {i} has pos {st.pos}")
-            require(self._by_mask.get(st.mask) is st, f"subtable {i} not indexed by its mask")
+            require(self._sub[st.mask_id] is st, f"subtable {i} not indexed by its mask id")
             require(bool(st.entries), f"subtable {i} is empty")
-        require(len(self._by_mask) == len(self._rev), "_by_mask holds subtables not in storage")
         require(
             len(self._idle) == sum(len(st.entries) for st in self._rev),
             "idle list length disagrees with the entries",
         )
         for entry, st in self._idle.items():
             require(
-                st.entries.get(entry.key) is entry and self._by_mask.get(st.mask) is st,
+                st.entries.get(entry.key) is entry and self._sub[st.mask_id] is st,
                 "idle list entry is not live in its own subtable",
             )
+            require(self._live[entry.fid] is entry, "idle list entry not indexed by its flow id")
+        live_subtables, live_entries = (len(x) - x.count(None) for x in (self._sub, self._live))
+        require(live_subtables == len(self._rev), "mask-id list holds subtables not in storage")
+        require(live_entries == len(self._idle), "flow-id list holds entries not in the idle list")
         hits = [entry.last_hit for entry in self._idle]
         require(all(a <= b for a, b in zip(hits, hits[1:])), "idle list is out of last-hit order")
 

@@ -74,9 +74,13 @@ class Acl:
     def packed(self) -> tuple[tuple[int, int, FlowRule], ...]:
         """(mask, value, rule) per rule: h matches the rule iff h.bits & mask == value.
 
-        Raises on a rule that `validate_acl` rejects for an unknown field or
-        a value wider than its field.
+        The last rule is a catch-all, which every header matches, so a walk
+        over these always stops at a rule.  Raises ValueError on an ACL that
+        `validate_acl` rejects for an unknown field, a value wider than its
+        field, or no catch-all at the lowest priority.
         """
+        if not (self.rules and self.rules[-1].is_catch_all):
+            raise ValueError("ACL has no catch-all at the lowest priority")
         full = {f.name: f.full_mask for f in self.layout.fields}
         return tuple(
             (
@@ -118,10 +122,7 @@ def validate_acl(acl: Acl) -> list[str]:
 def slowpath_lookup(h: HeaderValue, acl: Acl) -> FlowRule:
     """First rule, in descending priority, whose exact constraints all match."""
     bits = h.bits
-    for m, value, r in acl.packed:
-        if bits & m == value:
-            return r
-    raise RuntimeError("ACL has no catch-all; validate_acl should have caught this")
+    return next(r for m, value, r in acl.packed if bits & m == value)
 
 
 @dataclass
@@ -152,13 +153,11 @@ def synthesize_megaflow(h: HeaderValue, acl: Acl) -> SynthesizedFlow:
     for m, value, r in acl.packed:
         diff = (bits ^ value) & m
         if not diff:
-            acc |= m
-            return SynthesizedFlow(
-                MaskedKey(h.layout, bits & acc), HeaderMask(h.layout, acc), r.action
-            )
+            break
         low = diff.bit_length() - 1
         acc |= m >> low << low
-    raise RuntimeError("ACL has no catch-all; validate_acl should have caught this")
+    acc |= m
+    return SynthesizedFlow(MaskedKey(h.layout, bits & acc), HeaderMask(h.layout, acc), r.action)
 
 
 # --- line-oriented text format -------------------------------------------

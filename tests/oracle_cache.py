@@ -16,7 +16,7 @@ from typing import Optional
 
 from tsesim.flow_cache import FlowCache
 from tsesim.headers import HeaderMask, HeaderValue, MaskedKey, apply_mask
-from tsesim.slowpath import Action
+from tsesim.slowpath import Action, SynthesizedFlow
 
 
 class HitPath(enum.Enum):
@@ -55,15 +55,18 @@ class SequentialCache(FlowCache):
         (key, mask) only refreshes the entry's idle clock.
         """
         self._advance(now)
-        st = self._by_mask.get(mask)
+        fid = self.table.intern(SynthesizedFlow(key, mask, action))
+        self._grow()
+        mid = self.table.mask_of[fid]
+        st = self._sub[mid]
         created = st is None
         if created:
-            st = self._add_subtable(mask)
+            st = self._add_subtable(mid)
         entry = st.entries.get(key)
         if entry is not None:
             self._refresh(entry, now)
             return created, False
-        self._add_entry(st, key, action, now)
+        self._add_entry(st, fid, now)
         return created, True
 
     def classify(self, h: HeaderValue, now: float) -> ClassifyResult:

@@ -101,7 +101,7 @@ def test_criterion_01_hyp_golden_table():
     started = time.monotonic()
     cache = FlowCache(hyp_acl(), emc_enabled=False)
     for v in range(8):
-        cache.classify_batch([(header(HYP, hyp=v), 1)], now=0.0)
+        cache.classify_batch([(header(HYP, hyp=v), cache.flow_id(header(HYP, hyp=v)), 1)], now=0.0)
     rows = {(k.values[0], m.values[0], a) for k, m, a in cache.entries()}
     expected = {
         (0b001, 0b111, Action.ALLOW),
@@ -127,7 +127,7 @@ def test_criterion_02_mask_counts_vs_oracle_and_published():
         trace = build_trace(uc, acl)
         cache = FlowCache(acl, emc_enabled=False)
         for i, p in enumerate(trace.packets):
-            cache.classify_batch([(p, 1)], now=i / 1000.0)
+            cache.classify_batch([(p, cache.flow_id(p), 1)], now=i / 1000.0)
         assert cache.subtable_count == FROZEN_MASKS[name]
         assert cache.entry_count == FROZEN_ENTRIES[name]
     assert FROZEN_MASKS["dp"] == 16
@@ -174,7 +174,7 @@ def test_criterion_04_ranking_properties_fuzz():
             )
             flow = cache.synthesize(h)
             existed = flow.mask in {st.mask for st in cache.subtables()}
-            cache.classify_batch([(h, 1)], now)
+            cache.classify_batch([(h, cache.flow_id(h), 1)], now)
             if not existed:
                 creations += 1
                 assert cache.search_index(flow.mask) == 0
@@ -216,7 +216,7 @@ def test_criterion_05_expiry_property_fuzz():
                 sport=rng.getrandbits(16),
                 dport=rng.getrandbits(16),
             )
-            cache.classify_batch([(h, 1)], now)
+            cache.classify_batch([(h, cache.flow_id(h), 1)], now)
         snapshot = {
             (st.mask, key): e.last_hit for st in cache.subtables() for key, e in st.entries.items()
         }
@@ -237,7 +237,7 @@ def test_criterion_06_disjointness_brute_force(reference_run):
     counts = {}
     cache = FlowCache(hyp_acl(), emc_enabled=False)
     for v in range(8):
-        cache.classify_batch([(header(HYP, hyp=v), 1)], now=0.0)
+        cache.classify_batch([(header(HYP, hyp=v), cache.flow_id(header(HYP, hyp=v)), 1)], now=0.0)
     counts["hyp"] = assert_pairwise_disjoint(cache)
     for name in ("dp", "sp_dp", "sip_sp_dp"):
         uc = UseCase(name)
@@ -245,7 +245,7 @@ def test_criterion_06_disjointness_brute_force(reference_run):
         trace = build_trace(uc, acl)
         cache = FlowCache(acl, emc_enabled=False)
         for i, p in enumerate(trace.packets):
-            cache.classify_batch([(p, 1)], now=i / 1000.0)
+            cache.classify_batch([(p, cache.flow_id(p), 1)], now=i / 1000.0)
         counts[name] = assert_pairwise_disjoint(cache)
     result, _, _ = reference_run
     counts["reference-run"] = assert_pairwise_disjoint(result.cache)

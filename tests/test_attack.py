@@ -153,7 +153,7 @@ def test_dp_replay_spawns_16_masks():
     trace = build_trace(UseCase.DP, acl)
     cache = FlowCache(acl, emc_enabled=False)
     for i, p in enumerate(trace.packets):
-        cache.classify_batch([(p, 1)], now=i * 0.001)
+        cache.classify_batch([(p, cache.flow_id(p), 1)], now=i * 0.001)
     assert cache.subtable_count == 16
     assert cache.entry_count == 17
 
@@ -167,7 +167,7 @@ def test_clone_invariance_of_mask_production():
         cache = FlowCache(acl, emc_enabled=False)
         sched = AttackSchedule(rate=rate, clone=clone, start=0.0)
         for t, _, p in schedule_emissions(trace, sched, horizon):
-            cache.classify_batch([(p, 1)], t)
+            cache.classify_batch([(p, cache.flow_id(p), 1)], t)
         return {st.mask for st in cache.subtables()}
 
     base = masks_after(rate=1000, clone=1, horizon=0.4)

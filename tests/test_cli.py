@@ -393,3 +393,91 @@ def test_sweep_tse_20_is_not_the_clone_replay(monkeypatch, tmp_path, capsys):
     run_args = ["run", "--tse", "2.0", "--cores", "1", "--rate", "3000", "--out", str(out)]
     assert main(run_args + common) == 0
     assert (out / "series.csv").read_text() == series_to_csv(results[0].series)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (
+            ["--duration", "60", "--tick", "1e-6"],
+            "duration 60 s at tick 1e-06 s asks for 60000000 ticks, more than 1000000",
+        ),
+        (["--duration", "2.5"], "duration must be a whole number of seconds, got 2.5"),
+    ],
+    ids=["too_many_ticks", "fractional_duration"],
+)
+def test_run_length_checked_before_anything_runs(command, flags, message, monkeypatch, capsys):
+    import tsesim.cli as cli
+
+    def never(*args):
+        raise AssertionError("inputs were built or the run started")
+
+    monkeypatch.setattr(cli, "_load_scenario_parts", never)
+    monkeypatch.setattr(cli, "run", never)
+    assert main([command, "--use-case", "dp", "--attack-start", "1", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_acl_file_loads_for_run_and_sweep(tmp_path, capsys):
+    """A valid --acl file gives the output of the built-in table it was written from."""
+    from tsesim.attack import UseCase
+    from tsesim.engine import scenario_acl, victim_flow_headers
+    from tsesim.slowpath import format_acl_text
+
+    acl_file = tmp_path / "dp.acl"
+    acl_file.write_text(format_acl_text(scenario_acl(UseCase.DP, victim_flow_headers())))
+    run_args = ["run", "--use-case", "dp", "--duration", "5", "--attack-start", "1"]
+    assert main(run_args + ["--out", str(tmp_path / "builtin")]) == 0
+    assert main(run_args + ["--acl", str(acl_file), "--out", str(tmp_path / "file")]) == 0
+    for name in ("series.csv", "metrics.txt", "cachemap.csv"):
+        assert (tmp_path / "file" / name).read_text() == (tmp_path / "builtin" / name).read_text()
+    capsys.readouterr()
+    assert main(SMALL_SWEEP) == 0
+    builtin = capsys.readouterr().out
+    assert main(SMALL_SWEEP + ["--acl", str(acl_file)]) == 0
+    assert capsys.readouterr().out == builtin
+
+
+def test_sweep_reports_dos_and_min_dos_rate(monkeypatch, capsys):
+    """One core under the default 45 s sweep of the reference table collapses at 1000 pps."""
+    import tsesim.cli as cli
+
+    durations = []
+    real_run = cli.run
+
+    def spy(config, *args):
+        durations.append(config.duration)
+        return real_run(config, *args)
+
+    monkeypatch.setattr(cli, "run", spy)
+    assert main(["sweep", "--cores-list", "1", "--rates-list", "1000"]) == 0
+    cell, min_rate = capsys.readouterr().out.splitlines()
+    assert cell.startswith("cores=1 rate=1000 mean_attack_fraction=") and cell.endswith(" dos=yes")
+    assert float(cell.split("mean_attack_fraction=")[1].split()[0]) <= 0.01
+    assert min_rate == "min_dos_rate cores=1: 1000"
+    assert durations == [45.0]
+
+
+def test_sweep_cells_match_runs_on_a_fresh_acl(monkeypatch):
+    """Cells share one ACL object, so one FlowTable; each equals a run on an ACL of its own."""
+    import tsesim.cli as cli
+    from tsesim.attack import UseCase
+    from tsesim.engine import run, scenario_acl, series_to_csv
+
+    cells = []
+    real_run = cli.run
+
+    def spy(config, acl, attacks, victims):
+        cells.append((config, acl, attacks, victims, real_run(config, acl, attacks, victims)))
+        return cells[-1][-1]
+
+    monkeypatch.setattr(cli, "run", spy)
+    grid = ["--use-case", "sp_dp", "--cores-list", "1,2", "--rates-list", "1000,3000"]
+    assert main(SMALL_SWEEP + grid) == 0
+    assert len(cells) == 4 and len({id(acl) for _, acl, _, _, _ in cells}) == 1
+    for config, acl, attacks, victims, result in cells:
+        fresh = scenario_acl(UseCase.SP_DP, victims)
+        assert fresh == acl and fresh is not acl
+        alone = run(config, fresh, attacks, victims)
+        assert series_to_csv(alone.series) == series_to_csv(result.series)

@@ -27,7 +27,7 @@ from tsesim.engine import (  # noqa: E402
     victim_flow_headers,
     SERIES_CSV_HEADER,
 )
-from tsesim.flow_cache import FlowCache  # noqa: E402
+from tsesim.flow_cache import FlowCache, FlowTable  # noqa: E402
 from tsesim.headers import header  # noqa: E402
 from tsesim.slowpath import Action  # noqa: E402
 
@@ -135,19 +135,21 @@ def test_emitter_runs_expand_to_schedule_emissions(duty, clone, rate, tick):
     from tsesim.attack import schedule_emissions
     from tsesim.engine import _Emitter
 
-    trace = build_trace(UseCase.DP, scenario_acl(UseCase.DP, victim_flows=victim_flow_headers()))
+    acl = scenario_acl(UseCase.DP, victim_flows=victim_flow_headers())
+    trace = build_trace(UseCase.DP, acl)
     t_attack, t_sleep = duty if duty is not None else (None, 0.0)
     sched = AttackSchedule(rate=rate, t_attack=t_attack, t_sleep=t_sleep, clone=clone, start=0.35)
     horizon = 3.37  # not on a tick boundary
     want = list(schedule_emissions(trace, sched, horizon))
-    em = _Emitter(trace, sched, horizon)
+    em = _Emitter(MaskBatches(trace, acl), sched, horizon)
     i = 0
     for step in range(int(horizon / tick) + 2):
         t1 = (step + 1) * tick
         runs = em.due(t1)
-        assert all(count >= 1 for _, count in runs)
-        assert all(count == clone for _, count in runs[1:-1])  # only the ends are cut
-        got = [h for h, count in runs for _ in range(count)]
+        assert all(count >= 1 for _, _, count in runs)
+        assert all(count == clone for _, _, count in runs[1:-1])  # only the ends are cut
+        assert [fid for _, fid, _ in runs] == FlowTable.of(acl).flow_ids(h for h, _, _ in runs)
+        got = [h for h, _, count in runs for _ in range(count)]
         j = i
         while j < len(want) and want[j][0] < t1:
             j += 1
@@ -186,7 +188,7 @@ def test_victim_rules_do_not_change_attack_mask_counts():
         trace = build_trace(uc, acl)
         cache = FlowCache(acl, emc_enabled=False)
         for i, p in enumerate(trace.packets):
-            cache.classify_batch([(p, 1)], now=i / 1000.0)
+            cache.classify_batch([(p, cache.flow_id(p), 1)], now=i / 1000.0)
         assert cache.subtable_count == masks
 
 
@@ -201,7 +203,7 @@ def test_victim_cost_probe_positions():
     # bury the victim behind attack masks
     trace = build_trace(UseCase.DP, acl)
     for i, p in enumerate(trace.packets):
-        cache.classify_batch([(p, 1)], now=0.1 + i * 0.001)
+        cache.classify_batch([(p, cache.flow_id(p), 1)], now=0.1 + i * 0.001)
     victim_mask = cache.synthesize(flows[0]).mask
     idx = cache.search_index(victim_mask)
     assert idx == 16  # 16 fresh attack masks rank first
@@ -440,6 +442,40 @@ def test_cachemap_csv_format():
     frames = [CacheMapFrame(0, ("A", "G"), "1"), CacheMapFrame(1, ("B", "R"), "X")]
     csv = cachemap_to_csv(frames)
     assert csv == "second,attack,b1,b2\n0,1,A,G\n1,X,B,R\n"
+
+
+def test_config_rejects_too_many_ticks_and_fractional_duration():
+    too_many = "^duration 60 s at tick 1e-06 s asks for 60000000 ticks, more than 1000000$"
+    with pytest.raises(ValueError, match=too_many):
+        SimConfig(duration=60.0, tick=1e-6).validate()
+    SimConfig(duration=1000.0, tick=0.001).validate()  # exactly the most ticks allowed
+    with pytest.raises(ValueError, match="^duration must be a whole number of seconds, got 2.5$"):
+        SimConfig(duration=2.5).validate()
+
+
+def test_run_does_not_depend_on_what_the_acl_table_interned():
+    """Byte-identical artifacts however much the ACL's FlowTable interned before the run.
+
+    The ids of a table warmed with other headers, or with the trace backwards,
+    differ from a fresh table's; the cache map's 1000-mask batches must still
+    follow the trace's first-spawn order.
+    """
+    _, trace, victims = reference_setup()
+    other = build_trace(UseCase.SP_DP, scenario_acl(UseCase.SP_DP, victim_flows=victims))
+    sched = AttackSchedule(rate=1000, start=0.5)
+    cfg = SimConfig(duration=12.0)
+
+    def artifacts(acl):
+        res = run(cfg, acl, [(trace, sched)], victims)
+        return series_to_csv(res.series), metrics_to_lines(res.metrics), cachemap_to_csv(res.frames)
+
+    fresh = artifacts(scenario_acl(UseCase.SIP_SP_DP, victim_flows=victims))
+    assert fresh[2].count("G") > 9  # every batch spawns within the horizon
+    for warm_up in (other.packets, [*reversed(trace.packets), *victims]):
+        acl = scenario_acl(UseCase.SIP_SP_DP, victim_flows=victims)
+        FlowTable.of(acl).flow_ids(warm_up)
+        assert artifacts(acl) == fresh
+        assert artifacts(acl) == fresh  # and again on the same, now shared, table
 
 
 def test_config_validation():

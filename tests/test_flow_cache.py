@@ -11,7 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracle_cache import SequentialCache, cache_state  # noqa: E402
 
 from tsesim.attack import simple_acl  # noqa: E402
-from tsesim.flow_cache import CostModel, FlowCache  # noqa: E402
+from tsesim.flow_cache import CostModel, FlowCache, FlowTable  # noqa: E402
 from tsesim.headers import (  # noqa: E402
     FIVE_TUPLE,
     HYP,
@@ -21,7 +21,14 @@ from tsesim.headers import (  # noqa: E402
     mask,
     megaflows_overlap,
 )
-from tsesim.slowpath import Acl, Action, parse_acl_text, rule  # noqa: E402
+from tsesim.slowpath import (  # noqa: E402
+    Acl,
+    Action,
+    SynthesizedFlow,
+    parse_acl_text,
+    rule,
+    synthesize_megaflow,
+)
 
 
 def hyp_acl():
@@ -243,8 +250,8 @@ def test_rebalance_all_zero_is_stable():
 
 def test_classify_emc_on_second_hit():
     cache = FlowCache(hyp_acl(), emc_enabled=True)
-    first = cache.classify_batch([(hv(0b001), 1)], now=0.0)
-    second = cache.classify_batch([(hv(0b001), 1)], now=0.1)
+    first = cache.classify_batch([(hv(0b001), cache.flow_id(hv(0b001)), 1)], now=0.0)
+    second = cache.classify_batch([(hv(0b001), cache.flow_id(hv(0b001)), 1)], now=0.1)
     assert first.slow_path == 1
     assert second.emc_hits == 1
     assert second.total_cost == cache.costs.c_emc
@@ -252,7 +259,7 @@ def test_classify_emc_on_second_hit():
 
 def test_classify_fresh_header_slow_path():
     cache = FlowCache(hyp_acl(), emc_enabled=False)
-    res = cache.classify_batch([(hv(0b101), 1)], now=0.0)
+    res = cache.classify_batch([(hv(0b101), cache.flow_id(hv(0b101)), 1)], now=0.0)
     assert res.slow_path == 1
     assert cache.entry_count == 1
     assert res.total_cost == cache.costs.c_slow  # no subtable to probe
@@ -261,7 +268,7 @@ def test_classify_fresh_header_slow_path():
 def test_classify_hyp_sweep_builds_golden_table():
     cache = FlowCache(hyp_acl(), emc_enabled=False)
     for v in range(8):
-        cache.classify_batch([(hv(v), 1)], now=0.0)
+        cache.classify_batch([(hv(v), cache.flow_id(hv(v)), 1)], now=0.0)
     rows = {(k.values[0], m.values[0], a) for k, m, a in cache.entries()}
     assert rows == {
         (0b001, 0b111, Action.ALLOW),
@@ -274,11 +281,12 @@ def test_classify_hyp_sweep_builds_golden_table():
 def test_classify_cost_formula():
     costs = CostModel(c_emc=2.0, c_sub=3.0, c_slow=40.0)
     cache = FlowCache(hyp_acl(), emc_enabled=True, costs=costs)
-    res = cache.classify_batch([(hv(0b001), 1)], now=0.0)  # miss EMC, miss MFC (empty), slow
+    h1, h0 = hv(0b001), hv(0b000)
+    res = cache.classify_batch([(h1, cache.flow_id(h1), 1)], now=0.0)  # miss EMC, miss MFC (empty), slow
     assert res.total_cost == 2.0 + 0 * 3.0 + 40.0
-    res = cache.classify_batch([(hv(0b000), 1)], now=0.0)  # miss EMC, probe 1 subtable, slow
+    res = cache.classify_batch([(h0, cache.flow_id(h0), 1)], now=0.0)  # miss EMC, probe 1 subtable, slow
     assert res.total_cost == 2.0 + 1 * 3.0 + 40.0
-    res = cache.classify_batch([(hv(0b000), 1)], now=0.1)  # EMC hit
+    res = cache.classify_batch([(h0, cache.flow_id(h0), 1)], now=0.1)  # EMC hit
     assert res.total_cost == 2.0
 
 
@@ -295,7 +303,7 @@ def test_batch_of_one_matches_sequential():
     for i, h in enumerate(headers):
         now = i * 0.01
         total_seq += seq.classify(h, now).cost_units
-        total_bat += bat.classify_batch([(h, 1)], now).total_cost
+        total_bat += bat.classify_batch([(h, bat.flow_id(h), 1)], now).total_cost
     assert total_bat == pytest.approx(total_seq)
     assert {e for e in bat.entries()} == {e for e in seq.entries()}
     assert [st.mask for st in bat.subtables()] == [st.mask for st in seq.subtables()]
@@ -307,7 +315,7 @@ def test_batch_hit_cost_matches_linear_scan_position():
     cache = FlowCache(five_acl(), emc_enabled=False)
     headers = [rand_five(rng) for _ in range(150)]
     for i, h in enumerate(headers):
-        cache.classify_batch([(h, 1)], now=i * 0.01)
+        cache.classify_batch([(h, cache.flow_id(h), 1)], now=i * 0.01)
     cache.rebalance(2.0)
     for h in rng.sample(headers, 50):
         flow = cache.synthesize(h)
@@ -324,7 +332,7 @@ def test_batch_duplicate_miss_within_tick_spawns_once():
     h = header(FIVE_TUPLE, ip_src=9, ip_dst=2, proto=6, sport=3, dport=81)
     for runs in ([(h, 1)] * 3, [(h, 3)]):
         cache = FlowCache(five_acl(), emc_enabled=False)
-        res = cache.classify_batch(runs, now=0.0)
+        res = cache.classify_batch([(x, cache.flow_id(x), n) for x, n in runs], now=0.0)
         assert res.slow_path == 3  # installs are not visible within the batch
         assert len(res.created_masks) == 1
         assert cache.entry_count == 1
@@ -388,7 +396,9 @@ def test_runs_price_like_runs_of_one(table, emc_enabled, emc_capacity, costs, st
             now += dt
             runs = [(pool[i % len(pool)], count) for i, count in picks]
             ones = [(h, 1) for h, count in runs for _ in range(count)]
-            assert grouped.classify_batch(runs, now) == single.classify_batch(ones, now)
+            assert grouped.classify_batch(
+                [(h, grouped.flow_id(h), n) for h, n in runs], now
+            ) == single.classify_batch([(h, single.flow_id(h), n) for h, n in ones], now)
         elif step[0] == "expire":
             before = grouped.subtables()
             expired = grouped.expire(now)
@@ -427,8 +437,75 @@ def test_check_invariants_detects_corruption():
         cache.check_invariants()
 
 
+def test_check_invariants_detects_stale_id_lists():
+    cache = table_b_cache()
+    cache._sub[cache.subtables()[0].mask_id] = None
+    with pytest.raises(AssertionError, match="not indexed by its mask id"):
+        cache.check_invariants()
+    cache = table_b_cache()
+    cache._live[next(iter(cache._idle)).fid] = None
+    with pytest.raises(AssertionError, match="not indexed by its flow id"):
+        cache.check_invariants()
+    cache = table_b_cache()
+    st, entry = cache.subtables()[0], next(iter(cache._idle))
+    cache.expire(10.0)  # every entry was installed at 0.0
+    cache.check_invariants()
+    cache._sub[st.mask_id] = st
+    with pytest.raises(AssertionError, match="mask-id list holds subtables not in storage"):
+        cache.check_invariants()
+    cache._sub[st.mask_id] = None
+    cache._live[entry.fid] = entry
+    with pytest.raises(AssertionError, match="flow-id list holds entries not in the idle list"):
+        cache.check_invariants()
+
+
+def test_flow_table_is_one_per_acl_object():
+    acl = five_acl()
+    table = FlowTable.of(acl)
+    assert FlowTable.of(acl) is table and FlowCache(acl).table is table
+    assert FlowTable.of(five_acl()) is not table
+    a = header(FIVE_TUPLE, ip_src=1, ip_dst=2, proto=6, sport=3, dport=80)
+    b = header(FIVE_TUPLE, ip_src=7, ip_dst=9, proto=17, sport=4, dport=80)  # same megaflow
+    c = header(FIVE_TUPLE, ip_src=1, ip_dst=2, proto=6, sport=3, dport=81)
+    fid_a, fid_b, fid_c = table.flow_ids([a, b, c])
+    assert fid_a == fid_b != fid_c and table.flow_ids([c, a]) == [fid_c, fid_a]
+    assert [table.flow_id(c), table.flow_id(b)] == [fid_c, fid_a]
+    flow = synthesize_megaflow(a, acl)
+    assert table.flows[fid_a] == flow and table.masks[table.mask_of[fid_a]] == flow.mask
+    assert table.mask_ids[flow.mask.bits] == table.mask_of[fid_a]
+    with pytest.raises(ValueError, match="already has action"):
+        table.intern(SynthesizedFlow(flow.key, flow.mask, Action.DENY))
+
+
+@pytest.mark.parametrize("emc", [False, True])
+def test_probe_cost_of_absent_entry_is_what_classify_batch_charges(emc):
+    """probe_cost's miss price, for a megaflow never installed and for an expired one."""
+    rng = random.Random(13)
+    cache = FlowCache(five_acl(), emc_enabled=emc)
+    for i in range(40):
+        h = rand_five(rng)
+        cache.classify_batch([(h, cache.flow_id(h), 1)], now=i * 0.01)
+    live = {(k, m) for k, m, _ in cache.entries()}
+    h = rand_five(rng)
+    while (cache.synthesize(h).key, cache.synthesize(h).mask) in live:
+        h = rand_five(rng)
+    miss = (1 if emc else 0) * cache.costs.c_emc + cache.subtable_count * cache.costs.c_sub
+    cost = cache.probe_cost(h)
+    assert cost == miss + cache.costs.c_slow
+    assert cache.classify_batch([(h, cache.flow_id(h), 1)], now=1.0).total_cost == cost
+    if not emc:  # with the EMC on, h would now hit the EMC
+        others = [rand_five(rng) for _ in range(30)]
+        others = [g for g in others if cache.flow_id(g) != cache.flow_id(h)]
+        cache.classify_batch([(g, cache.flow_id(g), 1) for g in others], now=8.0)
+        cache.expire(11.0)  # h's entry, installed at 1.0, expires; the others stay
+        assert cache._live[cache.flow_id(h)] is None and cache.subtable_count > 0
+        cost = cache.probe_cost(h)
+        assert cost == cache.subtable_count * cache.costs.c_sub + cache.costs.c_slow
+        assert cache.classify_batch([(h, cache.flow_id(h), 1)], now=11.0).total_cost == cost
+
+
 STAMPING = {
-    "classify_batch": lambda cache, h, now: cache.classify_batch([(h, 1)], now),
+    "classify_batch": lambda cache, h, now: cache.classify_batch([(h, cache.flow_id(h), 1)], now),
     "warm": lambda cache, h, now: cache.warm([h], now),
     "credit_hits": lambda cache, h, now: cache.credit_hits(h, 1, now),
 }
@@ -440,7 +517,7 @@ def test_time_going_backwards_raises(first, second):
     """The last-hit list stays sorted only if no call stamps a time earlier than the latest."""
     h = header(FIVE_TUPLE, ip_src=9, ip_dst=2, proto=6, sport=3, dport=80)
     cache = FlowCache(five_acl(), emc_enabled=False)
-    cache.classify_batch([(h, 1)], now=1.0)
+    cache.classify_batch([(h, cache.flow_id(h), 1)], now=1.0)
     STAMPING[first](cache, h, 3.0)
     STAMPING[second](cache, h, 3.0)  # the same tick again is fine
     before = cache_state(cache)
@@ -497,7 +574,8 @@ def test_expire_removes_exactly_the_idle_entries(pool, emc_enabled, steps):
     for step in steps:
         now += step[-1]
         if step[0] == "batch":
-            cache.classify_batch([(pool[i % len(pool)], n) for i, n in step[1]], now)
+            runs = [(pool[i % len(pool)], n) for i, n in step[1]]
+            cache.classify_batch([(h, cache.flow_id(h), n) for h, n in runs], now)
         elif step[0] == "credit":
             cache.credit_hits(pool[step[1] % len(pool)], step[2], now)
         elif step[0] == "rebalance":
@@ -522,7 +600,7 @@ def test_expire_removes_exactly_the_idle_entries(pool, emc_enabled, steps):
 def test_probe_cost_is_read_only():
     cache = FlowCache(five_acl(), emc_enabled=False)
     h = header(FIVE_TUPLE, ip_src=9, ip_dst=2, proto=6, sport=3, dport=81)
-    cache.classify_batch([(h, 1)], now=0.0)
+    cache.classify_batch([(h, cache.flow_id(h), 1)], now=0.0)
     st = cache.subtables()[0]
     hits_before = st.interval_hits
     entry = next(iter(st.entries.values()))
@@ -536,7 +614,7 @@ def test_probe_cost_is_read_only():
 def test_credit_hits_bulk():
     cache = FlowCache(five_acl(), emc_enabled=False)
     h = header(FIVE_TUPLE, ip_src=9, ip_dst=2, proto=6, sport=3, dport=81)
-    cache.classify_batch([(h, 1)], now=0.0)
+    cache.classify_batch([(h, cache.flow_id(h), 1)], now=0.0)
     cache.credit_hits(h, 500, now=3.0)
     st = cache.subtables()[0]
     assert st.interval_hits == 500
@@ -557,7 +635,7 @@ def test_fuzz_disjointness_and_ranking_properties():
             h = rand_five(rng)
             flow = cache.synthesize(h)
             existed = any(st.mask == flow.mask for st in cache.subtables())
-            cache.classify_batch([(h, 1)], now)
+            cache.classify_batch([(h, cache.flow_id(h), 1)], now)
             if not existed:
                 assert cache.search_index(flow.mask) == 0  # new subtable ranks first
         elif op < 0.9:

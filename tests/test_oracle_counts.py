@@ -48,7 +48,7 @@ def test_cache_replay_matches_oracle_counts_and_mask_sets():
         assert len(trace) == packets
         cache = FlowCache(acl, emc_enabled=False)
         for i, p in enumerate(trace.packets):
-            cache.classify_batch([(p, 1)], now=i / 1000.0)
+            cache.classify_batch([(p, cache.flow_id(p), 1)], now=i / 1000.0)
         assert cache.subtable_count == masks
         assert cache.entry_count == entries
         oracle_masks = {
