@@ -62,7 +62,7 @@ class Scenario:
     tick: float = 0.1
     eps_down: float = 0.01
     eps_up: float = 0.05
-    out: str = "out"
+    out: str = ""  # not given: gen-trace writes <use_case>.trace, run out/, sweep no CSV
 
     def schedule(self) -> AttackSchedule:
         if self.tse == "1.0":
@@ -170,7 +170,7 @@ def cmd_gen_trace(scenario: Scenario) -> int:
     use_case = UseCase(scenario.use_case)
     acl = _load_valid_acl(scenario.acl) if scenario.acl else use_case_acl(use_case)
     trace = build_trace(use_case, acl)
-    out = Path(scenario.out)
+    out = Path(scenario.out or f"{scenario.use_case}.trace")
     out.parent.mkdir(parents=True, exist_ok=True)
     save_trace(out, trace, rate=scenario.rate)
     masks = MaskBatches(trace, acl).mask_count
@@ -184,7 +184,7 @@ def cmd_run(scenario: Scenario) -> int:
     acl, trace, victims = _load_scenario_parts(scenario)
     schedule = scenario.schedule()
     result = run(config, acl, [(trace, schedule)], victims)
-    out_dir = Path(scenario.out)
+    out_dir = Path(scenario.out or "out")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "series.csv").write_text(series_to_csv(result.series))
     (out_dir / "metrics.txt").write_text(metrics_to_lines(result.metrics))
@@ -271,7 +271,7 @@ def cmd_sweep(scenario: Scenario, cores_list: list[int], rates_list: list[float]
     for cores in cores_list:
         shown = f"{min_rate[cores]:.0f}" if cores in min_rate else "none"
         print(f"min_dos_rate cores={cores}: {shown}")
-    if scenario.out and scenario.out != "out":
+    if scenario.out:
         path = Path(scenario.out)
         path.parent.mkdir(parents=True, exist_ok=True)
         lines = ["cores,rate,mean_attack_fraction,dos"]
@@ -300,7 +300,8 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tick", type=float)
     p.add_argument("--eps-down", dest="eps_down", type=float)
     p.add_argument("--eps-up", dest="eps_up", type=float)
-    p.add_argument("--out", help="output file (gen-trace, sweep) or directory (run)")
+    p.add_argument("--out", help="output file (gen-trace: default <use-case>.trace; sweep: "
+                   "default none) or directory (run: default out)")
 
 
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
@@ -334,10 +335,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "gen-trace":
-            scenario = _scenario_from_args(args)
-            if scenario.out == "out":
-                scenario.out = f"{scenario.use_case}.trace"
-            return cmd_gen_trace(scenario)
+            return cmd_gen_trace(_scenario_from_args(args))
         if args.command == "run":
             return cmd_run(_scenario_from_args(args))
         if args.command == "render-map":
@@ -348,6 +346,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             rates_list = _parse_list("--rates-list", args.rates_list, float)
             if not cores_list or not rates_list:
                 raise ConfigError("cores-list and rates-list must be non-empty")
+            if min(cores_list) < 1:
+                raise ConfigError(f"--cores-list: cores must be >= 1, got {min(cores_list)}")
             if scenario.tse == "1.0":
                 scenario.tse = "2.1"
             if "duration" not in _explicit(args):

@@ -257,24 +257,25 @@ class MaskBatches:
     """
 
     def __init__(self, trace: Trace, acl: Acl):
-        table = FlowTable.of(acl)
+        self._table = FlowTable.of(acl)
         self.headers = trace.packets
-        self.flow_ids = table.flow_ids(trace.packets)
+        self.flow_ids = self._table.flow_ids(trace.packets)
         first_pos: dict[int, int] = {}  # mask id -> first position, in first-spawn order
         for pos, fid in enumerate(self.flow_ids):
-            first_pos.setdefault(table.mask_of[fid], pos)
-        self.batch_of = {table.masks[m].bits: i // BATCH_MASKS for i, m in enumerate(first_pos)}
+            first_pos.setdefault(self._table.mask_of[fid], pos)
         self.mask_count = len(first_pos)
         self.count = (self.mask_count + BATCH_MASKS - 1) // BATCH_MASKS
-        self._first_pos = list(first_pos.values())
+        self._first_pos = first_pos
+
+    def batch_of(self) -> dict[int, int]:
+        """The batch of each mask the trace spawns, keyed by the mask's bits."""
+        masks = self._table.masks
+        return {masks[m].bits: i // BATCH_MASKS for i, m in enumerate(self._first_pos)}
 
     def never_created(self, covered_prefix: int) -> set[int]:
         """Batches whose masks can never spawn given the trace-position coverage."""
-        return {
-            b
-            for b in range(self.count)
-            if self._first_pos[b * BATCH_MASKS] >= covered_prefix
-        }
+        first_pos = list(self._first_pos.values())
+        return {b for b in range(self.count) if first_pos[b * BATCH_MASKS] >= covered_prefix}
 
 
 def emission_count(schedule: AttackSchedule, horizon: float) -> int:
@@ -379,6 +380,7 @@ def run(
     compiled = [MaskBatches(trace, acl) for trace, _ in attacks]
 
     batches: Optional[MaskBatches] = None  # the census, while the cache map is on
+    batch_of: dict[int, int] = {}
     never: set[int] = set()
     batch_present: list[int] = []
     masks_total = 0
@@ -386,6 +388,7 @@ def run(
         masks_total = compiled[0].mask_count
         if config.build_cache_map:
             batches = compiled[0]
+            batch_of = batches.batch_of()
             covered = covered_positions(attacks[0][1], len(batches.headers), config.duration)
             never = batches.never_created(covered)
             batch_present = [0] * batches.count
@@ -414,7 +417,7 @@ def run(
         batch = cache.classify_batch(due, now=t1)
         if batches is not None:
             for m in batch.created_masks:
-                b = batches.batch_of.get(m.bits)
+                b = batch_of.get(m.bits)
                 if b is not None:
                     created_this_second.add(b)
                     batch_present[b] += 1
@@ -430,7 +433,7 @@ def run(
         _, removed_masks = cache.expire(t1)
         if batches is not None:
             for m in removed_masks:
-                b = batches.batch_of.get(m.bits)
+                b = batch_of.get(m.bits)
                 if b is not None:
                     expired_this_second.add(b)
                     batch_present[b] -= 1

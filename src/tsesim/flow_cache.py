@@ -6,17 +6,18 @@ search order (one subtable per distinct wildcard mask), and fall back to the
 slow path, whose result is cached.  The matching entry is found through
 synthesis rather than by scanning, and charged the scan's probe count: each
 ACL's synthesized megaflows are interned in a `FlowTable`, and a packet
-arrives with its megaflow's id, which indexes the live entry directly.
+arrives with its megaflow's id.  The one record of a live megaflow is its id
+in a list kept in last-hit order: an install appends, a hit moves the id to
+the end, and expiry of entries idle for the timeout pops from the front.
+Key, mask and action are read from the table; a subtable keeps only a count.
 Subtables are re-ranked by per-interval hit counts at each `rebalance`;
-a brand-new subtable always enters the search order first.  Entries idle for
-the timeout are expired from a list kept in last-hit order: an install
-appends, a hit moves the entry to the end, and expiry pops from the front.
+a brand-new subtable always enters the search order first.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -42,11 +43,11 @@ class EmcCache:
     """Fixed-size direct-mapped exact-match cache; full header is the key.
 
     A header's slot is `header_hash64(h) % capacity`, computed once per
-    distinct header and kept in `_slot_of`, as a datapath carries one hash
-    per packet instead of rehashing at each probe.  The memo belongs to the
-    instance because the slot depends on `capacity`.  It holds one int per
-    header ever looked up or inserted, which in a run is the trace packets
-    and the victim headers.
+    distinct header and kept in `_slot_of` under the header's bits, as a
+    datapath carries one hash per packet instead of rehashing at each probe.
+    The memo belongs to the instance because the slot depends on `capacity`.
+    It holds one int per header ever looked up or inserted, which in a run
+    is the trace packets and the victim headers.
     """
 
     def __init__(self, capacity: int = 8192, enabled: bool = True):
@@ -55,12 +56,12 @@ class EmcCache:
         self.capacity = capacity
         self.enabled = enabled
         self.slots: dict[int, tuple[HeaderValue, Action]] = {}
-        self._slot_of: dict[HeaderValue, int] = {}
+        self._slot_of: dict[int, int] = {}  # header bits (of the ACL's layout) -> slot
 
     def _slot(self, h: HeaderValue) -> int:
-        slot = self._slot_of.get(h)
+        slot = self._slot_of.get(h.bits)
         if slot is None:
-            slot = self._slot_of[h] = header_hash64(h) % self.capacity
+            slot = self._slot_of[h.bits] = header_hash64(h) % self.capacity
         return slot
 
     def lookup(self, h: HeaderValue) -> Optional[Action]:
@@ -137,19 +138,11 @@ class FlowTable:
         return fid
 
 
-@dataclass(eq=False)  # hashed by identity: a key of FlowCache._idle
-class MegaflowEntry:
-    key: MaskedKey
-    action: Action
-    last_hit: float
-    fid: int  # flow id in the cache's FlowTable
-
-
 @dataclass
 class Subtable:
     mask: HeaderMask
     mask_id: int = field(compare=False)  # in the cache's FlowTable
-    entries: dict[MaskedKey, MegaflowEntry] = field(default_factory=dict)
+    size: int = 0  # live megaflows with this mask
     interval_hits: int = 0
     # Index in FlowCache._rev plus the cache's position offset.
     pos: int = field(default=0, compare=False)
@@ -196,13 +189,11 @@ class FlowCache:
         # offset to shift everything above it.
         self._rev: list[Subtable] = []
         self._pos_offset = 0
-        # Live subtables by mask id and entries by flow id, else None: set on
-        # install, cleared on expire, extended by `_grow` as the table grows.
-        self._sub: list[Optional[Subtable]] = []
-        self._live: list[Optional[MegaflowEntry]] = []
-        # Live entries in last-hit order, oldest first.  `_advance` rejects a
-        # `now` below `_clock`, the latest one, so this is `last_hit` order too.
-        self._idle: OrderedDict[MegaflowEntry, Subtable] = OrderedDict()
+        # Live subtables by mask id: set on install, deleted on expire.
+        self._sub: dict[int, Subtable] = {}
+        # Flow id -> last hit of each live megaflow, in last-hit order, oldest
+        # first: a `now` below `_clock`, the latest one, is rejected.
+        self._idle: OrderedDict[int, float] = OrderedDict()
         self._clock = float("-inf")
 
     # -- views -------------------------------------------------------------
@@ -220,31 +211,23 @@ class FlowCache:
         return len(self._idle)
 
     def search_index(self, mask: HeaderMask) -> int:
-        self._grow()
         st = self._sub[self.table.mask_ids[mask.bits]]
         return len(self._rev) - 1 - (st.pos - self._pos_offset)
 
     def entries(self) -> Iterable[tuple[MaskedKey, HeaderMask, Action]]:
-        for st in self._rev:
-            for e in st.entries.values():
-                yield e.key, st.mask, e.action
+        """Live megaflows, least recently hit first."""
+        flows = self.table.flows
+        for fid in self._idle:
+            yield flows[fid].key, flows[fid].mask, flows[fid].action
 
     def flow_id(self, h: HeaderValue) -> int:
         """The flow id of h's megaflow, the middle of a `(header, flow_id, count)` run."""
-        fid = self.table.flow_id(h)
-        self._grow()
-        return fid
+        return self.table.flow_id(h)
 
     def synthesize(self, h: HeaderValue) -> SynthesizedFlow:
         return self.table.flows[self.flow_id(h)]
 
     # -- core operations -----------------------------------------------------
-
-    def _grow(self) -> None:
-        table = self.table
-        if len(self._live) < len(table.flows):  # a new mask comes with a new flow
-            self._live += [None] * (len(table.flows) - len(self._live))
-            self._sub += [None] * (len(table.masks) - len(self._sub))
 
     def _advance(self, now: float) -> None:
         """Raise ValueError if `now` is earlier than a time already stamped."""
@@ -252,23 +235,22 @@ class FlowCache:
             raise ValueError(f"time went backwards: {now} < {self._clock}")
         self._clock = now
 
-    def _refresh(self, entry: MegaflowEntry, now: float) -> None:
-        entry.last_hit = now
-        self._idle.move_to_end(entry)
+    def _refresh(self, fid: int, now: float) -> None:
+        self._idle[fid] = now
+        self._idle.move_to_end(fid)
 
-    def _add_subtable(self, mid: int) -> Subtable:
-        st = Subtable(self.table.masks[mid], mid, pos=len(self._rev) + self._pos_offset)
-        self._sub[mid] = st
-        self._rev.append(st)
-        return st
-
-    def _add_entry(self, st: Subtable, fid: int, now: float) -> MegaflowEntry:
-        flow = self.table.flows[fid]
-        entry = MegaflowEntry(flow.key, flow.action, now, fid)
-        st.entries[entry.key] = entry
-        self._live[fid] = entry
-        self._idle[entry] = st
-        return entry
+    def _install(self, fid: int, now: float) -> bool:
+        """Make flow fid live; return whether that created its subtable."""
+        mid = self.table.mask_of[fid]
+        st = self._sub.get(mid)
+        created = st is None
+        if created:
+            st = self._sub[mid] = Subtable(self.table.masks[mid], mid,
+                                           pos=len(self._rev) + self._pos_offset)
+            self._rev.append(st)
+        st.size += 1
+        self._idle[fid] = now
+        return created
 
     def expire(self, now: float) -> tuple[list[tuple[MaskedKey, HeaderMask]], list[HeaderMask]]:
         """Remove entries idle for >= idle_timeout; drop emptied subtables.
@@ -281,19 +263,21 @@ class FlowCache:
         """
         removed_entries: list[tuple[MaskedKey, HeaderMask]] = []
         removed_masks: list[HeaderMask] = []
+        idle, sub = self._idle, self._sub
+        flows, mask_of = self.table.flows, self.table.mask_of
         offset = self._pos_offset
         top = -1  # highest storage index of a removed subtable
-        while self._idle and (entry := next(iter(self._idle))).last_hit + self.idle_timeout <= now:
-            st = self._idle.pop(entry)
-            del st.entries[entry.key]
-            self._live[entry.fid] = None
-            removed_entries.append((entry.key, st.mask))
-            if not st.entries:
-                self._sub[st.mask_id] = None
+        while idle and idle[fid := next(iter(idle))] + self.idle_timeout <= now:
+            del idle[fid]
+            st = sub[mask_of[fid]]
+            st.size -= 1
+            removed_entries.append((flows[fid].key, st.mask))
+            if not st.size:
+                del sub[st.mask_id]
                 removed_masks.append(st.mask)
                 top = max(top, st.pos - offset)
         if removed_masks:
-            kept = [st for st in self._rev[: top + 1] if st.entries]
+            kept = [st for st in self._rev[: top + 1] if st.size]
             self._rev[: top + 1] = kept
             self._pos_offset = offset = offset + top + 1 - len(kept)
             for i, st in enumerate(kept, start=offset):
@@ -319,8 +303,8 @@ class FlowCache:
     # misses too), then applies all mutations; EMC inserts stay immediate.
     # Results are found through the synthesis shortcut: with all entries
     # derived from one ACL, a header's matching entry is exactly the one its
-    # own synthesis would produce, so indexing the live entries by the
-    # packet's flow id replaces the sequential probe while charging the same
+    # own synthesis would produce, so looking the packet's flow id up in the
+    # last-hit list replaces the sequential probe while charging the same
     # probe count the scan would have.
 
     def classify_batch(
@@ -340,7 +324,6 @@ class FlowCache:
         a time already passed to `classify_batch`, `warm` or `credit_hits`.
         """
         self._advance(now)
-        self._grow()
         return self._price_runs(runs, now)
 
     def warm(self, headers: Iterable[HeaderValue], now: float) -> None:
@@ -361,13 +344,13 @@ class FlowCache:
     def _price_runs(
         self, runs: Iterable[tuple[HeaderValue, int, int]], now: float, probe: bool = False
     ) -> BatchResult:
-        """The one pricing path; with `probe`, change nothing.  Call `_grow` first."""
+        """The one pricing path; with `probe`, change nothing."""
         c = self.costs
         emc = self.emc
         emc_on = emc.enabled
-        live, sub = self._live, self._sub
+        idle, sub = self._idle, self._sub
         flows, mask_of = self.table.flows, self.table.mask_of
-        move_to_end = self._idle.move_to_end  # `_refresh`, inlined
+        move_to_end = idle.move_to_end  # `_refresh`, inlined
         c_emc, c_sub = c.c_emc, c.c_sub
         emc_probe = (1 if emc_on else 0) * c_emc
         miss_cost = emc_probe + len(self._rev) * c_sub + c.c_slow
@@ -386,32 +369,26 @@ class FlowCache:
                     cost += count * c_emc
                     continue
                 rest, count = count - 1, 1
-            entry = live[fid]
-            if entry is not None and fid not in batch_new:
+            if fid in idle and fid not in batch_new:
                 st = sub[mask_of[fid]]
                 mfc_hits += count
                 cost += count * (emc_probe + (base - st.pos) * c_sub)
                 if probe:
                     continue
                 st.interval_hits += count
-                entry.last_hit = now
-                move_to_end(entry)
-                action = entry.action
+                idle[fid] = now
+                move_to_end(fid)
             else:
                 slow_path += count
                 cost += count * miss_cost
                 if probe:
                     continue
-                action = flows[fid].action
-                if entry is None:
-                    st = sub[mask_of[fid]]
-                    if st is None:
-                        st = self._add_subtable(mask_of[fid])
-                        created.append(st.mask)
-                    self._add_entry(st, fid, now)
+                if fid not in batch_new:  # then it is not live either
                     batch_new.add(fid)
+                    if self._install(fid, now):
+                        created.append(sub[mask_of[fid]].mask)
             if emc_on:
-                emc.insert(h, action)
+                emc.insert(h, flows[fid].action)
                 if rest:
                     emc_hits += rest
                     cost += rest * c_emc
@@ -424,20 +401,18 @@ class FlowCache:
         if packets <= 0:
             return
         fid = self.flow_id(h)
-        entry = self._live[fid]
-        if entry is None:
-            return
-        self._sub[self.table.mask_of[fid]].interval_hits += packets
-        self._refresh(entry, now)
+        if fid in self._idle:
+            self._sub[self.table.mask_of[fid]].interval_hits += packets
+            self._refresh(fid, now)
 
     # -- introspection ---------------------------------------------------------
 
     def check_invariants(self) -> None:
         """Raise AssertionError if the cache's bookkeeping disagrees with its contents.
 
-        Checks that stored positions match storage, the id-indexed lists hold
-        exactly the live subtables and entries, and the idle list holds exactly
-        the live entries, each mapped to its own subtable, with `last_hit`
+        Checks that stored positions match storage, the mask-id index holds
+        exactly the subtables in storage, each subtable's size is the count
+        of its live flows in the idle list (and not 0), and last hits are
         non-decreasing along the list.
         """
 
@@ -445,24 +420,15 @@ class FlowCache:
             if not ok:
                 raise AssertionError(what)
 
+        sizes = Counter(self.table.mask_of[fid] for fid in self._idle)  # by mask id
         for i, st in enumerate(self._rev):
             require(st.pos - self._pos_offset == i, f"subtable at storage {i} has pos {st.pos}")
-            require(self._sub[st.mask_id] is st, f"subtable {i} not indexed by its mask id")
-            require(bool(st.entries), f"subtable {i} is empty")
-        require(
-            len(self._idle) == sum(len(st.entries) for st in self._rev),
-            "idle list length disagrees with the entries",
-        )
-        for entry, st in self._idle.items():
-            require(
-                st.entries.get(entry.key) is entry and self._sub[st.mask_id] is st,
-                "idle list entry is not live in its own subtable",
-            )
-            require(self._live[entry.fid] is entry, "idle list entry not indexed by its flow id")
-        live_subtables, live_entries = (len(x) - x.count(None) for x in (self._sub, self._live))
-        require(live_subtables == len(self._rev), "mask-id list holds subtables not in storage")
-        require(live_entries == len(self._idle), "flow-id list holds entries not in the idle list")
-        hits = [entry.last_hit for entry in self._idle]
+            require(self._sub.get(st.mask_id) is st, f"subtable {i} not indexed by its mask id")
+            n = sizes[st.mask_id]
+            require(st.size == n > 0, f"subtable {i} has size {st.size} for {n} live flows")
+        require(len(self._sub) == len(self._rev), "mask-id index holds subtables not in storage")
+        require(sizes.keys() <= self._sub.keys(), "idle list holds a flow whose subtable is absent")
+        hits = list(self._idle.values())
         require(all(a <= b for a, b in zip(hits, hits[1:])), "idle list is out of last-hit order")
 
     def snapshot_lines(self) -> list[str]:
@@ -473,5 +439,5 @@ class FlowCache:
                 format(v, f"0{(f.width + 3) // 4}x")
                 for f, v in zip(st.mask.layout.fields, st.mask.values)
             )
-            lines.append(f"#{i} mask={hexmask} entries={len(st.entries)} hits={st.interval_hits}")
+            lines.append(f"#{i} mask={hexmask} entries={st.size} hits={st.interval_hits}")
         return lines

@@ -5,7 +5,10 @@ does: probe the EMC, then every subtable in search order with the header
 masked by that subtable's mask, then the slow path.  `FlowCache` finds the
 matching entry through synthesis instead and charges the probe count this
 scan would have; the differential tests compare the two.  The scan shares
-the cache's storage, expiry and ranking, which other tests check.
+the cache's storage, expiry and ranking, which other tests check.  It finds
+the entry at each subtable by looking the masked header up in the table's
+interned (mask, key) pairs and testing whether that flow is live, never by
+the header's own flow id.
 """
 
 from __future__ import annotations
@@ -38,12 +41,13 @@ class SequentialCache(FlowCache):
     def mfc_lookup(self, h: HeaderValue, now: float) -> Optional[tuple[Action, int]]:
         """Probe subtables sequentially; on a hit, count it and refresh the entry."""
         self._advance(now)
+        interned = self.table._flow_ids
         for probed, st in enumerate(self.subtables(), start=1):
-            entry = st.entries.get(apply_mask(h, st.mask))
-            if entry is not None:
+            fid = interned.get((st.mask.bits, apply_mask(h, st.mask).bits))
+            if fid is not None and fid in self._idle:
                 st.interval_hits += 1
-                self._refresh(entry, now)
-                return entry.action, probed
+                self._refresh(fid, now)
+                return self.table.flows[fid].action, probed
         return None
 
     def mfc_insert(
@@ -56,18 +60,10 @@ class SequentialCache(FlowCache):
         """
         self._advance(now)
         fid = self.table.intern(SynthesizedFlow(key, mask, action))
-        self._grow()
-        mid = self.table.mask_of[fid]
-        st = self._sub[mid]
-        created = st is None
-        if created:
-            st = self._add_subtable(mid)
-        entry = st.entries.get(key)
-        if entry is not None:
-            self._refresh(entry, now)
-            return created, False
-        self._add_entry(st, fid, now)
-        return created, True
+        if fid in self._idle:
+            self._refresh(fid, now)
+            return False, False
+        return self._install(fid, now), True
 
     def classify(self, h: HeaderValue, now: float) -> ClassifyResult:
         """Full pipeline for one packet: EMC, then MFC, then slow path."""
@@ -92,18 +88,17 @@ class SequentialCache(FlowCache):
         return ClassifyResult(flow.action, HitPath.SLOW, emc_probes, probed, cost)
 
 
+def last_hits(cache: FlowCache) -> dict[tuple[MaskedKey, HeaderMask], float]:
+    """Each live entry's (key, mask) and last hit, least recently hit first."""
+    flows = cache.table.flows
+    return {(flows[fid].key, flows[fid].mask): t for fid, t in cache._idle.items()}
+
+
 def cache_state(cache: FlowCache):
-    """Everything classification can change: subtables in order, EMC, idle list."""
+    """Everything classification can change: subtables in order, EMC, live entries by last hit."""
+    actions = {(k, m): a for k, m, a in cache.entries()}
     return (
-        [
-            (
-                s.mask,
-                s.interval_hits,
-                {k: (e.action, e.last_hit) for k, e in s.entries.items()},
-            )
-            for s in cache.subtables()
-        ],
+        [(s.mask, s.size, s.interval_hits) for s in cache.subtables()],
         dict(cache.emc.slots),
-        cache.entry_count,
-        [(e.key, st.mask, e.last_hit) for e, st in cache._idle.items()],
+        [(k, m, actions[k, m], t) for (k, m), t in last_hits(cache).items()],
     )

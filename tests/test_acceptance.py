@@ -14,6 +14,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from oracle_cache import last_hits  # noqa: E402
 from oracle_synth import o_counts  # noqa: E402
 
 from tsesim.attack import (  # noqa: E402
@@ -217,17 +218,14 @@ def test_criterion_05_expiry_property_fuzz():
                 dport=rng.getrandbits(16),
             )
             cache.classify_batch([(h, cache.flow_id(h), 1)], now)
-        snapshot = {
-            (st.mask, key): e.last_hit for st in cache.subtables() for key, e in st.entries.items()
-        }
+        snapshot = last_hits(cache)
         expired, _ = cache.expire(now)
         for key, m in expired:
             # 1-ulp slack: float time arithmetic puts exact-10s ages a hair under
-            if now - snapshot[(m, key)] < cache.idle_timeout - 1e-9:
+            if now - snapshot[(key, m)] < cache.idle_timeout - 1e-9:
                 evicted_early += 1
-        for st in cache.subtables():
-            for e in st.entries.values():
-                assert now - e.last_hit < cache.idle_timeout + 1e-9
+        for last_hit in last_hits(cache).values():
+            assert now - last_hit < cache.idle_timeout + 1e-9
     report(5, evicted_early == 0, "no entry outlived 10s idle past a tick, none evicted early")
     assert evicted_early == 0
 

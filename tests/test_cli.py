@@ -316,6 +316,19 @@ SMALL_SWEEP = [
 ]
 
 
+def test_out_given_as_out_is_used(tmp_path, monkeypatch, capsys):
+    """An explicit `out`, as a flag or a config key, is written even when it reads "out"."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-trace", "--use-case", "dp", "--out", "out"]) == 0
+    assert len((tmp_path / "out").read_text().splitlines()) == 17
+    assert not (tmp_path / "dp.trace").exists()
+    (tmp_path / "out").unlink()
+    (tmp_path / "cfg.json").write_text(json.dumps({"out": "out"}))
+    assert main(SMALL_SWEEP + ["--config", "cfg.json"]) == 0
+    assert (tmp_path / "out").read_text().startswith("cores,rate,mean_attack_fraction,dos\n1,1000,")
+    assert "wrote out" in capsys.readouterr().out
+
+
 def test_sweep_without_steady_state_exits_2(capsys):
     rc = main(["sweep", "--duration", "30", "--cores-list", "1", "--rates-list", "1000"])
     assert rc == 2
@@ -395,17 +408,32 @@ def test_sweep_tse_20_is_not_the_clone_replay(monkeypatch, tmp_path, capsys):
     assert (out / "series.csv").read_text() == series_to_csv(results[0].series)
 
 
-@pytest.mark.parametrize("command", ["run", "sweep"])
+RUN_LENGTH_CASES = {
+    "too_many_ticks": (
+        ["--duration", "60", "--tick", "1e-6"],
+        "duration 60 s at tick 1e-06 s asks for 60000000 ticks, more than 1000000",
+    ),
+    "fractional_duration": (
+        ["--duration", "2.5"], "duration must be a whole number of seconds, got 2.5"
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "flags, message",
+    "command, flags, message",
     [
-        (
-            ["--duration", "60", "--tick", "1e-6"],
-            "duration 60 s at tick 1e-06 s asks for 60000000 ticks, more than 1000000",
-        ),
-        (["--duration", "2.5"], "duration must be a whole number of seconds, got 2.5"),
+        pytest.param(command, *case, id=f"{name}-{command}")
+        for command in ("run", "sweep")
+        for name, case in RUN_LENGTH_CASES.items()
+    ]
+    + [
+        pytest.param(
+            "sweep",
+            ["--cores-list", "2,0", "--rates-list", "1000,3000", "--duration", "40"],
+            "--cores-list: cores must be >= 1, got 0",
+            id="zero_cores-sweep",
+        )
     ],
-    ids=["too_many_ticks", "fractional_duration"],
 )
 def test_run_length_checked_before_anything_runs(command, flags, message, monkeypatch, capsys):
     import tsesim.cli as cli

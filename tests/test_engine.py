@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracle_cache import SequentialCache, cache_state  # noqa: E402
+from oracle_cache import SequentialCache, cache_state, last_hits  # noqa: E402
 
 from tsesim.attack import AttackSchedule, UseCase, build_trace  # noqa: E402
 from tsesim.engine import (  # noqa: E402
@@ -347,9 +347,8 @@ def test_expiry_soundness_during_run():
     cfg = SimConfig(duration=30.0, build_cache_map=False)
     res = run(cfg, acl, [(trace, sched)], victims)
     now = cfg.duration
-    for st in res.cache.subtables():
-        for e in st.entries.values():
-            assert now - e.last_hit < res.cache.idle_timeout + cfg.tick
+    for last_hit in last_hits(res.cache).values():
+        assert now - last_hit < res.cache.idle_timeout + cfg.tick
 
 
 # -- cache map ----------------------------------------------------------------------

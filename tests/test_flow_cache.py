@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracle_cache import SequentialCache, cache_state  # noqa: E402
+from oracle_cache import SequentialCache, cache_state, last_hits  # noqa: E402
 
 from tsesim.attack import simple_acl  # noqa: E402
 from tsesim.flow_cache import CostModel, FlowCache, FlowTable  # noqa: E402
@@ -159,8 +159,7 @@ def test_mfc_insert_duplicate_refreshes_only():
     cache.mfc_insert(k, m, Action.ALLOW, now=0.0)
     created, new_entry = cache.mfc_insert(k, m, Action.ALLOW, now=5.0)
     assert not created and not new_entry
-    st = cache.subtables()[0]
-    assert st.entries[k].last_hit == 5.0
+    assert last_hits(cache) == {(k, m): 5.0}
 
 
 # -- expiry --------------------------------------------------------------------
@@ -317,11 +316,12 @@ def test_batch_hit_cost_matches_linear_scan_position():
     for i, h in enumerate(headers):
         cache.classify_batch([(h, cache.flow_id(h), 1)], now=i * 0.01)
     cache.rebalance(2.0)
+    live = last_hits(cache)
     for h in rng.sample(headers, 50):
         flow = cache.synthesize(h)
         scan_pos = None
         for pos, st in enumerate(cache.subtables()):
-            if apply_mask(h, st.mask) in st.entries:
+            if (apply_mask(h, st.mask), st.mask) in live:
                 scan_pos = pos
                 break
         assert scan_pos == cache.search_index(flow.mask)
@@ -423,11 +423,11 @@ def test_check_invariants_detects_corruption():
         cache.check_invariants()
     cache = table_b_cache()
     cache._idle.popitem()
-    with pytest.raises(AssertionError, match="idle list length"):
+    with pytest.raises(AssertionError, match="has size 2 for 1 live flows"):
         cache.check_invariants()
     cache = table_b_cache()
-    cache._idle[next(iter(cache._idle))] = cache.subtables()[0]  # another subtable
-    with pytest.raises(AssertionError, match="own subtable"):
+    cache.subtables()[0].size += 1
+    with pytest.raises(AssertionError, match="has size 3 for 2 live flows"):
         cache.check_invariants()
     cache = table_b_cache()
     cache.mfc_lookup(hv(0b000), now=5.0)
@@ -439,23 +439,19 @@ def test_check_invariants_detects_corruption():
 
 def test_check_invariants_detects_stale_id_lists():
     cache = table_b_cache()
-    cache._sub[cache.subtables()[0].mask_id] = None
+    del cache._sub[cache.subtables()[0].mask_id]
     with pytest.raises(AssertionError, match="not indexed by its mask id"):
         cache.check_invariants()
     cache = table_b_cache()
-    cache._live[next(iter(cache._idle)).fid] = None
-    with pytest.raises(AssertionError, match="not indexed by its flow id"):
-        cache.check_invariants()
-    cache = table_b_cache()
-    st, entry = cache.subtables()[0], next(iter(cache._idle))
+    st, fid = cache.subtables()[0], next(iter(cache._idle))
     cache.expire(10.0)  # every entry was installed at 0.0
     cache.check_invariants()
     cache._sub[st.mask_id] = st
-    with pytest.raises(AssertionError, match="mask-id list holds subtables not in storage"):
+    with pytest.raises(AssertionError, match="mask-id index holds subtables not in storage"):
         cache.check_invariants()
-    cache._sub[st.mask_id] = None
-    cache._live[entry.fid] = entry
-    with pytest.raises(AssertionError, match="flow-id list holds entries not in the idle list"):
+    del cache._sub[st.mask_id]
+    cache._idle[fid] = 10.0
+    with pytest.raises(AssertionError, match="idle list holds a flow whose subtable is absent"):
         cache.check_invariants()
 
 
@@ -498,7 +494,8 @@ def test_probe_cost_of_absent_entry_is_what_classify_batch_charges(emc):
         others = [g for g in others if cache.flow_id(g) != cache.flow_id(h)]
         cache.classify_batch([(g, cache.flow_id(g), 1) for g in others], now=8.0)
         cache.expire(11.0)  # h's entry, installed at 1.0, expires; the others stay
-        assert cache._live[cache.flow_id(h)] is None and cache.subtable_count > 0
+        flow = cache.synthesize(h)
+        assert (flow.key, flow.mask) not in last_hits(cache) and cache.subtable_count > 0
         cost = cache.probe_cost(h)
         assert cost == cache.subtable_count * cache.costs.c_sub + cache.costs.c_slow
         assert cache.classify_batch([(h, cache.flow_id(h), 1)], now=11.0).total_cost == cost
@@ -581,13 +578,9 @@ def test_expire_removes_exactly_the_idle_entries(pool, emc_enabled, steps):
         elif step[0] == "rebalance":
             cache.rebalance(now)
         else:
-            stamps = {(e.key, s.mask): e.last_hit for s in cache.subtables() for e in s.entries.values()}
+            stamps = last_hits(cache)
             old = {k for k, t in stamps.items() if t + cache.idle_timeout <= now}
-            emptied = {
-                s.mask
-                for s in cache.subtables()
-                if all((k, s.mask) in old for k in s.entries)
-            }
+            emptied = {s.mask for s in cache.subtables()} - {m for k, m in stamps.keys() - old}
             expired, removed = cache.expire(now)
             assert len(expired) == len(old) and set(expired) == old
             assert len(removed) == len(emptied) and set(removed) == emptied
@@ -603,12 +596,11 @@ def test_probe_cost_is_read_only():
     cache.classify_batch([(h, cache.flow_id(h), 1)], now=0.0)
     st = cache.subtables()[0]
     hits_before = st.interval_hits
-    entry = next(iter(st.entries.values()))
-    stamp = entry.last_hit
+    stamps = last_hits(cache)
     cost = cache.probe_cost(h)
     assert cost == cache.costs.c_sub
     assert st.interval_hits == hits_before
-    assert entry.last_hit == stamp
+    assert last_hits(cache) == stamps
 
 
 def test_credit_hits_bulk():
@@ -618,7 +610,7 @@ def test_credit_hits_bulk():
     cache.credit_hits(h, 500, now=3.0)
     st = cache.subtables()[0]
     assert st.interval_hits == 500
-    assert next(iter(st.entries.values())).last_hit == 3.0
+    assert list(last_hits(cache).values()) == [3.0]
 
 
 # -- pipeline properties ------------------------------------------------------

@@ -7,7 +7,8 @@ inputs are the built-in table's, which is what `tsesim run` builds.
 `churn` the TSE 2.0 duty cycle and idle expiry; `clone` clone factor 12 on
 four cores; `emc_small` clone factor 12 and the EMC on.  A workload run without
 the cache map has a header-only golden `cachemap.csv`, so that file is
-compared only where the workload builds the map.
+compared only where the workload builds the map.  Each run also checks the
+cache's invariants after every once-a-second `rebalance`.
 """
 
 import hashlib
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from tsesim.cli import main
+from tsesim.flow_cache import FlowCache
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,7 +36,16 @@ def _workloads():
 
 
 @pytest.mark.parametrize("name", ["reference", "churn", "clone", "emc_small"])
-def test_run_reproduces_golden_artifacts(name, tmp_path):
+def test_run_reproduces_golden_artifacts(name, tmp_path, monkeypatch):
+    rebalance = FlowCache.rebalance
+    checked = []
+
+    def rebalance_then_check(cache, now):
+        rebalance(cache, now)
+        cache.check_invariants()
+        checked.append(now)
+
+    monkeypatch.setattr(FlowCache, "rebalance", rebalance_then_check)
     workload = _workloads()[name]
     golden = json.loads((PERFBENCH / "golden.json").read_text())[name]["digests"]
     config = tmp_path / "scenario.json"
@@ -45,3 +56,4 @@ def test_run_reproduces_golden_artifacts(name, tmp_path):
     for artifact in artifacts:
         digest = hashlib.sha256((out / artifact).read_bytes()).hexdigest()
         assert digest == golden[artifact], artifact
+    assert len(checked) == workload.scenario["duration"]
