@@ -20,6 +20,7 @@ from .headers import (
     FIVE_TUPLE,
     HeaderLayout,
     HeaderValue,
+    LayoutMismatch,
     header,
     int_to_ip,
     ip_to_int,
@@ -132,26 +133,19 @@ def _single_field_allow(acl: Acl, field_name: str) -> int:
 def build_trace(
     use_case: UseCase, acl: Acl, benign_fill: Optional[HeaderValue] = None
 ) -> Trace:
-    """Cross product of per-field probes; the last targeted field cycles fastest."""
+    """Cross product of per-field probes on packed ints; the last targeted field cycles fastest."""
     layout = acl.layout
     fill = benign_fill if benign_fill is not None else default_benign_fill(layout)
-    fields = use_case.targeted_fields
-    probe_lists = [
-        field_probe_values(layout.spec(f).width, _single_field_allow(acl, f)) for f in fields
-    ]
-    packets: list[HeaderValue] = []
-    base = dict(fill.items())
-
-    def emit(i: int, partial: dict) -> None:
-        if i == len(fields):
-            packets.append(header(layout, **{**base, **partial}))
-            return
-        for v in probe_lists[i]:
-            partial[fields[i]] = v
-            emit(i + 1, partial)
-
-    emit(0, {})
-    return Trace(tuple(packets))
+    if fill.layout != layout:
+        raise LayoutMismatch("benign fill and ACL use different layouts")
+    packed = [fill.bits]
+    for f in use_case.targeted_fields:
+        shift, full = layout.slot(f)
+        allow = _single_field_allow(acl, f)
+        probes = [v << shift for v in field_probe_values(full.bit_length(), allow)]
+        clear = ~(full << shift)
+        packed = [b & clear | p for b in packed for p in probes]
+    return Trace(tuple(HeaderValue(layout, b) for b in packed))
 
 
 def clone_factor(rate_pps: float) -> int:
@@ -259,23 +253,30 @@ def format_trace_text(trace: Trace, rate: float = 1000.0) -> str:
 
 
 def parse_trace_text(text: str, layout: HeaderLayout = FIVE_TUPLE) -> Trace:
+    """One packet per line; an error names its line, and a key given twice is one."""
     packets = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        fields: dict[str, int] = {}
-        for token in line.split():
-            key, sep, raw = token.partition("=")
-            if not sep:
-                raise ValueError(f"line {lineno}: bad token {token!r}")
-            if key == "t":
-                float(raw)  # validated, not stored; timing comes from schedules
-            elif key in IP_FIELDS:
-                fields[key] = ip_to_int(raw)
-            else:
-                fields[key] = int(raw)
-        packets.append(header(layout, **fields))
+        fields: dict = {}  # key -> int, and t -> float
+        try:
+            for token in line.split():
+                key, sep, raw = token.partition("=")
+                if not sep:
+                    raise ValueError(f"bad token {token!r}")
+                parse = float if key == "t" else ip_to_int if key in IP_FIELDS else int
+                try:
+                    value = parse(raw)
+                except ValueError:
+                    raise ValueError(f"bad {key} value {raw!r}") from None
+                if key in fields:
+                    raise ValueError(f"{key} given twice")
+                fields[key] = value
+            fields.pop("t", None)  # validated, not kept: timing comes from schedules
+            packets.append(header(layout, **fields))
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
     return Trace(tuple(packets))
 
 

@@ -111,19 +111,21 @@ def _check_value(key: str, value) -> None:
         raise ConfigError(f"{key} must be {kind}, got {value!r}")
 
 
+def _read_config(config_path: str) -> dict:
+    try:
+        loaded = json.loads(Path(config_path).read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {config_path}")
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"config file is not valid JSON: {e}")
+    if not isinstance(loaded, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return loaded
+
+
 def parse_config(config_path: Optional[str], overrides: dict) -> Scenario:
     """File values first, flags on top; a bad key or value is a ConfigError naming it."""
-    values: dict = {}
-    if config_path:
-        try:
-            loaded = json.loads(Path(config_path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {config_path}")
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file is not valid JSON: {e}")
-        if not isinstance(loaded, dict):
-            raise ConfigError("config file must hold a JSON object")
-        values.update(loaded)
+    values = _read_config(config_path) if config_path else {}
     values.update({k: v for k, v in overrides.items() if v is not None})
     for key, value in values.items():
         if key not in _SCENARIO_FIELDS:
@@ -286,7 +288,7 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--use-case", dest="use_case", choices=_VALID_USE_CASES)
     p.add_argument("--acl", help="ACL file (line format); default is the built-in table")
     p.add_argument("--trace", help="replay this trace file instead of generating one")
-    p.add_argument("--tse", choices=_VALID_TSE, help="attack variant (default 1.0)")
+    p.add_argument("--tse", choices=_VALID_TSE, help="attack variant (default 1.0; sweep 2.1)")
     p.add_argument("--rate", type=float, help="attack rate in packets/second")
     p.add_argument("--t-attack", dest="t_attack", type=float, help="attack phase seconds")
     p.add_argument("--t-sleep", dest="t_sleep", type=float, help="sleep phase seconds")
@@ -308,7 +310,12 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     overrides = {
         name: getattr(args, name, None) for name in _SCENARIO_FIELDS if hasattr(args, name)
     }
-    return parse_config(getattr(args, "config", None), overrides)
+    if args.command == "sweep":  # its defaults, for keys neither a flag nor the file gives
+        in_file = _read_config(args.config) if args.config else {}
+        for key, value in (("tse", "2.1"), ("duration", 45.0)):
+            if overrides[key] is None and key not in in_file:
+                overrides[key] = value
+    return parse_config(args.config, overrides)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -348,10 +355,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise ConfigError("cores-list and rates-list must be non-empty")
             if min(cores_list) < 1:
                 raise ConfigError(f"--cores-list: cores must be >= 1, got {min(cores_list)}")
-            if scenario.tse == "1.0":
-                scenario.tse = "2.1"
-            if "duration" not in _explicit(args):
-                scenario.duration = 45.0
             return cmd_sweep(scenario, cores_list, rates_list)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, ValueError) as e:
@@ -374,10 +377,6 @@ def _parse_list(flag: str, text: str, kind: type) -> list:
             raise ConfigError(f"{flag}: bad value {x!r}")
         values.append(v)
     return values
-
-
-def _explicit(args: argparse.Namespace) -> set[str]:
-    return {k for k, v in vars(args).items() if v is not None}
 
 
 if __name__ == "__main__":

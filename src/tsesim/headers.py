@@ -64,14 +64,9 @@ class HeaderLayout:
         set_(self, "_slot", slot)
         set_(self, "_hash_plan", tuple(plan))
 
-    def index(self, name: str) -> int:
-        for i, f in enumerate(self.fields):
-            if f.name == name:
-                return i
-        raise KeyError(name)
-
-    def spec(self, name: str) -> FieldSpec:
-        return self.fields[self.index(name)]
+    def slot(self, name: str) -> tuple[int, int]:
+        """(shift, unshifted full mask) of a field within the packed int."""
+        return self._slot[name]  # type: ignore[attr-defined]
 
     def pack(self, values: Iterable[int], what: str = "header") -> int:
         """Concatenate per-field values, first field highest; each must fit its width."""
@@ -118,7 +113,7 @@ class _Packed:
         return tuple((self.bits >> s) & m for s, m in slots)
 
     def get(self, name: str) -> int:
-        shift, full = self.layout._slot[name]  # type: ignore[attr-defined]
+        shift, full = self.layout.slot(name)
         return (self.bits >> shift) & full
 
     def items(self) -> Iterable[tuple[str, int]]:

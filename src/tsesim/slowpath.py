@@ -53,7 +53,7 @@ class FlowRule:
 def rule(layout: HeaderLayout, priority: int, action: Action, **matches: int) -> FlowRule:
     """Build a rule, ordering its constraints by the layout's field order."""
     for name in matches:
-        layout.index(name)  # raises KeyError on unknown fields
+        layout.slot(name)  # raises KeyError on unknown fields
     ordered = tuple((n, matches[n]) for n in layout.names if n in matches)
     return FlowRule(priority, ordered, action)
 
@@ -108,11 +108,11 @@ def validate_acl(acl: Acl) -> list[str]:
     for r in acl.rules:
         for name, value in r.matches:
             try:
-                spec = acl.layout.spec(name)
+                _, full = acl.layout.slot(name)
             except KeyError:
                 problems.append(f"rule priority={r.priority}: unknown field {name!r}")
                 continue
-            if not 0 <= value <= spec.full_mask:
+            if not 0 <= value <= full:
                 problems.append(
                     f"rule priority={r.priority}: value {value} exceeds field width of {name}"
                 )
@@ -181,6 +181,7 @@ def parse_acl_text(layout: HeaderLayout, text: str) -> Acl:
         priority: Optional[int] = None
         action: Optional[Action] = None
         matches: dict[str, int] = {}
+        given: set[str] = set()
         for token in line.split():
             if "=" not in token:
                 raise ValueError(f"line {lineno}: bad token {token!r}")
@@ -196,6 +197,9 @@ def parse_acl_text(layout: HeaderLayout, text: str) -> Acl:
                     matches[key] = _parse_value(layout, key, raw)
             except ValueError:
                 raise ValueError(f"line {lineno}: bad {key} value {raw!r}") from None
+            if key in given:
+                raise ValueError(f"line {lineno}: {key} given twice")
+            given.add(key)
         if priority is None or action is None:
             raise ValueError(f"line {lineno}: rule needs priority= and action=")
         rules.append(rule(layout, priority, action, **matches))

@@ -3,12 +3,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from oracle_synth import o_first_diff  # noqa: E402
+from oracle_trace import o_trace  # noqa: E402
 
 from tsesim.attack import (  # noqa: E402
+    ALLOW_DPORT,
+    ALLOW_IP_SRC,
+    ALLOW_SPORT,
     AttackSchedule,
     Trace,
     UseCase,
@@ -24,8 +30,17 @@ from tsesim.attack import (  # noqa: E402
     schedule_emissions,
     use_case_acl,
 )
+from tsesim.engine import victim_allow_rules, victim_flow_headers  # noqa: E402
 from tsesim.flow_cache import FlowCache  # noqa: E402
-from tsesim.headers import ip_to_int  # noqa: E402
+from tsesim.headers import (  # noqa: E402
+    FIVE_TUPLE,
+    HYP,
+    HeaderValue,
+    LayoutMismatch,
+    header,
+    ip_to_int,
+)
+from tsesim.slowpath import Acl, Action, rule  # noqa: E402
 
 
 def test_probe_values_3bit():
@@ -67,6 +82,58 @@ def test_trace_order_last_field_fastest():
 def test_build_trace_requires_target_rules():
     with pytest.raises(ValueError):
         build_trace(UseCase.SIP_SP_DP, use_case_acl(UseCase.DP))
+
+
+def test_build_trace_rejects_fill_of_another_layout():
+    with pytest.raises(LayoutMismatch):
+        build_trace(UseCase.DP, use_case_acl(UseCase.DP), benign_fill=HeaderValue(HYP, 0))
+
+
+BUILTIN_ALLOW = {"dport": ALLOW_DPORT, "ip_src": ip_to_int(ALLOW_IP_SRC), "sport": ALLOW_SPORT}
+
+
+@pytest.mark.parametrize("use_case", list(UseCase), ids=lambda u: u.value)
+def test_build_trace_matches_oracle(use_case):
+    trace = build_trace(use_case, use_case_acl(use_case))
+    fields = use_case.targeted_fields
+    assert trace.packets == o_trace(FIVE_TUPLE, fields, BUILTIN_ALLOW, default_benign_fill())
+
+
+# The ranges perfbench draws allow values and benign fills from, and the
+# priorities of its single-field allow rules.
+FIELD_RANGE = {
+    "ip_src": (1 << 24, 224 << 24),
+    "ip_dst": (1 << 24, 224 << 24),
+    "sport": (1, 1 << 16),
+    "dport": (1, 1 << 16),
+}
+ALLOW_PRIORITY = {"dport": 100, "ip_src": 99, "sport": 98}
+
+
+def in_range(field):
+    lo, hi = FIELD_RANGE[field]
+    return st.integers(lo, hi - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), use_case=st.sampled_from(list(UseCase)), victims=st.integers(0, 3))
+def test_build_trace_matches_oracle_on_random_tables_and_fills(data, use_case, victims):
+    fields = use_case.targeted_fields
+    allow = {f: data.draw(in_range(f), label=f"allow {f}") for f in fields}
+    rules = victim_allow_rules(victim_flow_headers(FIVE_TUPLE, victims))
+    rules += [rule(FIVE_TUPLE, ALLOW_PRIORITY[f], Action.ALLOW, **{f: allow[f]}) for f in fields]
+    rules.append(rule(FIVE_TUPLE, 0, Action.DENY))
+    acl = Acl.from_rules(FIVE_TUPLE, rules)
+    fill_values = {}
+    for f in FIELD_RANGE:
+        drawn = in_range(f)
+        if f in allow:  # a fill may carry the allowed value in a targeted field
+            drawn = st.one_of(st.just(allow[f]), drawn)
+        fill_values[f] = data.draw(drawn, label=f"fill {f}")
+    fill = header(FIVE_TUPLE, proto=data.draw(st.integers(0, 255), label="fill proto"),
+                  **fill_values)
+    trace = build_trace(use_case, acl, benign_fill=fill)
+    assert trace.packets == o_trace(FIVE_TUPLE, fields, allow, fill)
 
 
 def test_clone_factor():
@@ -194,8 +261,11 @@ def test_trace_text_fields():
 
 
 def test_trace_text_rejects_bad_lines():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^line 1: bad token 'ip_src'$"):
         parse_trace_text("ip_src 10.0.0.1")
+    good = format_trace_text(Trace((default_benign_fill(),)))
+    with pytest.raises(ValueError, match="^line 4: sport given twice$"):
+        parse_trace_text(f"# probes\n{good}\n{good.strip()} sport=1\n")
 
 
 def test_schedule_validation():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -54,6 +55,52 @@ def test_gen_trace_sp_dp_counts(tmp_path, capsys):
     assert rc == 0
     assert len(out.read_text().splitlines()) == 289
     assert "289 packets, 257 distinct masks" in capsys.readouterr().out
+
+
+# sha256 of `tsesim gen-trace --use-case U` output, recorded while traces were
+# still built one `header()` call per packet.
+GEN_TRACE_SHA256 = {
+    "dp": "c936a055987c8830ae1e03fd94e42a1dbf2335be007216e6a4e78f51564f3989",
+    "sp_dp": "8033649adaf08d5dafa40db2a018a1e73ba05f2dfcabf7cd5145e411385fa9a5",
+    "sip_sp_dp": "8c7aa9527530686bbfa81a8d2894a4f707de5b723612cdc9c67dc460df998445",
+}
+
+
+@pytest.mark.parametrize("use_case", sorted(GEN_TRACE_SHA256))
+def test_gen_trace_file_is_pinned(use_case, tmp_path, capsys):
+    out = tmp_path / f"{use_case}.trace"
+    assert main(["gen-trace", "--use-case", use_case, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_TRACE_SHA256[use_case]
+
+
+GOOD_PACKET = "t=0 ip_src=10.0.0.1 ip_dst=198.51.100.7 proto=6 sport=1 dport=2"
+
+
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        pytest.param("--trace", GOOD_PACKET.replace("proto=6", "proto=tcp"),
+                     "bad proto value 'tcp'", id="trace-bad-int"),
+        pytest.param("--trace", GOOD_PACKET.replace("10.0.0.1", "1.2.3"),
+                     "bad ip_src value '1.2.3'", id="trace-bad-ip"),
+        pytest.param("--trace", GOOD_PACKET.replace(" dport=2", ""),
+                     "missing header fields: ['dport']", id="trace-missing-field"),
+        pytest.param("--trace", GOOD_PACKET.replace("dport=2", "dport=70000"),
+                     "HeaderValue: field 'dport' value 0x11170 exceeds 16 bits",
+                     id="trace-too-wide"),
+        pytest.param("--trace", GOOD_PACKET + " ip_src=10.0.0.2", "ip_src given twice",
+                     id="trace-repeated-field"),
+        pytest.param("--acl",
+                     "priority=100 dport=80 dport=81 action=allow\npriority=0 action=deny",
+                     "dport given twice", id="acl-repeated-field"),
+    ],
+)
+def test_malformed_input_file_names_its_line(flag, text, message, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_text(text + "\n")
+    args = ["run", "--use-case", "dp", "--duration", "3", "--attack-start", "1"]
+    assert main(args + [flag, str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: line 1: {message}\n"
 
 
 def test_run_writes_artifacts(tmp_path, capsys):
@@ -329,12 +376,42 @@ def test_out_given_as_out_is_used(tmp_path, monkeypatch, capsys):
     assert "wrote out" in capsys.readouterr().out
 
 
-def test_sweep_without_steady_state_exits_2(capsys):
-    rc = main(["sweep", "--duration", "30", "--cores-list", "1", "--rates-list", "1000"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: duration 30 s leaves no steady-state attack second")
-    assert len(err.splitlines()) == 1
+def test_sweep_without_steady_state_exits_2(tmp_path, capsys):
+    """The check sees a duration given as a flag or in the config file, not the 45 s default."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"duration": 30}))
+    for given in (["--duration", "30"], ["--config", str(cfg)]):
+        rc = main(["sweep", *given, "--cores-list", "1", "--rates-list", "1000"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: duration 30 s leaves no steady-state attack second")
+        assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "flags, config, tse, duration",
+    [
+        pytest.param([], None, "2.1", 45.0, id="defaults"),
+        pytest.param([], {"rate": 2000}, "2.1", 45.0, id="defaults-under-config"),
+        pytest.param(["--tse", "1.0"], None, "1.0", 45.0, id="tse-flag"),
+        pytest.param([], {"tse": "1.0"}, "1.0", 45.0, id="tse-config"),
+        pytest.param(["--duration", "50"], None, "2.1", 50.0, id="duration-flag"),
+        pytest.param([], {"duration": 50}, "2.1", 50.0, id="duration-config"),
+        pytest.param(["--tse", "2.0"], {"tse": "1.0", "duration": 50}, "2.0", 50.0,
+                     id="flag-over-config"),
+    ],
+)
+def test_sweep_defaults_only_for_keys_not_given(flags, config, tse, duration, tmp_path,
+                                                monkeypatch):
+    import tsesim.cli as cli
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_sweep", lambda scenario, *lists: seen.append(scenario) or 0)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        flags = flags + ["--config", str(tmp_path / "cfg.json")]
+    assert main(["sweep", "--use-case", "dp", *flags]) == 0
+    assert (seen[0].tse, seen[0].duration) == (tse, duration)
 
 
 def test_sweep_rejects_acl_without_catch_all(tmp_path, capsys):

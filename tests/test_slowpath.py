@@ -259,6 +259,9 @@ def test_acl_text_rejects_garbage():
         ("action=alow", "bad action value 'alow'"),
         ("priority=abc", "bad priority value 'abc'"),
         ("ip_src=10.0.0", "bad ip_src value '10.0.0'"),
+        ("dport=80 dport=81", "dport given twice"),
+        ("priority=7", "priority given twice"),
+        ("action=deny", "action given twice"),
     ]:
         text = f"priority=0 action=deny\n\npriority=100 action=allow {bad}"
         with pytest.raises(ValueError, match=f"^line 3: {message}$"):
