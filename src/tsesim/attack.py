@@ -79,6 +79,8 @@ class AttackSchedule:
             raise ValueError("t_attack must be positive when given")
         if self.clone < 1:
             raise ValueError("clone factor must be >= 1")
+        if self.t_attack is not None and self.rate > 0 and self.per_phase < 1:
+            raise ValueError("attack phase shorter than one packet interval")
 
     @property
     def is_low_rate(self) -> bool:
@@ -97,6 +99,44 @@ class AttackSchedule:
             return "attack"
         offset = (t - self.start) % (self.t_attack + self.t_sleep)
         return "attack" if offset < self.t_attack else "sleep"
+
+    # The replay timing law: packets are spaced 1/rate apart during attack
+    # phases, and a duty-cycled schedule sends `per_phase` packets per phase.
+
+    @property
+    def per_phase(self) -> int:
+        """Packets per attack phase of a duty-cycled schedule."""
+        return int(round(self.t_attack * self.rate))
+
+    def emission_time(self, k: int) -> float:
+        """Timestamp of emission k (0-based); the rate must be positive."""
+        if self.t_attack is None:
+            return self.start + k / self.rate
+        phase, idx = divmod(k, self.per_phase)
+        return self.start + phase * (self.t_attack + self.t_sleep) + idx / self.rate
+
+    def emission_count(self, horizon: float) -> int:
+        """Number of emissions strictly before the horizon.
+
+        A closed-form estimate, stepped by one until it agrees with
+        `emission_time`, so it equals the length of `schedule_emissions` exactly.
+        """
+        if self.rate <= 0 or horizon <= self.start:
+            return 0
+        window = horizon - self.start
+        if self.t_attack is None:
+            k = math.ceil(window * self.rate)
+        else:
+            per_phase = self.per_phase
+            cycle = self.t_attack + self.t_sleep
+            full = int(window // cycle)
+            rem = window - full * cycle
+            k = full * per_phase + min(per_phase, math.ceil(rem * self.rate))
+        while k > 0 and self.emission_time(k - 1) >= horizon:
+            k -= 1
+        while self.emission_time(k) < horizon:
+            k += 1
+        return k
 
 
 def field_probe_values(width: int, allow_value: int) -> list[int]:
@@ -155,21 +195,6 @@ def clone_factor(rate_pps: float) -> int:
     return math.ceil(rate_pps / 1000)
 
 
-def emission_time(schedule: AttackSchedule, k: int) -> float:
-    """Timestamp of emission k (0-based) of a schedule whose rate is positive.
-
-    Packets are spaced 1/rate apart during attack phases; a duty-cycled
-    schedule sends `round(t_attack * rate)` packets per phase.
-    """
-    if schedule.t_attack is None:
-        return schedule.start + k / schedule.rate
-    per_phase = int(round(schedule.t_attack * schedule.rate))
-    if per_phase < 1:
-        raise ValueError("attack phase shorter than one packet interval")
-    phase, idx = divmod(k, per_phase)
-    return schedule.start + phase * (schedule.t_attack + schedule.t_sleep) + idx / schedule.rate
-
-
 def schedule_emissions(
     trace: Trace, schedule: AttackSchedule, horizon_seconds: float
 ) -> Iterator[tuple[float, int, HeaderValue]]:
@@ -186,7 +211,7 @@ def schedule_emissions(
     length = len(trace)
     k = 0
     while True:
-        t = emission_time(schedule, k)
+        t = schedule.emission_time(k)
         if t >= horizon_seconds:
             return
         pos = (k // n) % length

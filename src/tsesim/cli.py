@@ -169,6 +169,8 @@ def _load_scenario_parts(scenario: Scenario):
 
 
 def cmd_gen_trace(scenario: Scenario) -> int:
+    if scenario.rate <= 0:
+        raise ConfigError("gen-trace needs a rate above 0 to timestamp the trace")
     use_case = UseCase(scenario.use_case)
     acl = _load_valid_acl(scenario.acl) if scenario.acl else use_case_acl(use_case)
     trace = build_trace(use_case, acl)
@@ -183,8 +185,8 @@ def cmd_gen_trace(scenario: Scenario) -> int:
 def cmd_run(scenario: Scenario) -> int:
     config = scenario.sim_config()
     config.validate()  # before any input is built
-    acl, trace, victims = _load_scenario_parts(scenario)
     schedule = scenario.schedule()
+    acl, trace, victims = _load_scenario_parts(scenario)
     result = run(config, acl, [(trace, schedule)], victims)
     out_dir = Path(scenario.out or "out")
     out_dir.mkdir(parents=True, exist_ok=True)

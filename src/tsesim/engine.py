@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .attack import AttackSchedule, Trace, emission_time, use_case_acl, UseCase
+from .attack import AttackSchedule, Trace, use_case_acl, UseCase
 from .flow_cache import FlowCache, FlowTable
 from .headers import (
     FIVE_TUPLE,
@@ -260,54 +260,15 @@ class MaskBatches:
         self._table = FlowTable.of(acl)
         self.headers = trace.packets
         self.flow_ids = self._table.flow_ids(trace.packets)
-        first_pos: dict[int, int] = {}  # mask id -> first position, in first-spawn order
-        for pos, fid in enumerate(self.flow_ids):
-            first_pos.setdefault(self._table.mask_of[fid], pos)
-        self.mask_count = len(first_pos)
+        mask_of = self._table.mask_of
+        self._spawn_order = list(dict.fromkeys(mask_of[fid] for fid in self.flow_ids))
+        self.mask_count = len(self._spawn_order)
         self.count = (self.mask_count + BATCH_MASKS - 1) // BATCH_MASKS
-        self._first_pos = first_pos
 
     def batch_of(self) -> dict[int, int]:
         """The batch of each mask the trace spawns, keyed by the mask's bits."""
         masks = self._table.masks
-        return {masks[m].bits: i // BATCH_MASKS for i, m in enumerate(self._first_pos)}
-
-    def never_created(self, covered_prefix: int) -> set[int]:
-        """Batches whose masks can never spawn given the trace-position coverage."""
-        first_pos = list(self._first_pos.values())
-        return {b for b in range(self.count) if first_pos[b * BATCH_MASKS] >= covered_prefix}
-
-
-def emission_count(schedule: AttackSchedule, horizon: float) -> int:
-    """Number of emissions strictly before the horizon.
-
-    A closed-form estimate, stepped by one until it agrees with
-    `emission_time`, so it equals the length of `schedule_emissions` exactly.
-    """
-    if schedule.rate <= 0 or horizon <= schedule.start:
-        return 0
-    window = horizon - schedule.start
-    if schedule.t_attack is None:
-        k = math.ceil(window * schedule.rate)
-    else:
-        per_phase = int(round(schedule.t_attack * schedule.rate))
-        cycle = schedule.t_attack + schedule.t_sleep
-        full = int(window // cycle)
-        rem = window - full * cycle
-        k = full * per_phase + min(per_phase, math.ceil(rem * schedule.rate))
-    while k > 0 and emission_time(schedule, k - 1) >= horizon:
-        k -= 1
-    while emission_time(schedule, k) < horizon:
-        k += 1
-    return k
-
-
-def covered_positions(schedule: AttackSchedule, trace_len: int, horizon: float) -> int:
-    """Distinct trace positions the schedule reaches before the horizon."""
-    count = emission_count(schedule, horizon)
-    if count == 0:
-        return 0
-    return min(trace_len, (count - 1) // schedule.clone + 1)
+        return {masks[m].bits: i // BATCH_MASKS for i, m in enumerate(self._spawn_order)}
 
 
 # --- the run loop ------------------------------------------------------------------
@@ -317,27 +278,25 @@ class _Emitter:
     """Pull over one schedule's emissions, one tick at a time, as runs.
 
     A run is `(header, flow_id, count)`: consecutive emissions of one trace
-    position.  Tick boundaries come from `emission_count`, and a tick's runs
-    are built in one pass over its trace positions, every run a whole clone
-    group but the two ends, so a tick costs O(runs), not O(packets).
+    position.  Tick boundaries come from the schedule's `emission_count`, and
+    a tick's runs are built in one pass over its trace positions, every run a
+    whole clone group but the two ends, so a tick costs O(runs), not O(packets).
     """
 
     def __init__(self, compiled: MaskBatches, schedule: AttackSchedule, horizon: float):
         if not compiled.headers:
             raise ValueError("trace is empty")
-        if schedule.rate > 0:
-            emission_time(schedule, 0)  # rejects a phase shorter than one packet
         self.schedule = schedule
         self.headers = compiled.headers
         self.flow_ids = compiled.flow_ids
         self._k = 0
-        self._end = emission_count(schedule, horizon)
+        self._end = schedule.emission_count(horizon)
         self.last_pos: Optional[int] = None
 
     def due(self, until: float) -> list[tuple[HeaderValue, int, int]]:
         """Runs of the emissions before `until` not yet returned, in order."""
         k0 = self._k
-        k1 = min(emission_count(self.schedule, until), self._end)
+        k1 = min(self.schedule.emission_count(until), self._end)
         if k1 <= k0:
             return []
         self._k = k1
@@ -381,16 +340,14 @@ def run(
 
     batches: Optional[MaskBatches] = None  # the census, while the cache map is on
     batch_of: dict[int, int] = {}
-    never: set[int] = set()
     batch_present: list[int] = []
+    created: set[int] = set()  # batches the run created a mask of
     masks_total = 0
     if attacks:
         masks_total = compiled[0].mask_count
         if config.build_cache_map:
             batches = compiled[0]
             batch_of = batches.batch_of()
-            covered = covered_positions(attacks[0][1], len(batches.headers), config.duration)
-            never = batches.never_created(covered)
             batch_present = [0] * batches.count
 
     emitters = [_Emitter(c, sched, config.duration) for c, (_, sched) in zip(compiled, attacks)]
@@ -460,9 +417,7 @@ def run(
             if batches is not None:
                 states = []
                 for b in range(batches.count):
-                    if b in never:
-                        states.append("Y")
-                    elif b in created_this_second:
+                    if b in created_this_second:
                         states.append("G")
                     elif b in expired_this_second:
                         states.append("R")
@@ -476,10 +431,20 @@ def run(
                 else:
                     attack_state = "X"
                 frames.append(CacheMapFrame(second, tuple(states), attack_state))
+                created |= created_this_second
             frac_acc = cost_acc = 0.0
             pps_acc = 0
             created_this_second = set()
             expired_this_second = set()
+
+    if batches is not None:  # a batch none of whose masks the run created is Y throughout
+        frames = [
+            CacheMapFrame(
+                f.second, tuple(s if b in created else "Y" for b, s in enumerate(f.states)),
+                f.attack_state,
+            )
+            for f in frames
+        ]
 
     metrics = metrics_extract(
         [r.goodput_fraction for r in series], attack_start, config.eps_down, config.eps_up

@@ -46,23 +46,13 @@ class HeaderLayout:
             raise ValueError(f"duplicate field names in layout: {list(names)}")
         width = shift = sum(f.width for f in self.fields)
         slot: dict[str, tuple[int, int]] = {}  # name -> (shift, field mask), layout order
-        # Hash input: each field's value as whole big-endian bytes.  A field
-        # of whole bytes extends the previous run, so a run is one
-        # (shift, mask, nbytes) over the packed int.
-        plan: list[tuple[int, int, int]] = []
         for f in self.fields:
             shift -= f.width
             slot[f.name] = (shift, f.full_mask)
-            if plan and f.width % 8 == 0:
-                _, m, n = plan[-1]
-                plan[-1] = (shift, (m << f.width) | f.full_mask, n + f.width // 8)
-            else:
-                plan.append((shift, f.full_mask, (f.width + 7) // 8))
         set_ = object.__setattr__
         set_(self, "names", names)
         set_(self, "width", width)
         set_(self, "_slot", slot)
-        set_(self, "_hash_plan", tuple(plan))
 
     def slot(self, name: str) -> tuple[int, int]:
         """(shift, unshifted full mask) of a field within the packed int."""
@@ -84,20 +74,19 @@ class HeaderLayout:
 class _Packed:
     """A layout plus its fields packed into one int.  Hashable; never mutated."""
 
-    __slots__ = ("layout", "bits", "_hash")
+    __slots__ = ("layout", "bits")
 
     def __init__(self, layout: HeaderLayout, bits: int):
         if bits < 0 or bits >> layout.width:  # type: ignore[attr-defined]
             raise ValueError(f"{type(self).__name__}: {bits:#x} exceeds the layout's bits")
         self.layout = layout
         self.bits = bits
+
+    def __hash__(self) -> int:
         # hash(int) is the int modulo 2**61 - 1, which folds high fields onto
         # low ones, so many packed masks would share a hash; pairing it with
         # the high part tells them apart.
-        self._hash = hash((bits >> 61, bits))
-
-    def __hash__(self) -> int:  # cached; these are dictionary keys on hot paths
-        return self._hash
+        return hash((self.bits >> 61, self.bits))
 
     def __eq__(self, other: object) -> bool:
         same = type(other) is type(self)
@@ -188,9 +177,8 @@ def header_hash64(h: HeaderValue) -> int:
     Each field contributes its value as (width + 7) // 8 big-endian bytes.
     """
     acc = _FNV_OFFSET
-    bits = h.bits
-    for shift, m, nbytes in h.layout._hash_plan:  # type: ignore[attr-defined]
-        for byte in ((bits >> shift) & m).to_bytes(nbytes, "big"):
+    for f, value in zip(h.layout.fields, h.values):
+        for byte in value.to_bytes((f.width + 7) // 8, "big"):
             acc = ((acc ^ byte) * _FNV_PRIME) & _MASK64
     return acc
 

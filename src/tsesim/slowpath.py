@@ -197,6 +197,8 @@ def parse_acl_text(layout: HeaderLayout, text: str) -> Acl:
                     matches[key] = _parse_value(layout, key, raw)
             except ValueError:
                 raise ValueError(f"line {lineno}: bad {key} value {raw!r}") from None
+            if key in matches and not 0 <= matches[key] <= layout.slot(key)[1]:
+                raise ValueError(f"line {lineno}: value {raw} exceeds field width of {key}")
             if key in given:
                 raise ValueError(f"line {lineno}: {key} given twice")
             given.add(key)

@@ -275,6 +275,9 @@ def test_schedule_validation():
         AttackSchedule(rate=1000, t_attack=0.0)
     with pytest.raises(ValueError):
         AttackSchedule(rate=1000, clone=0)
+    with pytest.raises(ValueError, match="^attack phase shorter than one packet interval$"):
+        AttackSchedule(rate=0.01, t_attack=10.0)
+    AttackSchedule(rate=0, t_attack=10.0)  # no packets: no phase to be too short
     with pytest.raises(ValueError):
         clone_factor(0)
 

@@ -93,6 +93,8 @@ GOOD_PACKET = "t=0 ip_src=10.0.0.1 ip_dst=198.51.100.7 proto=6 sport=1 dport=2"
         pytest.param("--acl",
                      "priority=100 dport=80 dport=81 action=allow\npriority=0 action=deny",
                      "dport given twice", id="acl-repeated-field"),
+        pytest.param("--acl", "priority=1 dport=70000 action=allow\npriority=0 action=deny",
+                     "value 70000 exceeds field width of dport", id="acl-too-wide"),
     ],
 )
 def test_malformed_input_file_names_its_line(flag, text, message, tmp_path, capsys):
@@ -167,6 +169,14 @@ def test_exit_code_2_on_config_error(tmp_path, capsys):
     rc = main(["run", "--acl", "/missing/file.acl", "--duration", "5"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_gen_trace_needs_a_positive_rate(tmp_path, capsys):
+    out = tmp_path / "dp.trace"
+    assert main(["gen-trace", "--use-case", "dp", "--rate", "0", "--out", str(out)]) == 2
+    err = "error: gen-trace needs a rate above 0 to timestamp the trace\n"
+    assert capsys.readouterr().err == err
+    assert not out.exists()
 
 
 def test_gen_trace_rejects_acl_without_catch_all(tmp_path, capsys):
@@ -509,7 +519,19 @@ RUN_LENGTH_CASES = {
             ["--cores-list", "2,0", "--rates-list", "1000,3000", "--duration", "40"],
             "--cores-list: cores must be >= 1, got 0",
             id="zero_cores-sweep",
-        )
+        ),
+        pytest.param(
+            "sweep",
+            ["--tse", "2.0", "--rates-list", "1000,0.01", "--cores-list", "1", "--duration", "20"],
+            "attack phase shorter than one packet interval",
+            id="phase_under_one_packet-sweep",
+        ),
+        pytest.param(
+            "run",
+            ["--tse", "2.0", "--rate", "0.01", "--duration", "20"],
+            "attack phase shorter than one packet interval",
+            id="phase_under_one_packet-run",
+        ),
     ],
 )
 def test_run_length_checked_before_anything_runs(command, flags, message, monkeypatch, capsys):

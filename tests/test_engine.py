@@ -1,3 +1,4 @@
+import functools
 import inspect
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from oracle_cache import SequentialCache, cache_state, last_hits  # noqa: E402
 
-from tsesim.attack import AttackSchedule, UseCase, build_trace  # noqa: E402
+from tsesim.attack import AttackSchedule, UseCase, build_trace, schedule_emissions  # noqa: E402
 from tsesim.engine import (  # noqa: E402
     CacheMapFrame,
     MaskBatches,
@@ -16,8 +17,6 @@ from tsesim.engine import (  # noqa: E402
     SimConfig,
     cachemap_to_csv,
     compute_goodput_fraction,
-    covered_positions,
-    emission_count,
     metrics_extract,
     metrics_to_lines,
     run,
@@ -28,8 +27,8 @@ from tsesim.engine import (  # noqa: E402
     SERIES_CSV_HEADER,
 )
 from tsesim.flow_cache import FlowCache, FlowTable  # noqa: E402
-from tsesim.headers import header  # noqa: E402
-from tsesim.slowpath import Action  # noqa: E402
+from tsesim.headers import FIVE_TUPLE, header  # noqa: E402
+from tsesim.slowpath import Action, parse_acl_text, synthesize_megaflow  # noqa: E402
 
 
 def reference_setup(use_case=UseCase.SIP_SP_DP):
@@ -98,30 +97,28 @@ def test_metrics_recovery_at_series_end_counts_if_long_enough():
 
 def test_emission_count_continuous():
     sched = AttackSchedule(rate=1000, start=20.0)
-    assert emission_count(sched, 20.0) == 0
-    assert emission_count(sched, 21.0) == 1000
-    assert emission_count(sched, 20.0005) == 1
+    assert sched.emission_count(20.0) == 0
+    assert sched.emission_count(21.0) == 1000
+    assert sched.emission_count(20.0005) == 1
 
 
 def test_emission_count_duty_cycle():
     sched = AttackSchedule(rate=1000, t_attack=10.0, t_sleep=2.0, start=0.0)
-    assert emission_count(sched, 10.0) == 10_000
-    assert emission_count(sched, 12.0) == 10_000  # sleep adds nothing
-    assert emission_count(sched, 13.0) == 11_000
-    assert emission_count(sched, 24.0) == 20_000
+    assert sched.emission_count(10.0) == 10_000
+    assert sched.emission_count(12.0) == 10_000  # sleep adds nothing
+    assert sched.emission_count(13.0) == 11_000
+    assert sched.emission_count(24.0) == 20_000
 
 
 def test_emission_count_matches_generator():
     trace = build_trace(UseCase.DP, scenario_acl(UseCase.DP, victim_flows=victim_flow_headers()))
-    from tsesim.attack import schedule_emissions
-
     for sched in [
         AttackSchedule(rate=700, start=1.3),
         AttackSchedule(rate=1000, t_attack=2.0, t_sleep=0.5, clone=3, start=0.7),
     ]:
         for horizon in (0.5, 3.0, 7.25):
             want = len(list(schedule_emissions(trace, sched, horizon)))
-            assert emission_count(sched, horizon) == want
+            assert sched.emission_count(horizon) == want
 
 
 @pytest.mark.parametrize("tick", [0.1, 0.25])
@@ -132,7 +129,6 @@ def test_emission_count_matches_generator():
 )
 def test_emitter_runs_expand_to_schedule_emissions(duty, clone, rate, tick):
     """Tick by tick, the emitter's runs are the generator's emissions, grouped."""
-    from tsesim.attack import schedule_emissions
     from tsesim.engine import _Emitter
 
     acl = scenario_acl(UseCase.DP, victim_flows=victim_flow_headers())
@@ -159,12 +155,6 @@ def test_emitter_runs_expand_to_schedule_emissions(duty, clone, rate, tick):
         i = j
     assert i == len(want)
     assert em.due(horizon + 10.0) == []
-
-
-def test_covered_positions_clone():
-    sched = AttackSchedule(rate=3000, clone=3, start=0.0)
-    assert covered_positions(sched, trace_len=100, horizon=0.01) == 10
-    assert covered_positions(sched, trace_len=5, horizon=10.0) == 5
 
 
 # -- scenario construction --------------------------------------------------------
@@ -293,7 +283,7 @@ def test_run_series_invariants():
         assert 0.0 <= r.goodput_fraction <= 1.0
         assert r.entries >= r.subtables >= 0
     total_emitted = sum(r.attacker_pps for r in res.series)
-    assert total_emitted == emission_count(sched, cfg.duration)
+    assert total_emitted == sched.emission_count(cfg.duration)
 
 
 def test_reference_run_ttd_in_expected_band():
@@ -401,6 +391,70 @@ def test_cache_map_never_created_short_horizon():
     res = run(cfg, acl, [(trace, sched)], victims)
     assert res.frames[-1].states[-1] == "Y"
     assert res.frames[-1].states[0] != "Y"
+
+
+@functools.cache
+def reference_batch_starts() -> tuple[int, ...]:
+    """Trace position of each 1000-mask batch's first mask, by synthesis over the trace.
+
+    Masks are taken in first-spawn order, as the cache map batches them, but
+    without `MaskBatches` or the `FlowTable`.
+    """
+    acl, trace, _ = reference_setup()
+    first_pos: dict = {}
+    for pos, h in enumerate(trace.packets):
+        first_pos.setdefault(synthesize_megaflow(h, acl).mask, pos)
+    return tuple(list(first_pos.values())[::1000])
+
+
+@pytest.mark.parametrize(
+    "start, duration", [(1.0, 4.0), (0.37, 3.0)], ids=["start_on_tick", "start_off_tick"]
+)
+@pytest.mark.parametrize(
+    "duty", [None, (2.0, 1.0), (0.7, 0.05)], ids=["continuous", "duty_2_1", "duty_0.7_0.05"]
+)
+@pytest.mark.parametrize("clone", [1, 3, 12])
+def test_cache_map_y_iff_batch_start_not_reached(clone, duty, start, duration):
+    """Y marks exactly the batches whose first mask's position the schedule never reaches.
+
+    With the victim's UDP allow rules no probe shares a victim mask, so a
+    batch the run created no mask of is one the replay never got to.
+    """
+    acl, trace, victims = reference_setup()
+    t_attack, t_sleep = duty if duty is not None else (None, 0.0)
+    sched = AttackSchedule(
+        rate=1000 * clone, t_attack=t_attack, t_sleep=t_sleep, clone=clone, start=start
+    )
+    reached = {pos for _, pos, _ in schedule_emissions(trace, sched, duration)}
+    starts = reference_batch_starts()
+    assert len(reached) not in starts  # the horizon ends mid-batch
+    want = tuple(pos not in reached for pos in starts)
+    assert any(want) and not all(want)
+    res = run(SimConfig(duration=duration), acl, [(trace, sched)], victims)
+    assert len(res.frames) == duration
+    for f in res.frames:
+        assert tuple(s == "Y" for s in f.states) == want
+
+
+def test_cache_map_y_for_batch_whose_only_reached_mask_the_victim_installed():
+    """A reached batch the run created no mask of is Y, not A.
+
+    The one packet sent shares victim flow 0's megaflow mask (the trace's
+    allowed dport is the victim's), which the t=0 warm-up installed, so the
+    run creates no mask and every batch, b1 included, is Y.
+    """
+    acl = parse_acl_text(
+        FIVE_TUPLE,
+        "priority=100 dport=5201 action=allow\n"
+        "priority=99 ip_src=10.0.0.1 action=allow\n"
+        "priority=98 sport=12345 action=allow\n"
+        "priority=0 action=deny\n",
+    )
+    trace = build_trace(UseCase.SIP_SP_DP, acl)
+    sched = AttackSchedule(rate=1000, start=0.9995)
+    res = run(SimConfig(duration=1.0), acl, [(trace, sched)], victim_flow_headers())
+    assert [r.attacker_pps for r in res.series] == [1]
+    assert [(f.attack_state, f.states) for f in res.frames] == [("1", ("Y",) * 9)]
 
 
 def test_cache_map_conf1_steady_pattern():
