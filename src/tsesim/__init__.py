@@ -9,7 +9,6 @@ from .headers import (
     HeaderValue,
     MaskedKey,
     apply_mask,
-    megaflows_overlap,
 )
 from .slowpath import Acl, Action, FlowRule, slowpath_lookup, synthesize_megaflow, validate_acl
 from .flow_cache import CostModel, EmcCache, FlowCache, FlowTable
@@ -36,5 +35,13 @@ from .engine import (
     victim_flow_headers,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "FIVE_TUPLE", "HYP", "FieldSpec", "HeaderLayout", "HeaderMask", "HeaderValue", "MaskedKey",
+    "apply_mask", "Acl", "Action", "FlowRule", "slowpath_lookup", "synthesize_megaflow",
+    "validate_acl", "CostModel", "EmcCache", "FlowCache", "FlowTable", "AttackSchedule", "Trace",
+    "UseCase", "average_rate", "build_trace", "clone_factor", "field_probe_values",
+    "schedule_emissions", "simple_acl", "use_case_acl", "Metrics", "SimConfig",
+    "compute_goodput_fraction", "metrics_extract", "run", "scenario_acl", "victim_cost_probe",
+    "victim_flow_headers",
+]
 __version__ = "0.1.0"

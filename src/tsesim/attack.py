@@ -73,6 +73,8 @@ class AttackSchedule:
     def __post_init__(self) -> None:
         if self.rate < 0:
             raise ValueError("rate must be >= 0")
+        if not self.start >= 0:
+            raise ValueError(f"attack start must be >= 0, got {self.start:g}")
         if self.t_sleep < 0:
             raise ValueError("t_sleep must be >= 0")
         if self.t_attack is not None and self.t_attack <= 0:
@@ -85,11 +87,6 @@ class AttackSchedule:
     @property
     def is_low_rate(self) -> bool:
         return self.rate <= LOW_RATE_PPS
-
-    @property
-    def mask_generation_rate(self) -> float:
-        """Distinct packets per second of attack phase."""
-        return self.rate / self.clone
 
     def phase_at(self, t: float) -> str:
         """'idle' before start, else 'attack' or 'sleep' within the duty cycle."""

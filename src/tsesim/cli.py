@@ -349,16 +349,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_run(_scenario_from_args(args))
         if args.command == "render-map":
             return cmd_render_map(args.csv)
-        if args.command == "sweep":
-            scenario = _scenario_from_args(args)
-            cores_list = _parse_list("--cores-list", args.cores_list, int)
-            rates_list = _parse_list("--rates-list", args.rates_list, float)
-            if not cores_list or not rates_list:
-                raise ConfigError("cores-list and rates-list must be non-empty")
-            if min(cores_list) < 1:
-                raise ConfigError(f"--cores-list: cores must be >= 1, got {min(cores_list)}")
-            return cmd_sweep(scenario, cores_list, rates_list)
-        raise ConfigError(f"unknown command {args.command!r}")
+        # The subparsers are required, so what is left is "sweep".
+        scenario = _scenario_from_args(args)
+        cores_list = _parse_list("--cores-list", args.cores_list, int)
+        rates_list = _parse_list("--rates-list", args.rates_list, float)
+        if not cores_list or not rates_list:
+            raise ConfigError("cores-list and rates-list must be non-empty")
+        if min(cores_list) < 1:
+            raise ConfigError(f"--cores-list: cores must be >= 1, got {min(cores_list)}")
+        return cmd_sweep(scenario, cores_list, rates_list)
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

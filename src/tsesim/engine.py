@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 from .attack import AttackSchedule, Trace, use_case_acl, UseCase
@@ -159,7 +160,7 @@ def metrics_extract(
     eps_down: float = 0.01,
     eps_up: float = 0.05,
 ) -> Metrics:
-    start_s = int(math.ceil(attack_start))
+    start_s = max(0, math.ceil(attack_start))
     ttd_second = None
     for s in range(start_s, len(fractions)):
         if fractions[s] <= eps_down:
@@ -257,18 +258,17 @@ class MaskBatches:
     """
 
     def __init__(self, trace: Trace, acl: Acl):
-        self._table = FlowTable.of(acl)
+        table = FlowTable.of(acl)
         self.headers = trace.packets
-        self.flow_ids = self._table.flow_ids(trace.packets)
-        mask_of = self._table.mask_of
+        self.flow_ids = table.flow_ids(trace.packets)
+        mask_of = table.mask_of
         self._spawn_order = list(dict.fromkeys(mask_of[fid] for fid in self.flow_ids))
         self.mask_count = len(self._spawn_order)
         self.count = (self.mask_count + BATCH_MASKS - 1) // BATCH_MASKS
 
     def batch_of(self) -> dict[int, int]:
-        """The batch of each mask the trace spawns, keyed by the mask's bits."""
-        masks = self._table.masks
-        return {masks[m].bits: i // BATCH_MASKS for i, m in enumerate(self._spawn_order)}
+        """The batch of each mask the trace spawns, keyed by mask id."""
+        return {m: i // BATCH_MASKS for i, m in enumerate(self._spawn_order)}
 
 
 # --- the run loop ------------------------------------------------------------------
@@ -304,12 +304,16 @@ class _Emitter:
         headers, fids = self.headers, self.flow_ids
         length = len(headers)
         p0, p1 = k0 // n, (k1 - 1) // n
-        runs = [(headers[q], fids[q], n) for p in range(p0, p1 + 1) for q in (p % length,)]
+        q0, q1 = p0 % length, p1 % length
+        if q1 - q0 == p1 - p0:  # the tick does not wrap the trace
+            runs = list(zip(headers[q0 : q1 + 1], fids[q0 : q1 + 1], repeat(n)))
+        else:
+            runs = [(headers[q], fids[q], n) for p in range(p0, p1 + 1) for q in (p % length,)]
         # Cut the end runs at k1, then at k0; with p0 == p1 both cuts fall
         # on the one run, leaving k1 - k0.
         runs[-1] = runs[-1][:2] + (k1 - p1 * n,)
         runs[0] = runs[0][:2] + (runs[0][2] - (k0 - p0 * n),)
-        self.last_pos = p1 % length
+        self.last_pos = q1
         return runs
 
 
@@ -374,7 +378,7 @@ def run(
         batch = cache.classify_batch(due, now=t1)
         if batches is not None:
             for m in batch.created_masks:
-                b = batch_of.get(m.bits)
+                b = batch_of.get(m)
                 if b is not None:
                     created_this_second.add(b)
                     batch_present[b] += 1
@@ -390,7 +394,7 @@ def run(
         _, removed_masks = cache.expire(t1)
         if batches is not None:
             for m in removed_masks:
-                b = batch_of.get(m.bits)
+                b = batch_of.get(m)
                 if b is not None:
                     expired_this_second.add(b)
                     batch_present[b] -= 1

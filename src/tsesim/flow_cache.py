@@ -5,13 +5,15 @@ the exact-match cache (EMC), then probe the megaflow cache's subtables in
 search order (one subtable per distinct wildcard mask), and fall back to the
 slow path, whose result is cached.  The matching entry is found through
 synthesis rather than by scanning, and charged the scan's probe count: each
-ACL's synthesized megaflows are interned in a `FlowTable`, and a packet
-arrives with its megaflow's id.  The one record of a live megaflow is its id
-in a list kept in last-hit order: an install appends, a hit moves the id to
-the end, and expiry of entries idle for the timeout pops from the front.
-Key, mask and action are read from the table; a subtable keeps only a count.
-Subtables are re-ranked by per-interval hit counts at each `rebalance`;
-a brand-new subtable always enters the search order first.
+ACL's megaflows are interned as ints in a `FlowTable`, and a packet arrives
+with its megaflow's id.  The one record of a live megaflow is its id in a
+list kept in last-hit order: an install appends, a hit moves the id to the
+end, and expiry of entries idle for the timeout pops from the front.  Key,
+mask and action are read from the table; a subtable keeps its mask id and a
+count.  Results are ids: new subtables' mask ids from `classify_batch`,
+expired flow ids and removed mask ids from `expire`.  Subtables are
+re-ranked by per-interval hit counts at each `rebalance`; a brand-new
+subtable always enters the search order first.
 """
 
 from __future__ import annotations
@@ -21,13 +23,9 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .headers import (
-    HeaderMask,
-    HeaderValue,
-    MaskedKey,
-    header_hash64,
-)
-from .slowpath import Acl, Action, SynthesizedFlow, synthesize_megaflow
+from .headers import HeaderMask, HeaderValue, header_hash64
+# synthesize_megaflow, the object form of megaflow_mask, stays here for tracers to wrap.
+from .slowpath import Acl, Action, megaflow_mask, synthesize_megaflow  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -79,14 +77,12 @@ class EmcCache:
             return
         self.slots[self._slot(h)] = (h, action)
 
-    @property
-    def occupancy(self) -> int:
-        return len(self.slots)
-
 
 class FlowTable:
     """One ACL's megaflows: an int id per distinct (mask, key) and per mask, in first-sight order.
 
+    The table holds ints only: mask id, key bits and action per flow id, and
+    mask bits per mask id; `mask` builds a mask id's `HeaderMask` on request.
     Synthesis depends only on the ACL and the header, so all caches and runs
     on one ACL object share its table (`of`) and synthesize a header once.
     No output depends on the ids, so none depends on what was interned before.
@@ -94,12 +90,14 @@ class FlowTable:
 
     def __init__(self, acl: Acl):
         self.acl = acl
-        self.flows: list[SynthesizedFlow] = []  # by flow id
         self.mask_of: list[int] = []  # mask id by flow id
-        self.masks: list[HeaderMask] = []  # by mask id
+        self.key_of: list[int] = []  # key bits by flow id
+        self.action_of: list[Action] = []  # by flow id
+        self.mask_bits: list[int] = []  # by mask id
         self.mask_ids: dict[int, int] = {}  # mask bits -> mask id
         self._flow_ids: dict[tuple[int, int], int] = {}  # (mask bits, key bits) -> flow id
         self._of_header: dict[int, int] = {}  # header bits (of the ACL's layout) -> flow id
+        self._masks: dict[int, HeaderMask] = {}  # mask id -> its object, once asked for
 
     @staticmethod
     def of(acl: Acl) -> FlowTable:
@@ -115,37 +113,49 @@ class FlowTable:
 
     def flow_ids(self, headers: Iterable[HeaderValue]) -> list[int]:
         """The flow id of each header's megaflow; a header is synthesized on first sight only."""
-        known = self._of_header
+        known, acl, intern = self._of_header, self.acl, self.intern
         ids = []
         for h in headers:
-            fid = known.get(h.bits)
+            fid = known.get(bits := h.bits)
             if fid is None:
-                fid = known[h.bits] = self.intern(synthesize_megaflow(h, self.acl))
+                m, r = megaflow_mask(bits, acl)
+                fid = known[bits] = intern(m, bits & m, r.action)
             ids.append(fid)
         return ids
 
-    def intern(self, flow: SynthesizedFlow) -> int:
-        """The id of flow's (mask, key); raise ValueError if it has another action."""
-        fid = self._flow_ids.setdefault((flow.mask.bits, flow.key.bits), len(self.flows))
-        if fid < len(self.flows) and self.flows[fid].action is not flow.action:
-            raise ValueError(f"megaflow {flow.key!r} already has action {self.flows[fid].action}")
-        if fid == len(self.flows):
-            mid = self.mask_ids.setdefault(flow.mask.bits, len(self.masks))
-            if mid == len(self.masks):
-                self.masks.append(flow.mask)
-            self.flows.append(flow)
+    def intern(self, mask_bits: int, key_bits: int, action: Action) -> int:
+        """The id of megaflow (mask, key); raise ValueError if it has another action."""
+        fid = self._flow_ids.setdefault((mask_bits, key_bits), len(self.key_of))
+        if fid == len(self.key_of):
+            mid = self.mask_ids.setdefault(mask_bits, len(self.mask_bits))
+            if mid == len(self.mask_bits):
+                self.mask_bits.append(mask_bits)
             self.mask_of.append(mid)
+            self.key_of.append(key_bits)
+            self.action_of.append(action)
+        elif (had := self.action_of[fid]) is not action:
+            raise ValueError(f"megaflow {key_bits:#x}/{mask_bits:#x} already has action {had}")
         return fid
 
+    def mask(self, mid: int) -> HeaderMask:
+        m = self._masks.get(mid)
+        if m is None:
+            m = self._masks[mid] = HeaderMask(self.acl.layout, self.mask_bits[mid])
+        return m
 
-@dataclass
+
+@dataclass(eq=False)
 class Subtable:
-    mask: HeaderMask
-    mask_id: int = field(compare=False)  # in the cache's FlowTable
+    table: FlowTable = field(repr=False)
+    mask_id: int
     size: int = 0  # live megaflows with this mask
     interval_hits: int = 0
     # Index in FlowCache._rev plus the cache's position offset.
-    pos: int = field(default=0, compare=False)
+    pos: int = 0
+
+    @property
+    def mask(self) -> HeaderMask:
+        return self.table.mask(self.mask_id)
 
 
 @dataclass
@@ -157,7 +167,7 @@ class BatchResult:
     slow_path: int = 0
     mfc_hits: int = 0
     emc_hits: int = 0
-    created_masks: list[HeaderMask] = field(default_factory=list)
+    created_masks: list[int] = field(default_factory=list)  # mask ids of new subtables
 
 
 class FlowCache:
@@ -210,22 +220,9 @@ class FlowCache:
     def entry_count(self) -> int:
         return len(self._idle)
 
-    def search_index(self, mask: HeaderMask) -> int:
-        st = self._sub[self.table.mask_ids[mask.bits]]
-        return len(self._rev) - 1 - (st.pos - self._pos_offset)
-
-    def entries(self) -> Iterable[tuple[MaskedKey, HeaderMask, Action]]:
-        """Live megaflows, least recently hit first."""
-        flows = self.table.flows
-        for fid in self._idle:
-            yield flows[fid].key, flows[fid].mask, flows[fid].action
-
     def flow_id(self, h: HeaderValue) -> int:
         """The flow id of h's megaflow, the middle of a `(header, flow_id, count)` run."""
         return self.table.flow_id(h)
-
-    def synthesize(self, h: HeaderValue) -> SynthesizedFlow:
-        return self.table.flows[self.flow_id(h)]
 
     # -- core operations -----------------------------------------------------
 
@@ -245,36 +242,36 @@ class FlowCache:
         st = self._sub.get(mid)
         created = st is None
         if created:
-            st = self._sub[mid] = Subtable(self.table.masks[mid], mid,
-                                           pos=len(self._rev) + self._pos_offset)
+            st = self._sub[mid] = Subtable(self.table, mid, pos=len(self._rev) + self._pos_offset)
             self._rev.append(st)
         st.size += 1
         self._idle[fid] = now
         return created
 
-    def expire(self, now: float) -> tuple[list[tuple[MaskedKey, HeaderMask]], list[HeaderMask]]:
+    def expire(self, now: float) -> tuple[list[int], list[int]]:
         """Remove entries idle for >= idle_timeout; drop emptied subtables.
 
-        Returns (expired entries in last-hit order, removed subtable masks).
+        Returns (expired flow ids in last-hit order, mask ids of the removed
+        subtables).
         Costs O(expired + 1): the idle list is in last-hit order, so expiry
         stops at its first entry that is still young.  Only the storage
         prefix up to the highest removed subtable is renumbered; expired
         subtables have gone unhit, so they rank last and sit low in storage.
         """
-        removed_entries: list[tuple[MaskedKey, HeaderMask]] = []
-        removed_masks: list[HeaderMask] = []
+        removed_entries: list[int] = []
+        removed_masks: list[int] = []
         idle, sub = self._idle, self._sub
-        flows, mask_of = self.table.flows, self.table.mask_of
+        mask_of = self.table.mask_of
         offset = self._pos_offset
         top = -1  # highest storage index of a removed subtable
         while idle and idle[fid := next(iter(idle))] + self.idle_timeout <= now:
             del idle[fid]
             st = sub[mask_of[fid]]
             st.size -= 1
-            removed_entries.append((flows[fid].key, st.mask))
+            removed_entries.append(fid)
             if not st.size:
                 del sub[st.mask_id]
-                removed_masks.append(st.mask)
+                removed_masks.append(st.mask_id)
                 top = max(top, st.pos - offset)
         if removed_masks:
             kept = [st for st in self._rev[: top + 1] if st.size]
@@ -349,7 +346,7 @@ class FlowCache:
         emc = self.emc
         emc_on = emc.enabled
         idle, sub = self._idle, self._sub
-        flows, mask_of = self.table.flows, self.table.mask_of
+        action_of, mask_of = self.table.action_of, self.table.mask_of
         move_to_end = idle.move_to_end  # `_refresh`, inlined
         c_emc, c_sub = c.c_emc, c.c_sub
         emc_probe = (1 if emc_on else 0) * c_emc
@@ -358,7 +355,7 @@ class FlowCache:
         base = len(self._rev) + self._pos_offset
         packets = emc_hits = mfc_hits = slow_path = 0
         cost = 0.0
-        created: list[HeaderMask] = []
+        created: list[int] = []
         batch_new: set[int] = set()  # flow ids installed by this batch
         for h, fid, count in runs:
             packets += count
@@ -386,9 +383,9 @@ class FlowCache:
                 if fid not in batch_new:  # then it is not live either
                     batch_new.add(fid)
                     if self._install(fid, now):
-                        created.append(sub[mask_of[fid]].mask)
+                        created.append(mask_of[fid])
             if emc_on:
-                emc.insert(h, flows[fid].action)
+                emc.insert(h, action_of[fid])
                 if rest:
                     emc_hits += rest
                     cost += rest * c_emc

@@ -153,19 +153,6 @@ def apply_mask(h: HeaderValue, m: HeaderMask) -> MaskedKey:
     return MaskedKey(h.layout, h.bits & m.bits)
 
 
-def megaflows_overlap(e1: tuple[MaskedKey, HeaderMask], e2: tuple[MaskedKey, HeaderMask]) -> bool:
-    """True iff some header matches both entries.
-
-    Two masked entries overlap exactly when their keys agree on every bit
-    both masks examine.
-    """
-    k1, m1 = e1
-    k2, m2 = e2
-    if k1.layout != k2.layout:
-        raise LayoutMismatch("entries use different layouts")
-    return not (k1.bits ^ k2.bits) & m1.bits & m2.bits
-
-
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF

@@ -133,7 +133,13 @@ class SynthesizedFlow:
 
 
 def synthesize_megaflow(h: HeaderValue, acl: Acl) -> SynthesizedFlow:
-    """Derive the (key, mask, action) cache entry for a header.
+    """Derive the (key, mask, action) cache entry for a header; see `megaflow_mask`."""
+    acc, r = megaflow_mask(h.bits, acl)
+    return SynthesizedFlow(MaskedKey(h.layout, h.bits & acc), HeaderMask(h.layout, acc), r.action)
+
+
+def megaflow_mask(bits: int, acl: Acl) -> tuple[int, FlowRule]:
+    """The synthesis walk on packed ints: (mask bits, deciding rule) of a header's bits.
 
     Walk rules in descending priority.  For the current rule, examine its
     constrained fields in layout order: an exact match un-wildcards the whole
@@ -141,14 +147,14 @@ def synthesize_megaflow(h: HeaderValue, acl: Acl) -> SynthesizedFlow:
     prefix up to and including the first differing bit and abandons the rule.
     The first rule whose constrained fields all match ends the walk; the
     catch-all ends it with a deny.  Only examined bits ever enter the mask,
-    so the entry is as broad as the rule set permits.
+    so the entry is as broad as the rule set permits.  The entry's key is
+    `bits & mask`.
 
     On packed ints a rule's walk is one expression: fields are packed first
     field highest, so the highest bit where the header differs from the rule
     under the rule's mask is the walk's first mismatch, and the walk examined
     exactly the rule's mask bits at or above it.
     """
-    bits = h.bits
     acc = 0
     for m, value, r in acl.packed:
         diff = (bits ^ value) & m
@@ -156,8 +162,7 @@ def synthesize_megaflow(h: HeaderValue, acl: Acl) -> SynthesizedFlow:
             break
         low = diff.bit_length() - 1
         acc |= m >> low << low
-    acc |= m
-    return SynthesizedFlow(MaskedKey(h.layout, bits & acc), HeaderMask(h.layout, acc), r.action)
+    return acc | m, r
 
 
 # --- line-oriented text format -------------------------------------------

@@ -9,16 +9,20 @@ the cache's storage, expiry and ranking, which other tests check.  It finds
 the entry at each subtable by looking the masked header up in the table's
 interned (mask, key) pairs and testing whether that flow is live, never by
 the header's own flow id.
+
+The cache and its `FlowTable` hold megaflows as ints and report ids; the
+helpers below map ids back to `MaskedKey`/`HeaderMask` objects through the
+table, so tests can state expectations in terms of keys and masks.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Iterator, Optional
 
-from tsesim.flow_cache import FlowCache
-from tsesim.headers import HeaderMask, HeaderValue, MaskedKey, apply_mask
+from tsesim.flow_cache import BatchResult, FlowCache, FlowTable
+from tsesim.headers import HeaderMask, HeaderValue, LayoutMismatch, MaskedKey, apply_mask
 from tsesim.slowpath import Action, SynthesizedFlow
 
 
@@ -47,7 +51,7 @@ class SequentialCache(FlowCache):
             if fid is not None and fid in self._idle:
                 st.interval_hits += 1
                 self._refresh(fid, now)
-                return self.table.flows[fid].action, probed
+                return self.table.action_of[fid], probed
         return None
 
     def mfc_insert(
@@ -59,7 +63,7 @@ class SequentialCache(FlowCache):
         (key, mask) only refreshes the entry's idle clock.
         """
         self._advance(now)
-        fid = self.table.intern(SynthesizedFlow(key, mask, action))
+        fid = self.table.intern(mask.bits, key.bits, action)
         if fid in self._idle:
             self._refresh(fid, now)
             return False, False
@@ -81,22 +85,73 @@ class SequentialCache(FlowCache):
                 action, HitPath.MFC, emc_probes, probed, emc_probes * c.c_emc + probed * c.c_sub
             )
         probed = self.subtable_count
-        flow = self.synthesize(h)
+        flow = synthesize(self, h)
         self.mfc_insert(flow.key, flow.mask, flow.action, now)
         self.emc.insert(h, flow.action)
         cost = emc_probes * c.c_emc + probed * c.c_sub + c.c_slow
         return ClassifyResult(flow.action, HitPath.SLOW, emc_probes, probed, cost)
 
 
+def megaflows_overlap(e1: tuple[MaskedKey, HeaderMask], e2: tuple[MaskedKey, HeaderMask]) -> bool:
+    """True iff some header matches both entries.
+
+    Two masked entries overlap exactly when their keys agree on every bit
+    both masks examine.
+    """
+    k1, m1 = e1
+    k2, m2 = e2
+    if k1.layout != k2.layout:
+        raise LayoutMismatch("entries use different layouts")
+    return not (k1.bits ^ k2.bits) & m1.bits & m2.bits
+
+
+def flow(table: FlowTable, fid: int) -> SynthesizedFlow:
+    """Flow id fid's key, mask and action as objects, read back from the table."""
+    key = MaskedKey(table.acl.layout, table.key_of[fid])
+    return SynthesizedFlow(key, table.mask(table.mask_of[fid]), table.action_of[fid])
+
+
+def synthesize(cache: FlowCache, h: HeaderValue) -> SynthesizedFlow:
+    """h's megaflow as objects, through the cache's table."""
+    return flow(cache.table, cache.flow_id(h))
+
+
+def entries(cache: FlowCache) -> Iterator[tuple[MaskedKey, HeaderMask, Action]]:
+    """Live megaflows, least recently hit first."""
+    for fid in cache._idle:
+        f = flow(cache.table, fid)
+        yield f.key, f.mask, f.action
+
+
+def search_index(cache: FlowCache, mask: HeaderMask) -> int:
+    """Search position (0 probed first) of the live subtable with this mask."""
+    st = cache._sub[cache.table.mask_ids[mask.bits]]
+    return cache.subtable_count - 1 - (st.pos - cache._pos_offset)
+
+
+def expire(
+    cache: FlowCache, now: float
+) -> tuple[list[tuple[MaskedKey, HeaderMask]], list[HeaderMask]]:
+    """`cache.expire(now)` with its flow ids as (key, mask) pairs and its mask ids as masks."""
+    fids, mids = cache.expire(now)
+    pairs = [(f.key, f.mask) for f in (flow(cache.table, fid) for fid in fids)]
+    return pairs, [cache.table.mask(mid) for mid in mids]
+
+
+def batch_objects(cache: FlowCache, res: BatchResult) -> BatchResult:
+    """`res` with its created mask ids as masks."""
+    return replace(res, created_masks=[cache.table.mask(mid) for mid in res.created_masks])
+
+
 def last_hits(cache: FlowCache) -> dict[tuple[MaskedKey, HeaderMask], float]:
     """Each live entry's (key, mask) and last hit, least recently hit first."""
-    flows = cache.table.flows
+    flows = {fid: flow(cache.table, fid) for fid in cache._idle}
     return {(flows[fid].key, flows[fid].mask): t for fid, t in cache._idle.items()}
 
 
 def cache_state(cache: FlowCache):
     """Everything classification can change: subtables in order, EMC, live entries by last hit."""
-    actions = {(k, m): a for k, m, a in cache.entries()}
+    actions = {(k, m): a for k, m, a in entries(cache)}
     return (
         [(s.mask, s.size, s.interval_hits) for s in cache.subtables()],
         dict(cache.emc.slots),

@@ -14,6 +14,11 @@ from typing import Mapping, Sequence
 from tsesim.headers import HeaderLayout, HeaderValue, header
 
 
+def mask_generation_rate(sched) -> float:
+    """Distinct packets per second of a schedule's attack phase."""
+    return sched.rate / sched.clone
+
+
 def o_probes(width: int, allow: int) -> list[int]:
     """The allowed value, then the allowed value with bit i flipped, MSB first."""
     return [allow] + [allow ^ (1 << (width - 1 - i)) for i in range(width)]

@@ -14,8 +14,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracle_cache import last_hits  # noqa: E402
+from oracle_cache import entries, expire, last_hits, search_index, synthesize  # noqa: E402
 from oracle_synth import o_counts  # noqa: E402
+from oracle_trace import mask_generation_rate  # noqa: E402
 
 from tsesim.attack import (  # noqa: E402
     AttackSchedule,
@@ -54,7 +55,7 @@ def hyp_acl():
 def pack_entries(cache):
     """Split every packed (key, mask) into two uint64 columns for the pair check."""
     keys, masks = [], []
-    for k, m, _ in cache.entries():
+    for k, m, _ in entries(cache):
         keys.append(k.bits)
         masks.append(m.bits)
     lo = (1 << 64) - 1
@@ -103,7 +104,7 @@ def test_criterion_01_hyp_golden_table():
     cache = FlowCache(hyp_acl(), emc_enabled=False)
     for v in range(8):
         cache.classify_batch([(header(HYP, hyp=v), cache.flow_id(header(HYP, hyp=v)), 1)], now=0.0)
-    rows = {(k.values[0], m.values[0], a) for k, m, a in cache.entries()}
+    rows = {(k.values[0], m.values[0], a) for k, m, a in entries(cache)}
     expected = {
         (0b001, 0b111, Action.ALLOW),
         (0b100, 0b100, Action.DENY),
@@ -173,12 +174,12 @@ def test_criterion_04_ranking_properties_fuzz():
                 sport=rng.getrandbits(16),
                 dport=rng.getrandbits(16),
             )
-            flow = cache.synthesize(h)
+            flow = synthesize(cache, h)
             existed = flow.mask in {st.mask for st in cache.subtables()}
             cache.classify_batch([(h, cache.flow_id(h), 1)], now)
             if not existed:
                 creations += 1
-                assert cache.search_index(flow.mask) == 0
+                assert search_index(cache, flow.mask) == 0
         elif roll < 0.95:
             cache.expire(now)
         else:
@@ -219,7 +220,7 @@ def test_criterion_05_expiry_property_fuzz():
             )
             cache.classify_batch([(h, cache.flow_id(h), 1)], now)
         snapshot = last_hits(cache)
-        expired, _ = cache.expire(now)
+        expired, _ = expire(cache, now)
         for key, m in expired:
             # 1-ulp slack: float time arithmetic puts exact-10s ages a hair under
             if now - snapshot[(key, m)] < cache.idle_timeout - 1e-9:
@@ -333,7 +334,7 @@ def test_criterion_09_clone_arithmetic():
             assert abs(g - n / rate) < 0.1  # within one tick
             assert abs(g - n / rate) < 1e-12  # and in fact exact
         if rate % 1000 == 0:
-            assert sched.mask_generation_rate == 1000.0
+            assert mask_generation_rate(sched) == 1000.0
     report(9, True, "distinct-packet spacing = n/rate for rates 2000..12000; MGR=1000 at multiples")
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from oracle_synth import o_first_diff  # noqa: E402
-from oracle_trace import o_trace  # noqa: E402
+from oracle_trace import mask_generation_rate, o_trace  # noqa: E402
 
 from tsesim.attack import (  # noqa: E402
     ALLOW_DPORT,
@@ -140,8 +140,8 @@ def test_clone_factor():
     assert clone_factor(3000) == 3
     assert clone_factor(1000) == 1
     assert clone_factor(2500) == 3
-    assert AttackSchedule(rate=3000, clone=3).mask_generation_rate == 1000
-    assert AttackSchedule(rate=2500, clone=3).mask_generation_rate == pytest.approx(2500 / 3)
+    assert mask_generation_rate(AttackSchedule(rate=3000, clone=3)) == 1000
+    assert mask_generation_rate(AttackSchedule(rate=2500, clone=3)) == pytest.approx(2500 / 3)
 
 
 def test_low_rate_predicate():

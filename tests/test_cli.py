@@ -546,6 +546,23 @@ def test_run_length_checked_before_anything_runs(command, flags, message, monkey
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "flags, shown",
+    [
+        (["--use-case", "dp", "--attack-start", "-5", "--duration", "3"], "-5"),
+        (["--use-case", "sip_sp_dp", "--attack-start", "-1", "--duration", "20"], "-1"),
+    ],
+    ids=["dp", "sip_sp_dp"],
+)
+def test_negative_attack_start_exits_2(command, flags, shown, tmp_path, capsys):
+    """A start before time 0 would put emissions in tick 0 or index the series from its end."""
+    sweep = ["--cores-list", "1", "--rates-list", "1000"] if command == "sweep" else []
+    assert main([command, *flags, *sweep, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: attack start must be >= 0, got {shown}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_acl_file_loads_for_run_and_sweep(tmp_path, capsys):
     """A valid --acl file gives the output of the built-in table it was written from."""
     from tsesim.attack import UseCase

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracle_cache import SequentialCache, cache_state, last_hits  # noqa: E402
+from oracle_cache import SequentialCache, cache_state, last_hits, search_index, synthesize  # noqa: E402
 
 from tsesim.attack import AttackSchedule, UseCase, build_trace, schedule_emissions  # noqa: E402
 from tsesim.engine import (  # noqa: E402
@@ -59,6 +59,13 @@ def test_goodput_fraction_bounds():
 def test_metrics_no_decay():
     m = metrics_extract([1.0] * 30, attack_start=10)
     assert m == Metrics(None, None, None, None)
+
+
+def test_metrics_never_read_before_second_0():
+    """A negative start scans from second 0, not from the end of the series."""
+    f = [1.0] * 5 + [0.005]
+    assert metrics_extract(f, attack_start=-3).ttd == 8.0
+    assert metrics_extract(f, attack_start=-0.5).ttd == 5.5
 
 
 def test_metrics_ttd_and_ttr():
@@ -194,8 +201,8 @@ def test_victim_cost_probe_positions():
     trace = build_trace(UseCase.DP, acl)
     for i, p in enumerate(trace.packets):
         cache.classify_batch([(p, cache.flow_id(p), 1)], now=0.1 + i * 0.001)
-    victim_mask = cache.synthesize(flows[0]).mask
-    idx = cache.search_index(victim_mask)
+    victim_mask = synthesize(cache, flows[0]).mask
+    idx = search_index(cache, victim_mask)
     assert idx == 16  # 16 fresh attack masks rank first
     assert victim_cost_probe(cache, flows) == pytest.approx((idx + 1) * cache.costs.c_sub)
 

@@ -8,7 +8,18 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracle_cache import SequentialCache, cache_state, last_hits  # noqa: E402
+from oracle_cache import (  # noqa: E402
+    SequentialCache,
+    batch_objects,
+    cache_state,
+    entries,
+    expire,
+    flow,
+    last_hits,
+    megaflows_overlap,
+    search_index,
+    synthesize,
+)
 
 from tsesim.attack import simple_acl  # noqa: E402
 from tsesim.flow_cache import CostModel, FlowCache, FlowTable  # noqa: E402
@@ -19,12 +30,10 @@ from tsesim.headers import (  # noqa: E402
     header,
     header_hash64,
     mask,
-    megaflows_overlap,
 )
 from tsesim.slowpath import (  # noqa: E402
     Acl,
     Action,
-    SynthesizedFlow,
     parse_acl_text,
     rule,
     synthesize_megaflow,
@@ -86,7 +95,7 @@ def test_emc_collision_eviction_capacity_one():
     emc.insert(hv(0b010), Action.DENY)
     assert emc.lookup(hv(0b001)) is None
     assert emc.lookup(hv(0b010)) is Action.DENY
-    assert emc.occupancy <= 1
+    assert len(emc.slots) <= 1
 
 
 # -- MFC lookup / insert (the sequential reference) ----------------------------
@@ -139,7 +148,7 @@ def test_mfc_insert_new_mask_ranked_first():
     cache.mfc_insert(apply_mask(h, mb), mb, Action.DENY, now=0.0)
     order = [st.mask for st in cache.subtables()]
     assert order == [mb, ma]
-    assert cache.search_index(mb) == 0
+    assert search_index(cache, mb) == 0
 
 
 def test_mfc_insert_same_mask_no_new_subtable():
@@ -185,7 +194,7 @@ def test_expiry_respects_refresh():
     cache.mfc_lookup(hv(0b001), now=6.0)  # refresh
     cache.expire(10.0)
     assert cache.entry_count == 1
-    expired, removed = cache.expire(16.0)
+    expired, removed = expire(cache, 16.0)
     assert cache.entry_count == 0
     assert expired == [(k, m)]
     assert removed == [m]
@@ -199,14 +208,14 @@ def test_expiry_random_soundness():
     for _ in range(2000):
         now += rng.random() * 0.5
         h = rand_five(rng)
-        flow = cache.synthesize(h)
-        cache.mfc_insert(flow.key, flow.mask, flow.action, now)
-        last_hits[(flow.key, flow.mask)] = now
+        f = synthesize(cache, h)
+        cache.mfc_insert(f.key, f.mask, f.action, now)
+        last_hits[(f.key, f.mask)] = now
         if rng.random() < 0.3:
-            expired, _ = cache.expire(now)
+            expired, _ = expire(cache, now)
             for key, m in expired:
                 assert now - last_hits[(key, m)] >= cache.idle_timeout
-        live = {(k, m) for k, m, _ in cache.entries()}
+        live = {(k, m) for k, m, _ in entries(cache)}
         for (k, m), t in last_hits.items():
             if now - t < cache.idle_timeout:
                 assert (k, m) in live
@@ -268,7 +277,7 @@ def test_classify_hyp_sweep_builds_golden_table():
     cache = FlowCache(hyp_acl(), emc_enabled=False)
     for v in range(8):
         cache.classify_batch([(hv(v), cache.flow_id(hv(v)), 1)], now=0.0)
-    rows = {(k.values[0], m.values[0], a) for k, m, a in cache.entries()}
+    rows = {(k.values[0], m.values[0], a) for k, m, a in entries(cache)}
     assert rows == {
         (0b001, 0b111, Action.ALLOW),
         (0b100, 0b100, Action.DENY),
@@ -304,7 +313,7 @@ def test_batch_of_one_matches_sequential():
         total_seq += seq.classify(h, now).cost_units
         total_bat += bat.classify_batch([(h, bat.flow_id(h), 1)], now).total_cost
     assert total_bat == pytest.approx(total_seq)
-    assert {e for e in bat.entries()} == {e for e in seq.entries()}
+    assert {e for e in entries(bat)} == {e for e in entries(seq)}
     assert [st.mask for st in bat.subtables()] == [st.mask for st in seq.subtables()]
 
 
@@ -318,13 +327,13 @@ def test_batch_hit_cost_matches_linear_scan_position():
     cache.rebalance(2.0)
     live = last_hits(cache)
     for h in rng.sample(headers, 50):
-        flow = cache.synthesize(h)
+        f = synthesize(cache, h)
         scan_pos = None
         for pos, st in enumerate(cache.subtables()):
             if (apply_mask(h, st.mask), st.mask) in live:
                 scan_pos = pos
                 break
-        assert scan_pos == cache.search_index(flow.mask)
+        assert scan_pos == search_index(cache, f.mask)
         assert cache.probe_cost(h) == (scan_pos + 1) * cache.costs.c_sub
 
 
@@ -396,13 +405,13 @@ def test_runs_price_like_runs_of_one(table, emc_enabled, emc_capacity, costs, st
             now += dt
             runs = [(pool[i % len(pool)], count) for i, count in picks]
             ones = [(h, 1) for h, count in runs for _ in range(count)]
-            assert grouped.classify_batch(
-                [(h, grouped.flow_id(h), n) for h, n in runs], now
-            ) == single.classify_batch([(h, single.flow_id(h), n) for h, n in ones], now)
+            got = grouped.classify_batch([(h, grouped.flow_id(h), n) for h, n in runs], now)
+            want = single.classify_batch([(h, single.flow_id(h), n) for h, n in ones], now)
+            assert batch_objects(grouped, got) == batch_objects(single, want)
         elif step[0] == "expire":
             before = grouped.subtables()
-            expired = grouped.expire(now)
-            assert expired == single.expire(now)
+            expired = expire(grouped, now)
+            assert expired == expire(single, now)
             removed = set(expired[1])
             assert grouped.subtables() == [s for s in before if s.mask not in removed]
         else:
@@ -466,11 +475,63 @@ def test_flow_table_is_one_per_acl_object():
     fid_a, fid_b, fid_c = table.flow_ids([a, b, c])
     assert fid_a == fid_b != fid_c and table.flow_ids([c, a]) == [fid_c, fid_a]
     assert [table.flow_id(c), table.flow_id(b)] == [fid_c, fid_a]
-    flow = synthesize_megaflow(a, acl)
-    assert table.flows[fid_a] == flow and table.masks[table.mask_of[fid_a]] == flow.mask
-    assert table.mask_ids[flow.mask.bits] == table.mask_of[fid_a]
+    want = synthesize_megaflow(a, acl)
+    assert flow(table, fid_a) == want and table.mask(table.mask_of[fid_a]) == want.mask
+    assert table.mask_ids[want.mask.bits] == table.mask_of[fid_a]
     with pytest.raises(ValueError, match="already has action"):
-        table.intern(SynthesizedFlow(flow.key, flow.mask, Action.DENY))
+        table.intern(want.mask.bits, want.key.bits, Action.DENY)
+
+
+@st.composite
+def acl_and_headers(draw):
+    """A random multi-field ACL over FIVE_TUPLE and headers near its rules, in shuffled order.
+
+    Rules take random priorities and constrain one to three fields; a
+    catch-all deny sits below them.  Each header field is a rule value, a
+    rule value with one bit flipped, or random, so walks stop at every depth.
+    Headers repeat, and the shuffle decides which of them the table meets first.
+    """
+    widths = {f.name: f.width for f in FIVE_TUPLE.fields}
+    n = draw(st.integers(1, 6))
+    priorities = draw(st.lists(st.integers(1, 10_000), min_size=n, max_size=n, unique=True))
+    rules, values = [rule(FIVE_TUPLE, 0, Action.DENY)], {name: [] for name in widths}
+    for priority in priorities:
+        names = draw(st.lists(st.sampled_from(sorted(widths)), min_size=1, max_size=3, unique=True))
+        matches = {name: draw(st.integers(0, (1 << widths[name]) - 1)) for name in names}
+        for name, v in matches.items():
+            values[name].append(v)
+        rules.append(rule(FIVE_TUPLE, priority, draw(st.sampled_from(Action)), **matches))
+    acl = Acl.from_rules(FIVE_TUPLE, draw(st.permutations(rules)))
+
+    def field(name):
+        full = (1 << widths[name]) - 1
+        near = [v ^ (1 << b) for v in values[name] for b in range(widths[name])]
+        return st.one_of(st.integers(0, full), *(st.sampled_from(x) for x in (values[name], near) if x))
+
+    one = st.builds(lambda **kw: header(FIVE_TUPLE, **kw), **{name: field(name) for name in widths})
+    distinct = draw(st.lists(one, min_size=1, max_size=15))
+    repeats = draw(st.lists(st.sampled_from(distinct), max_size=10))
+    return acl, draw(st.permutations(distinct + repeats))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=acl_and_headers())
+def test_int_compile_matches_synthesize_megaflow(case):
+    """The table's int megaflow per header is synthesize_megaflow's, and ids follow (mask, key)."""
+    acl, headers = case
+    table = FlowTable(acl)
+    fids = table.flow_ids(headers)
+    want = [synthesize_megaflow(h, acl) for h in headers]
+    for fid, w in zip(fids, want):
+        got = (table.mask_bits[table.mask_of[fid]], table.key_of[fid], table.action_of[fid])
+        assert got == (w.mask.bits, w.key.bits, w.action)
+        assert table.mask_ids[w.mask.bits] == table.mask_of[fid]
+    for i, (f1, w1) in enumerate(zip(fids, want)):
+        for f2, w2 in zip(fids[i:], want[i:]):
+            assert (f1 == f2) == ((w1.mask, w1.key) == (w2.mask, w2.key))
+            same_mask = table.mask_of[f1] == table.mask_of[f2]
+            assert same_mask == (w1.mask == w2.mask)
+    assert fids == [table.flow_id(h) for h in headers]  # a second look finds the same ids
 
 
 @pytest.mark.parametrize("emc", [False, True])
@@ -481,9 +542,9 @@ def test_probe_cost_of_absent_entry_is_what_classify_batch_charges(emc):
     for i in range(40):
         h = rand_five(rng)
         cache.classify_batch([(h, cache.flow_id(h), 1)], now=i * 0.01)
-    live = {(k, m) for k, m, _ in cache.entries()}
+    live = {(k, m) for k, m, _ in entries(cache)}
     h = rand_five(rng)
-    while (cache.synthesize(h).key, cache.synthesize(h).mask) in live:
+    while (synthesize(cache, h).key, synthesize(cache, h).mask) in live:
         h = rand_five(rng)
     miss = (1 if emc else 0) * cache.costs.c_emc + cache.subtable_count * cache.costs.c_sub
     cost = cache.probe_cost(h)
@@ -494,8 +555,8 @@ def test_probe_cost_of_absent_entry_is_what_classify_batch_charges(emc):
         others = [g for g in others if cache.flow_id(g) != cache.flow_id(h)]
         cache.classify_batch([(g, cache.flow_id(g), 1) for g in others], now=8.0)
         cache.expire(11.0)  # h's entry, installed at 1.0, expires; the others stay
-        flow = cache.synthesize(h)
-        assert (flow.key, flow.mask) not in last_hits(cache) and cache.subtable_count > 0
+        f = synthesize(cache, h)
+        assert (f.key, f.mask) not in last_hits(cache) and cache.subtable_count > 0
         cost = cache.probe_cost(h)
         assert cost == cache.subtable_count * cache.costs.c_sub + cache.costs.c_slow
         assert cache.classify_batch([(h, cache.flow_id(h), 1)], now=11.0).total_cost == cost
@@ -581,7 +642,7 @@ def test_expire_removes_exactly_the_idle_entries(pool, emc_enabled, steps):
             stamps = last_hits(cache)
             old = {k for k, t in stamps.items() if t + cache.idle_timeout <= now}
             emptied = {s.mask for s in cache.subtables()} - {m for k, m in stamps.keys() - old}
-            expired, removed = cache.expire(now)
+            expired, removed = expire(cache, now)
             assert len(expired) == len(old) and set(expired) == old
             assert len(removed) == len(emptied) and set(removed) == emptied
             hits = [stamps[e] for e in expired]
@@ -625,11 +686,11 @@ def test_fuzz_disjointness_and_ranking_properties():
         op = rng.random()
         if op < 0.8:
             h = rand_five(rng)
-            flow = cache.synthesize(h)
-            existed = any(st.mask == flow.mask for st in cache.subtables())
+            f = synthesize(cache, h)
+            existed = any(st.mask == f.mask for st in cache.subtables())
             cache.classify_batch([(h, cache.flow_id(h), 1)], now)
             if not existed:
-                assert cache.search_index(flow.mask) == 0  # new subtable ranks first
+                assert search_index(cache, f.mask) == 0  # new subtable ranks first
         elif op < 0.9:
             cache.expire(now)
         else:
@@ -637,9 +698,9 @@ def test_fuzz_disjointness_and_ranking_properties():
             cache.rebalance(now)
             seq = [pre[id(st)] for st in cache.subtables()]
             assert all(a >= b for a, b in zip(seq, seq[1:]))
-    entries = list(cache.entries())
-    for i, (k1, m1, _) in enumerate(entries):
-        for k2, m2, _ in entries[i + 1 :]:
+    live = list(entries(cache))
+    for i, (k1, m1, _) in enumerate(live):
+        for k2, m2, _ in live[i + 1 :]:
             assert not megaflows_overlap((k1, m1), (k2, m2))
 
 

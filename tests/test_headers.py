@@ -1,4 +1,6 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +21,11 @@ from tsesim.headers import (
     int_to_ip,
     ip_to_int,
     mask,
-    megaflows_overlap,
 )
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+from oracle_cache import megaflows_overlap  # noqa: E402
 
 # Widths that are not byte-aligned, so each field hashes as its own padded bytes.
 ODD = HeaderLayout((FieldSpec("a", 3), FieldSpec("b", 5), FieldSpec("c", 9)))
@@ -192,3 +197,16 @@ def test_custom_layout_packs_first_field_highest():
     # Equal bits on a different type or layout are a different value.
     assert h != HeaderMask(layout, h.bits)
     assert h != HeaderValue(HeaderLayout((FieldSpec("c", 6),)), h.bits)
+
+
+def test_package_all_lists_its_public_names_and_no_modules():
+    import types
+
+    import tsesim
+
+    public = {
+        name for name, value in vars(tsesim).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(tsesim.__all__) == sorted(public)
+    assert not {"attack", "engine", "flow_cache", "headers", "slowpath"} & set(tsesim.__all__)

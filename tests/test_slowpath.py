@@ -231,7 +231,7 @@ def test_synthesized_entries_same_acl_disjoint_or_identical():
             dport=rng.getrandbits(16),
         )
         flows.append(synthesize_megaflow(h, acl))
-    from tsesim.headers import megaflows_overlap
+    from oracle_cache import megaflows_overlap
 
     for i, a in enumerate(flows):
         for b in flows[i + 1 :]:
