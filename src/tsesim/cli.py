@@ -36,7 +36,7 @@ from .engine import (
     victim_flow_headers,
 )
 from .headers import FIVE_TUPLE
-from .slowpath import Acl, load_acl, validate_acl
+from .slowpath import load_acl
 
 
 class ConfigError(Exception):
@@ -149,19 +149,11 @@ def parse_config(config_path: Optional[str], overrides: dict) -> Scenario:
     return scenario
 
 
-def _load_valid_acl(path: str) -> Acl:
-    acl = load_acl(path, FIVE_TUPLE)
-    problems = validate_acl(acl)
-    if problems:
-        raise ConfigError(f"ACL invalid: {problems}")
-    return acl
-
-
 def _load_scenario_parts(scenario: Scenario):
     victims = victim_flow_headers(FIVE_TUPLE, scenario.victim_flows)
     use_case = UseCase(scenario.use_case)
     if scenario.acl:
-        acl = _load_valid_acl(scenario.acl)
+        acl = load_acl(scenario.acl, FIVE_TUPLE)
     else:
         acl = scenario_acl(use_case, victim_flows=victims)
     trace = load_trace(scenario.trace) if scenario.trace else build_trace(use_case, acl)
@@ -172,7 +164,7 @@ def cmd_gen_trace(scenario: Scenario) -> int:
     if scenario.rate <= 0:
         raise ConfigError("gen-trace needs a rate above 0 to timestamp the trace")
     use_case = UseCase(scenario.use_case)
-    acl = _load_valid_acl(scenario.acl) if scenario.acl else use_case_acl(use_case)
+    acl = load_acl(scenario.acl, FIVE_TUPLE) if scenario.acl else use_case_acl(use_case)
     trace = build_trace(use_case, acl)
     out = Path(scenario.out or f"{scenario.use_case}.trace")
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -183,8 +175,7 @@ def cmd_gen_trace(scenario: Scenario) -> int:
 
 
 def cmd_run(scenario: Scenario) -> int:
-    config = scenario.sim_config()
-    config.validate()  # before any input is built
+    config = scenario.sim_config()  # checked before any input is built
     schedule = scenario.schedule()
     acl, trace, victims = _load_scenario_parts(scenario)
     result = run(config, acl, [(trace, schedule)], victims)
@@ -243,8 +234,7 @@ def cmd_render_map(path: str) -> int:
 
 
 def cmd_sweep(scenario: Scenario, cores_list: list[int], rates_list: list[float]) -> int:
-    base = scenario.sim_config(build_cache_map=False)
-    base.validate()  # before any input is built
+    base = scenario.sim_config(build_cache_map=False)  # checked before any input is built
     schedules = [replace(scenario, rate=rate).schedule() for rate in rates_list]
     # Attack-phase seconds after the first full cycle and a 2 s margin; the
     # phase pattern is the same at every rate.

@@ -4,20 +4,22 @@ Each tick: classify the attacker packets due (priced against the cache state
 at tick start, so packets racing an in-flight install miss too), probe the
 victim's per-packet cost, split the processing budget attacker-first, credit
 the victim's served packets back to its subtable, then expire idle entries;
-subtables re-rank at every whole second.  Output is a per-second series, the
-decay/resurgence metrics, and per-second cache-map frames over 1000-mask
-creation batches.
+subtables re-rank at every whole second.  A run's one product is its list of
+`TickRecord`s, one per tick.  The per-second series, the per-second cache-map
+frames over 1000-mask creation batches, and the decay/resurgence metrics read
+off the series are folds over that list.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .attack import AttackSchedule, Trace, use_case_acl, UseCase
-from .flow_cache import FlowCache, FlowTable
+from .flow_cache import BatchResult, FlowCache, FlowTable
 from .headers import (
     FIVE_TUPLE,
     HeaderLayout,
@@ -25,7 +27,7 @@ from .headers import (
     header,
     ip_to_int,
 )
-from .slowpath import Acl, Action, rule, validate_acl
+from .slowpath import Acl, Action, rule
 
 MAX_TICKS = 1_000_000  # per run; 60 s at the default 0.1 s tick is 600
 
@@ -46,6 +48,8 @@ VICTIM_PORT_B = 5201
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One run's settings; building one with a bad value raises ValueError."""
+
     cores: int = 1
     budget_per_core: float = DEFAULT_BUDGET_PER_CORE
     victim_offered: float = DEFAULT_VICTIM_OFFERED
@@ -56,13 +60,12 @@ class SimConfig:
     eps_up: float = 0.05
     build_cache_map: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.cores < 1:
             raise ValueError("cores must be >= 1")
         if self.tick <= 0 or self.duration < 0:
             raise ValueError("tick must be positive and duration non-negative")
-        per_second = 1.0 / self.tick
-        if abs(per_second - round(per_second)) > 1e-9:
+        if abs(1.0 / self.tick - self.ticks_per_second) > 1e-9:
             raise ValueError("tick must divide 1.0 exactly")
         if not float(self.duration).is_integer():  # the series has a row per whole second
             raise ValueError(f"duration must be a whole number of seconds, got {self.duration:g}")
@@ -76,6 +79,10 @@ class SimConfig:
         if not (0 <= self.eps_down <= 1 and 0 <= self.eps_up <= 1):
             raise ValueError("eps_down and eps_up must be in [0, 1]")
 
+    @property
+    def ticks_per_second(self) -> int:
+        return round(1.0 / self.tick)
+
 
 @dataclass(frozen=True)
 class SecondRecord:
@@ -85,6 +92,18 @@ class SecondRecord:
     attacker_pps: int
     subtables: int
     entries: int
+
+
+class TickRecord(NamedTuple):
+    """What one tick did; a run's `ticks` list is indexed by tick."""
+
+    batch: BatchResult  # the attacker packets classified
+    victim_cost: float  # the victim's mean per-packet cost
+    fraction: float  # the victim's goodput fraction
+    removed_masks: list[int]  # mask ids of the subtables `expire` removed
+    subtables: int  # live subtables at tick end, after any re-rank
+    entries: int  # live megaflows at tick end
+    last_pos: Optional[int]  # trace position of emitter 0's latest emission
 
 
 @dataclass(frozen=True)
@@ -104,8 +123,9 @@ class CacheMapFrame:
 
 @dataclass
 class RunResult:
-    """What a run produces; `frames` is empty unless `build_cache_map` is set."""
+    """A run's tick records and the folds over them; `frames` is empty unless `build_cache_map`."""
 
+    ticks: list[TickRecord]
     series: list[SecondRecord]
     metrics: Metrics
     frames: list[CacheMapFrame]
@@ -237,11 +257,7 @@ def scenario_acl(use_case: UseCase, victim_flows: Sequence[HeaderValue] = ()) ->
     """Victim allow rules above the attack-target rules above the catch-all."""
     base = use_case_acl(use_case)
     rules = victim_allow_rules(victim_flows) + list(base.rules)
-    acl = Acl.from_rules(base.layout, rules)
-    problems = validate_acl(acl)
-    if problems:
-        raise ValueError(f"scenario ACL invalid: {problems}")
-    return acl
+    return Acl.from_rules(base.layout, rules)
 
 
 # --- cache-map batches -----------------------------------------------------------
@@ -317,6 +333,76 @@ class _Emitter:
         return runs
 
 
+def _ticks(config: SimConfig, cache: FlowCache, emitters: Sequence[_Emitter],
+           victims: Sequence[HeaderValue]) -> Iterator[TickRecord]:
+    """Step the classifier through the run, yielding one record per tick."""
+    ticks_per_second = config.ticks_per_second
+    budget_tick = config.cores * config.budget_per_core * config.tick
+    first = emitters[0] if emitters else None
+    for step in range(int(round(config.duration / config.tick))):
+        t1 = (step + 1) * config.tick
+        due: list[tuple[HeaderValue, int, int]] = []
+        for em in emitters:
+            due.extend(em.due(t1))
+        batch = cache.classify_batch(due, now=t1)
+
+        victim_cost = victim_cost_probe(cache, victims)
+        victim_demand = config.victim_offered * config.tick * victim_cost
+        fraction = compute_goodput_fraction(budget_tick, batch.total_cost, victim_demand)
+        share = fraction * config.victim_offered * config.tick / len(victims) if victims else 0.0
+        for h in victims:
+            cache.credit_hits(h, int(round(share)), now=t1)
+
+        _, removed_masks = cache.expire(t1)
+        if (step + 1) % ticks_per_second == 0:
+            cache.rebalance(t1)
+        yield TickRecord(batch, victim_cost, fraction, removed_masks, cache.subtable_count,
+                         cache.entry_count, first.last_pos if first else None)
+
+
+def series_of(ticks: Sequence[TickRecord], ticks_per_second: int) -> list[SecondRecord]:
+    """One row per second: tick means of goodput and victim cost, summed packets, end counts."""
+    series = []
+    for second in range(len(ticks) // ticks_per_second):
+        window = ticks[second * ticks_per_second : (second + 1) * ticks_per_second]
+        frac = cost = 0.0
+        for r in window:  # `+=` in tick order: `sum` rounds differently on Python 3.12+
+            frac += r.fraction
+            cost += r.victim_cost
+        pps, last = sum(r.batch.packets for r in window), window[-1]
+        series.append(SecondRecord(second, frac / ticks_per_second, cost / ticks_per_second,
+                                   pps, last.subtables, last.entries))
+    return series
+
+
+def frames_of(
+    ticks: Sequence[TickRecord], ticks_per_second: int, batches: MaskBatches
+) -> list[CacheMapFrame]:
+    """One cache-map frame per second over `batches`, the first attack's compiled trace.
+
+    In a second, a batch is G if the run created one of its masks, else R if one
+    was removed, else B while one is live, else A; Y if the run never created one.
+    """
+    batch_of = batches.batch_of()
+    created = {batch_of.get(m) for r in ticks for m in r.batch.created_masks}
+    present = [0] * batches.count
+    frames = []
+    for second in range(len(ticks) // ticks_per_second):
+        window = ticks[second * ticks_per_second : (second + 1) * ticks_per_second]
+        made = Counter(batch_of.get(m) for r in window for m in r.batch.created_masks)
+        gone = Counter(batch_of.get(m) for r in window for m in r.removed_masks)
+        states = []
+        for b in range(batches.count):
+            present[b] += made[b] - gone[b]
+            states.append("Y" if b not in created else "G" if made[b] else "R" if gone[b]
+                          else "B" if present[b] > 0 else "A")
+        last_pos = window[-1].last_pos
+        sent = any(r.batch.packets for r in window)
+        attack_state = str(last_pos // 1000 + 1) if sent and last_pos is not None else "X"
+        frames.append(CacheMapFrame(second, tuple(states), attack_state))
+    return frames
+
+
 def run(
     config: SimConfig,
     acl: Acl,
@@ -332,130 +418,23 @@ def run(
     is modeled as one classifier with `cores` times the budget.  A run is
     single-threaded and deterministic; sweeps are independent runs.
     """
-    config.validate()
-    problems = validate_acl(acl)
-    if problems:
-        raise ValueError(f"ACL invalid: {problems}")
     victims = list(victim_headers)
-
     cache = FlowCache(acl, emc_enabled=config.emc_enabled)
     cache.warm(victims, now=0.0)
     compiled = [MaskBatches(trace, acl) for trace, _ in attacks]
-
-    batches: Optional[MaskBatches] = None  # the census, while the cache map is on
-    batch_of: dict[int, int] = {}
-    batch_present: list[int] = []
-    created: set[int] = set()  # batches the run created a mask of
-    masks_total = 0
-    if attacks:
-        masks_total = compiled[0].mask_count
-        if config.build_cache_map:
-            batches = compiled[0]
-            batch_of = batches.batch_of()
-            batch_present = [0] * batches.count
-
     emitters = [_Emitter(c, sched, config.duration) for c, (_, sched) in zip(compiled, attacks)]
+
+    ticks = list(_ticks(config, cache, emitters, victims))
+    series = series_of(ticks, config.ticks_per_second)
+    frames = []
+    if compiled and config.build_cache_map:
+        frames = frames_of(ticks, config.ticks_per_second, compiled[0])
     attack_start = min((sched.start for _, sched in attacks), default=0.0)
-
-    ticks_per_second = round(1.0 / config.tick)
-    total_ticks = int(round(config.duration / config.tick))
-    budget_tick = config.cores * config.budget_per_core * config.tick
-
-    series: list[SecondRecord] = []
-    frames: list[CacheMapFrame] = []
-
-    frac_acc = 0.0
-    cost_acc = 0.0
-    pps_acc = 0
-    created_this_second: set[int] = set()
-    expired_this_second: set[int] = set()
-
-    for step in range(total_ticks):
-        t1 = (step + 1) * config.tick
-        due: list[tuple[HeaderValue, int, int]] = []
-        for em in emitters:
-            due.extend(em.due(t1))
-        batch = cache.classify_batch(due, now=t1)
-        if batches is not None:
-            for m in batch.created_masks:
-                b = batch_of.get(m)
-                if b is not None:
-                    created_this_second.add(b)
-                    batch_present[b] += 1
-
-        victim_cost = victim_cost_probe(cache, victims)
-        victim_demand = config.victim_offered * config.tick * victim_cost
-        fraction = compute_goodput_fraction(budget_tick, batch.total_cost, victim_demand)
-        processed = fraction * config.victim_offered * config.tick
-        share = processed / len(victims) if victims else 0.0
-        for h in victims:
-            cache.credit_hits(h, int(round(share)), now=t1)
-
-        _, removed_masks = cache.expire(t1)
-        if batches is not None:
-            for m in removed_masks:
-                b = batch_of.get(m)
-                if b is not None:
-                    expired_this_second.add(b)
-                    batch_present[b] -= 1
-
-        if (step + 1) % ticks_per_second == 0:
-            cache.rebalance(t1)
-
-        frac_acc += fraction
-        cost_acc += victim_cost
-        pps_acc += batch.packets
-
-        if (step + 1) % ticks_per_second == 0:
-            second = (step + 1) // ticks_per_second - 1
-            series.append(
-                SecondRecord(
-                    second=second,
-                    goodput_fraction=frac_acc / ticks_per_second,
-                    victim_cost=cost_acc / ticks_per_second,
-                    attacker_pps=pps_acc,
-                    subtables=cache.subtable_count,
-                    entries=cache.entry_count,
-                )
-            )
-            if batches is not None:
-                states = []
-                for b in range(batches.count):
-                    if b in created_this_second:
-                        states.append("G")
-                    elif b in expired_this_second:
-                        states.append("R")
-                    elif batch_present[b] <= 0:
-                        states.append("A")
-                    else:
-                        states.append("B")
-                em = emitters[0] if emitters else None
-                if em is not None and pps_acc > 0 and em.last_pos is not None:
-                    attack_state = str(em.last_pos // 1000 + 1)
-                else:
-                    attack_state = "X"
-                frames.append(CacheMapFrame(second, tuple(states), attack_state))
-                created |= created_this_second
-            frac_acc = cost_acc = 0.0
-            pps_acc = 0
-            created_this_second = set()
-            expired_this_second = set()
-
-    if batches is not None:  # a batch none of whose masks the run created is Y throughout
-        frames = [
-            CacheMapFrame(
-                f.second, tuple(s if b in created else "Y" for b, s in enumerate(f.states)),
-                f.attack_state,
-            )
-            for f in frames
-        ]
-
     metrics = metrics_extract(
         [r.goodput_fraction for r in series], attack_start, config.eps_down, config.eps_up
     )
-    return RunResult(
-        series=series, metrics=metrics, frames=frames, cache=cache, masks_total=masks_total
-    )
+    masks_total = compiled[0].mask_count if compiled else 0
+    return RunResult(ticks, series, metrics, frames, cache, masks_total)
 
 
 # --- exports -----------------------------------------------------------------------

@@ -60,10 +60,15 @@ def rule(layout: HeaderLayout, priority: int, action: Action, **matches: int) ->
 
 @dataclass(frozen=True)
 class Acl:
-    """Rules in descending priority; the last rule must be a catch-all deny."""
+    """Rules in descending priority over a catch-all deny; building one runs `validate_acl`."""
 
     layout: HeaderLayout
     rules: tuple[FlowRule, ...]
+
+    def __post_init__(self) -> None:
+        problems = validate_acl(self)
+        if problems:
+            raise ValueError(f"ACL invalid: {problems}")
 
     @staticmethod
     def from_rules(layout: HeaderLayout, rules: Iterable[FlowRule]) -> "Acl":
@@ -75,12 +80,8 @@ class Acl:
         """(mask, value, rule) per rule: h matches the rule iff h.bits & mask == value.
 
         The last rule is a catch-all, which every header matches, so a walk
-        over these always stops at a rule.  Raises ValueError on an ACL that
-        `validate_acl` rejects for an unknown field, a value wider than its
-        field, or no catch-all at the lowest priority.
+        over these always stops at a rule.
         """
-        if not (self.rules and self.rules[-1].is_catch_all):
-            raise ValueError("ACL has no catch-all at the lowest priority")
         full = {f.name: f.full_mask for f in self.layout.fields}
         return tuple(
             (
@@ -93,7 +94,7 @@ class Acl:
 
 
 def validate_acl(acl: Acl) -> list[str]:
-    """Return a list of violations; empty means the ACL is usable."""
+    """Return a list of violations; empty means the ACL is usable.  `Acl` calls it when built."""
     problems: list[str] = []
     if not acl.rules:
         return ["empty ACL"]

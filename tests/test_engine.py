@@ -14,6 +14,7 @@ from tsesim.engine import (  # noqa: E402
     CacheMapFrame,
     MaskBatches,
     Metrics,
+    SecondRecord,
     SimConfig,
     cachemap_to_csv,
     compute_goodput_fraction,
@@ -244,31 +245,98 @@ def test_run_no_attack_full_goodput():
     assert res.metrics.ttd is None
 
 
-def test_run_budget_accounting(monkeypatch):
-    """Every tick's budget split, recorded where the engine computes it."""
-    import tsesim.engine as engine
-
-    ticks = []
-    real_split = engine.compute_goodput_fraction
-
-    def recording_split(budget, attacker_demand, victim_demand):
-        fraction = real_split(budget, attacker_demand, victim_demand)
-        ticks.append((budget, attacker_demand, victim_demand, fraction))
-        return fraction
-
-    monkeypatch.setattr(engine, "compute_goodput_fraction", recording_split)
+def test_run_budget_accounting():
+    """Every tick's budget split, read off the run's tick records."""
     acl, trace, victims = reference_setup()
     sched = AttackSchedule(rate=1000, start=2.0)
     cfg = SimConfig(duration=12.0, build_cache_map=False)
-    run(cfg, acl, [(trace, sched)], victims)
-    assert len(ticks) == 120
-    floor = inspect.signature(real_split).parameters["floor"].default
-    one_packet = max(demand for _, demand, _, _ in ticks) / 100 + 1
-    for budget, attacker_demand, victim_demand, fraction in ticks:
+    records = run(cfg, acl, [(trace, sched)], victims).ticks
+    assert len(records) == 120
+    budget = cfg.cores * cfg.budget_per_core * cfg.tick
+    floor = inspect.signature(compute_goodput_fraction).parameters["floor"].default
+    one_packet = max(r.batch.total_cost for r in records) / 100 + 1
+    for r in records:
+        attacker_demand = r.batch.total_cost
+        victim_demand = cfg.victim_offered * cfg.tick * r.victim_cost
+        assert r.fraction == compute_goodput_fraction(budget, attacker_demand, victim_demand)
         attacker_consumed = min(attacker_demand, budget)
         assert attacker_consumed <= budget + 1e-6
-        if fraction > floor:
-            assert attacker_consumed + fraction * victim_demand <= budget + one_packet
+        if r.fraction > floor:
+            assert attacker_consumed + r.fraction * victim_demand <= budget + one_packet
+
+
+def _fold_by_hand(ticks, ticks_per_second, batch_of, nbatches):
+    """Series and cache-map frames from tick records, the way a reader would count them."""
+    series, frames = [], []
+    present, created = [0] * nbatches, set()
+    for second in range(len(ticks) // ticks_per_second):
+        window = ticks[second * ticks_per_second : (second + 1) * ticks_per_second]
+        frac = cost = 0.0
+        made, gone = set(), set()
+        for r in window:
+            frac += r.fraction
+            cost += r.victim_cost
+            for m in r.batch.created_masks:
+                if m in batch_of:
+                    made.add(batch_of[m])
+                    present[batch_of[m]] += 1
+            for m in r.removed_masks:
+                if m in batch_of:
+                    gone.add(batch_of[m])
+                    present[batch_of[m]] -= 1
+        packets = sum(r.batch.packets for r in window)
+        series.append(SecondRecord(second, frac / ticks_per_second, cost / ticks_per_second,
+                                   packets, window[-1].subtables, window[-1].entries))
+        states = ["G" if b in made else "R" if b in gone else "B" if present[b] else "A"
+                  for b in range(nbatches)]
+        pos = window[-1].last_pos
+        attack = str(pos // 1000 + 1) if packets and pos is not None else "X"
+        frames.append((second, states, attack))
+        created |= made
+    return series, [  # a batch the run never created a mask of is Y throughout
+        CacheMapFrame(second, tuple(s if b in created else "Y" for b, s in enumerate(states)), a)
+        for second, states, a in frames
+    ]
+
+
+@pytest.mark.parametrize("emc", [False, True])
+@pytest.mark.parametrize("clone", [1, 12])
+@pytest.mark.parametrize("use_case", [UseCase.DP, UseCase.SP_DP])
+@pytest.mark.parametrize("start, t_sleep", [(0.5, 12.0), (0.85, 10.08)])
+def test_tick_records_are_what_the_outputs_fold(start, t_sleep, use_case, clone, emc):
+    """Records obey the cache's bookkeeping and the schedule, and every output folds from them.
+
+    A 2 s attack creates masks and all of them expire in the sleep after it.
+    With the longer sleep, the cache map passes through G, B, R and A; with
+    the shorter one, the next phase starts within the second the masks
+    expire, late enough that it creates them again in that second's last tick.
+    """
+    acl, trace, victims = reference_setup(use_case)
+    sched = AttackSchedule(rate=1000 * clone, t_attack=2.0, t_sleep=t_sleep, clone=clone, start=start)
+    cfg = SimConfig(duration=15.0, emc_enabled=emc)
+    res = run(cfg, acl, [(trace, sched)], victims)
+    ticks, tps = res.ticks, cfg.ticks_per_second
+    assert len(ticks) == cfg.duration / cfg.tick
+
+    warmed = FlowCache(acl, emc_enabled=emc)
+    warmed.warm(victims, now=0.0)
+    subtables = warmed.subtable_count
+    for r in ticks:
+        assert r.subtables == subtables + len(r.batch.created_masks) - len(r.removed_masks)
+        subtables = r.subtables
+    assert any(r.removed_masks for r in ticks)
+
+    for second, row in enumerate(res.series):
+        end, begin = (second + 1) * tps * cfg.tick, second * tps * cfg.tick
+        packets = sum(r.batch.packets for r in ticks[second * tps : (second + 1) * tps])
+        emitted = sched.emission_count(end) - sched.emission_count(begin)
+        assert packets == row.attacker_pps == emitted
+
+    series, frames = _fold_by_hand(ticks, tps, MaskBatches(trace, acl).batch_of(), 1)
+    assert series_to_csv(series) == series_to_csv(res.series)
+    assert cachemap_to_csv(frames) == cachemap_to_csv(res.frames)
+    if t_sleep == 12.0:
+        assert {"G", "B", "R", "A"} <= set(cachemap_to_csv(res.frames).split("\n", 1)[1])
 
 
 def test_run_determinism():
@@ -507,10 +575,10 @@ def test_cachemap_csv_format():
 def test_config_rejects_too_many_ticks_and_fractional_duration():
     too_many = "^duration 60 s at tick 1e-06 s asks for 60000000 ticks, more than 1000000$"
     with pytest.raises(ValueError, match=too_many):
-        SimConfig(duration=60.0, tick=1e-6).validate()
-    SimConfig(duration=1000.0, tick=0.001).validate()  # exactly the most ticks allowed
+        SimConfig(duration=60.0, tick=1e-6)
+    SimConfig(duration=1000.0, tick=0.001)  # exactly the most ticks allowed
     with pytest.raises(ValueError, match="^duration must be a whole number of seconds, got 2.5$"):
-        SimConfig(duration=2.5).validate()
+        SimConfig(duration=2.5)
 
 
 def test_run_does_not_depend_on_what_the_acl_table_interned():
@@ -540,7 +608,7 @@ def test_run_does_not_depend_on_what_the_acl_table_interned():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SimConfig(tick=0.3).validate()
+        SimConfig(tick=0.3)
     with pytest.raises(ValueError):
-        SimConfig(cores=0).validate()
-    SimConfig().validate()
+        SimConfig(cores=0)
+    SimConfig()

@@ -55,25 +55,19 @@ def test_validate_simple_acl_ok():
 
 
 def test_validate_reports_missing_catch_all():
-    acl = Acl.from_rules(HYP, [rule(HYP, 1, Action.ALLOW, hyp=0b001)])
-    assert any("catch-all" in v for v in validate_acl(acl))
+    with pytest.raises(ValueError, match="catch-all"):
+        Acl.from_rules(HYP, [rule(HYP, 1, Action.ALLOW, hyp=0b001)])
 
 
 def test_validate_reports_duplicate_priority_and_width():
-    acl = Acl.from_rules(
-        FIVE_TUPLE,
-        [
-            rule(FIVE_TUPLE, 5, Action.ALLOW, dport=70000),
-            rule(FIVE_TUPLE, 5, Action.ALLOW, sport=1),
-            rule(FIVE_TUPLE, 0, Action.DENY),
-        ],
-    )
-    problems = validate_acl(acl)
-    assert any("duplicate priorities" in v for v in problems)
-    assert any("exceeds field width" in v for v in problems)
-    h = header(FIVE_TUPLE, ip_src=1, ip_dst=2, proto=6, sport=1, dport=80)
-    with pytest.raises(ValueError):
-        synthesize_megaflow(h, acl)  # a too-wide value must not spill into another field
+    rules = [
+        rule(FIVE_TUPLE, 5, Action.ALLOW, dport=70000),
+        rule(FIVE_TUPLE, 5, Action.ALLOW, sport=1),
+        rule(FIVE_TUPLE, 0, Action.DENY),
+    ]
+    # Both problems in one error, and no ACL whose too-wide value could spill into another field.
+    with pytest.raises(ValueError, match="duplicate priorities.*exceeds field width"):
+        Acl.from_rules(FIVE_TUPLE, rules)
 
 
 def test_lookup_hyp():
