@@ -11,9 +11,15 @@ list kept in last-hit order: an install appends, a hit moves the id to the
 end, and expiry of entries idle for the timeout pops from the front.  Key,
 mask and action are read from the table; a subtable keeps its mask id and a
 count.  Results are ids: new subtables' mask ids from `classify_batch`,
-expired flow ids and removed mask ids from `expire`.  Subtables are
-re-ranked by per-interval hit counts at each `rebalance`; a brand-new
-subtable always enters the search order first.
+expired flow ids and removed mask ids from `expire`.
+
+A cache keeps one subtable per mask id it has installed.  A subtable is live
+while it holds a megaflow; `expire` takes an emptied one out of the search
+order, and the next install of its mask revives it first in the order, as
+a brand-new subtable enters.  Subtables are re-ranked by per-interval hit
+counts at each `rebalance`.  A subtable goes on the cache's hit list when
+its count leaves 0, so a rebalance costs O(hit subtables + subtables
+renumbered): the unhit ones keep their relative order and only move down.
 """
 
 from __future__ import annotations
@@ -150,7 +156,7 @@ class Subtable:
     mask_id: int
     size: int = 0  # live megaflows with this mask
     interval_hits: int = 0
-    # Index in FlowCache._rev plus the cache's position offset.
+    # While live: index in FlowCache._rev plus the cache's position offset.
     pos: int = 0
 
     @property
@@ -158,7 +164,11 @@ class Subtable:
         return self.table.mask(self.mask_id)
 
 
-@dataclass
+_by_pos = operator.attrgetter("pos")
+_by_hits = operator.attrgetter("interval_hits")
+
+
+@dataclass(slots=True)
 class BatchResult:
     """Aggregate of one batch of classifications (engine fast path)."""
 
@@ -167,7 +177,7 @@ class BatchResult:
     slow_path: int = 0
     mfc_hits: int = 0
     emc_hits: int = 0
-    created_masks: list[int] = field(default_factory=list)  # mask ids of new subtables
+    created_masks: list[int] = field(default_factory=list)  # mask ids of new or revived subtables
 
 
 class FlowCache:
@@ -199,8 +209,12 @@ class FlowCache:
         # offset to shift everything above it.
         self._rev: list[Subtable] = []
         self._pos_offset = 0
-        # Live subtables by mask id: set on install, deleted on expire.
+        # Every subtable ever installed, by mask id; the dead ones (size 0)
+        # are out of storage and have no hits, and an install revives them.
         self._sub: dict[int, Subtable] = {}
+        # Subtables whose interval hits left 0 since the last rebalance; one
+        # that expired and came back after its hits may be listed twice.
+        self._hits: list[Subtable] = []
         # Flow id -> last hit of each live megaflow, in last-hit order, oldest
         # first: a `now` below `_clock`, the latest one, is rejected.
         self._idle: OrderedDict[int, float] = OrderedDict()
@@ -236,23 +250,32 @@ class FlowCache:
         self._idle[fid] = now
         self._idle.move_to_end(fid)
 
+    def _hit(self, st: Subtable, count: int) -> None:
+        """Count `count` interval hits on st, listing it on its first."""
+        if not st.interval_hits:
+            self._hits.append(st)
+        st.interval_hits += count
+
     def _install(self, fid: int, now: float) -> bool:
-        """Make flow fid live; return whether that created its subtable."""
+        """Make flow fid live; return whether that created (or revived) its subtable."""
         mid = self.table.mask_of[fid]
         st = self._sub.get(mid)
-        created = st is None
+        if st is None:
+            st = self._sub[mid] = Subtable(self.table, mid)
+        created = not st.size
         if created:
-            st = self._sub[mid] = Subtable(self.table, mid, pos=len(self._rev) + self._pos_offset)
+            st.pos = len(self._rev) + self._pos_offset
             self._rev.append(st)
         st.size += 1
         self._idle[fid] = now
         return created
 
     def expire(self, now: float) -> tuple[list[int], list[int]]:
-        """Remove entries idle for >= idle_timeout; drop emptied subtables.
+        """Remove entries idle for >= idle_timeout; take emptied subtables out of the order.
 
         Returns (expired flow ids in last-hit order, mask ids of the removed
-        subtables).
+        subtables).  An emptied subtable leaves storage with its interval
+        hits zeroed and stays in the mask-id index for `_install` to revive.
         Costs O(expired + 1): the idle list is in last-hit order, so expiry
         stops at its first entry that is still young.  Only the storage
         prefix up to the highest removed subtable is renumbered; expired
@@ -270,7 +293,7 @@ class FlowCache:
             st.size -= 1
             removed_entries.append(fid)
             if not st.size:
-                del sub[st.mask_id]
+                st.interval_hits = 0
                 removed_masks.append(st.mask_id)
                 top = max(top, st.pos - offset)
         if removed_masks:
@@ -284,14 +307,45 @@ class FlowCache:
     def rebalance(self, now: float) -> None:
         """Reorder subtables by interval hits (descending, stable) and reset counts.
 
-        Storage is the search order reversed, so a stable ascending sort of
-        storage is the stable descending sort of the search order.
+        Storage is the search order reversed, so the result is storage
+        stably sorted by hits, ascending: the unhit subtables in their
+        storage order, then the hit ones by hits, ties in storage order.
+        Only the hit list is sorted.  The hit subtables cut storage into
+        unhit runs, and run j moves down by exactly j, so raising the
+        position offset by j for the longest run leaves its positions as
+        they are; only the other runs and the hit subtables are renumbered.
+        Costs O(hit subtables + subtables renumbered).
         """
-        self._rev.sort(key=operator.attrgetter("interval_hits"))
-        for i, st in enumerate(self._rev):
-            st.interval_hits = 0
+        hit = [st for st in dict.fromkeys(self._hits) if st.interval_hits]
+        self._hits.clear()
+        if not hit:
+            return
+        rev, offset = self._rev, self._pos_offset
+        hit.sort(key=_by_pos)
+        new: list[Subtable] = []
+        runs = []  # (length, start, j): unhit run j is rev[start:start + length], if not empty
+        start = 0
+        for j, st in enumerate(hit):
+            end = st.pos - offset
+            if start < end:
+                new += rev[start:end]
+                runs.append((end - start, start, j))
+            start = end + 1
+        if start < len(rev):
+            new += rev[start:]
+            runs.append((len(rev) - start, start, len(hit)))
+        keep = max(runs)[2] if runs else 0
+        self._pos_offset = offset = offset + keep
+        for length, start, j in runs:
+            if j != keep:
+                for i, st in enumerate(rev[start:start + length], start - j + offset):
+                    st.pos = i
+        hit.sort(key=_by_hits)
+        for i, st in enumerate(hit, len(new) + offset):
             st.pos = i
-        self._pos_offset = 0
+            st.interval_hits = 0
+        new += hit
+        self._rev = new
 
     # -- engine fast paths ---------------------------------------------------
     #
@@ -348,6 +402,7 @@ class FlowCache:
         idle, sub = self._idle, self._sub
         action_of, mask_of = self.table.action_of, self.table.mask_of
         move_to_end = idle.move_to_end  # `_refresh`, inlined
+        list_hit = self._hits.append
         c_emc, c_sub = c.c_emc, c.c_sub
         emc_probe = (1 if emc_on else 0) * c_emc
         miss_cost = emc_probe + len(self._rev) * c_sub + c.c_slow
@@ -372,6 +427,8 @@ class FlowCache:
                 cost += count * (emc_probe + (base - st.pos) * c_sub)
                 if probe:
                     continue
+                if not st.interval_hits:  # `_hit`, inlined
+                    list_hit(st)
                 st.interval_hits += count
                 idle[fid] = now
                 move_to_end(fid)
@@ -399,7 +456,7 @@ class FlowCache:
             return
         fid = self.flow_id(h)
         if fid in self._idle:
-            self._sub[self.table.mask_of[fid]].interval_hits += packets
+            self._hit(self._sub[self.table.mask_of[fid]], packets)
             self._refresh(fid, now)
 
     # -- introspection ---------------------------------------------------------
@@ -408,9 +465,11 @@ class FlowCache:
         """Raise AssertionError if the cache's bookkeeping disagrees with its contents.
 
         Checks that stored positions match storage, the mask-id index holds
-        exactly the subtables in storage, each subtable's size is the count
-        of its live flows in the idle list (and not 0), and last hits are
-        non-decreasing along the list.
+        every subtable in storage, each stored subtable's size is the count
+        of its live flows in the idle list (and not 0), an indexed subtable
+        out of storage is dead (size 0, no hits), every stored subtable with
+        hits is on the hit list, and last hits are non-decreasing along the
+        idle list.
         """
 
         def require(ok: bool, what: str) -> None:
@@ -418,13 +477,21 @@ class FlowCache:
                 raise AssertionError(what)
 
         sizes = Counter(self.table.mask_of[fid] for fid in self._idle)  # by mask id
+        listed = set(self._hits)
         for i, st in enumerate(self._rev):
             require(st.pos - self._pos_offset == i, f"subtable at storage {i} has pos {st.pos}")
             require(self._sub.get(st.mask_id) is st, f"subtable {i} not indexed by its mask id")
             n = sizes[st.mask_id]
             require(st.size == n > 0, f"subtable {i} has size {st.size} for {n} live flows")
-        require(len(self._sub) == len(self._rev), "mask-id index holds subtables not in storage")
-        require(sizes.keys() <= self._sub.keys(), "idle list holds a flow whose subtable is absent")
+            require(not st.interval_hits or st in listed,
+                    f"subtable {i} has hits but is not on the hit list")
+        stored = set(self._rev)
+        for st in self._sub.values():
+            require(st in stored or st.size == st.interval_hits == 0,
+                    f"subtable of mask {st.mask_id} is out of storage with size {st.size}"
+                    f" and {st.interval_hits} hits")
+        require(sizes.keys() <= {st.mask_id for st in stored},
+                "idle list holds a flow whose subtable is absent")
         hits = list(self._idle.values())
         require(all(a <= b for a, b in zip(hits, hits[1:])), "idle list is out of last-hit order")
 

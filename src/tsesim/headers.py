@@ -188,15 +188,19 @@ IP_FIELDS = ("ip_src", "ip_dst")
 
 
 def ip_to_int(dotted: str) -> int:
+    """A dotted quad's value: four octets of 1-3 ASCII decimal digits, each at most 255.
+
+    `int` alone would also take signs, underscores, whitespace and non-ASCII
+    digits, so "+10.0.0.1" or "1_0.0.0.1" would load as 10.0.0.1.
+    """
     parts = dotted.split(".")
     if len(parts) != 4:
         raise ValueError(f"bad IPv4 address {dotted!r}")
     out = 0
     for p in parts:
-        b = int(p)
-        if not 0 <= b <= 255:
+        if not (0 < len(p) <= 3 and p.isascii() and p.isdigit() and int(p) <= 255):
             raise ValueError(f"bad IPv4 address {dotted!r}")
-        out = (out << 8) | b
+        out = (out << 8) | int(p)
     return out
 
 

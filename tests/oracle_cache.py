@@ -49,7 +49,7 @@ class SequentialCache(FlowCache):
         for probed, st in enumerate(self.subtables(), start=1):
             fid = interned.get((st.mask.bits, apply_mask(h, st.mask).bits))
             if fid is not None and fid in self._idle:
-                st.interval_hits += 1
+                self._hit(st, 1)
                 self._refresh(fid, now)
                 return self.table.action_of[fid], probed
         return None

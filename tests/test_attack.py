@@ -290,3 +290,14 @@ def test_phase_at():
     assert sched.phase_at(30.5) == "sleep"
     assert sched.phase_at(32.0) == "attack"
     assert AttackSchedule(rate=1000, start=20.0).phase_at(50.0) == "attack"
+
+
+def test_schedule_and_probe_guards():
+    with pytest.raises(ValueError, match="t_sleep must be >= 0"):
+        AttackSchedule(rate=1000.0, t_attack=1.0, t_sleep=-1.0)
+    with pytest.raises(ValueError, match="allow_value 16 exceeds 4 bits"):
+        field_probe_values(4, 16)
+    with pytest.raises(ValueError, match="trace is empty"):
+        next(schedule_emissions(Trace(()), AttackSchedule(rate=1000.0), 1.0))
+    trace = build_trace(UseCase.DP, use_case_acl(UseCase.DP))
+    assert list(schedule_emissions(trace, AttackSchedule(rate=0.0), 10.0)) == []

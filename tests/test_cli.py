@@ -95,6 +95,15 @@ GOOD_PACKET = "t=0 ip_src=10.0.0.1 ip_dst=198.51.100.7 proto=6 sport=1 dport=2"
                      "dport given twice", id="acl-repeated-field"),
         pytest.param("--acl", "priority=1 dport=70000 action=allow\npriority=0 action=deny",
                      "value 70000 exceeds field width of dport", id="acl-too-wide"),
+        *(
+            pytest.param(flag, text.format(ip), f"bad ip_src value {ip!r}", id=f"{name}-ip-{kind}")
+            for flag, name, text in (
+                ("--trace", "trace", GOOD_PACKET.replace("10.0.0.1", "{}")),
+                ("--acl", "acl", "priority=1 ip_src={} action=allow\npriority=0 action=deny"),
+            )
+            for kind, ip in (("underscore", "1_0.0.0.1"), ("sign", "+10.0.0.1"),
+                             ("arabic-indic", "\u0661\u0660.0.0.1"))
+        ),
     ],
 )
 def test_malformed_input_file_names_its_line(flag, text, message, tmp_path, capsys):
@@ -238,6 +247,9 @@ def test_bad_budget_or_victim_value_exits_2(command, flag, value, message, tmp_p
         ("--eps-down", "nan", "eps_down must be a finite number, got nan"),
         ("--eps-down", "-1", "eps_down and eps_up must be in [0, 1]"),
         ("--eps-up", "2", "eps_down and eps_up must be in [0, 1]"),
+        ("--rate", "-1", "rate must be >= 0, duration > 0, cores >= 1"),
+        ("--cores", "0", "rate must be >= 0, duration > 0, cores >= 1"),
+        ("--tick", "0", "tick must be positive and duration non-negative"),
     ],
 )
 def test_non_finite_or_out_of_range_value_exits_2(command, flag, value, message, tmp_path, capsys):
@@ -625,3 +637,29 @@ def test_sweep_cells_match_runs_on_a_fresh_acl(monkeypatch):
         assert fresh == acl and fresh is not acl
         alone = run(config, fresh, attacks, victims)
         assert series_to_csv(alone.series) == series_to_csv(result.series)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param(["run", "--trace", "{tmp}/absent.trace"],
+                     "trace file not found: {tmp}/absent.trace", id="trace-not-found"),
+        pytest.param(["run", "--trace", "{tmp}/empty.trace"], "trace is empty", id="empty-trace"),
+        pytest.param(["sweep", "--cores-list", ","], "cores-list and rates-list must be non-empty",
+                     id="empty-cores-list"),
+        pytest.param(["sweep", "--rates-list", ""], "cores-list and rates-list must be non-empty",
+                     id="empty-rates-list"),
+        pytest.param(["render-map", "{tmp}/empty.csv"], "empty cache map CSV",
+                     id="empty-cache-map"),
+    ],
+)
+def test_guarded_input_exits_2_with_one_line(args, message, tmp_path, capsys):
+    (tmp_path / "empty.trace").write_text("# no packets\n")
+    (tmp_path / "empty.csv").write_text("\n")
+    args = [a.format(tmp=tmp_path) for a in args]
+    if args[0] != "render-map":
+        args += ["--use-case", "dp", "--duration", "3", "--attack-start", "1",
+                 "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+    assert not (tmp_path / "out").exists()

@@ -9,7 +9,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from oracle_cache import SequentialCache, cache_state, last_hits, search_index, synthesize  # noqa: E402
 
-from tsesim.attack import AttackSchedule, UseCase, build_trace, schedule_emissions  # noqa: E402
+from tsesim.attack import (  # noqa: E402
+    AttackSchedule,
+    Trace,
+    UseCase,
+    build_trace,
+    schedule_emissions,
+)
 from tsesim.engine import (  # noqa: E402
     CacheMapFrame,
     MaskBatches,
@@ -234,6 +240,21 @@ def test_victim_warm_up_matches_sequential_classify(emc):
 
 
 # -- the run loop ------------------------------------------------------------------
+
+
+def test_run_without_victims_costs_nothing():
+    acl, trace, _ = reference_setup()
+    assert victim_cost_probe(FlowCache(acl), []) == 0.0
+    res = run(SimConfig(duration=3.0, build_cache_map=False), acl,
+              [(trace, AttackSchedule(rate=1000.0, start=1.0))], [])
+    assert [(r.victim_cost, r.goodput_fraction) for r in res.series] == [(0.0, 1.0)] * 3
+    assert res.series[-1].subtables > 0
+
+
+def test_run_rejects_an_empty_trace():
+    acl, _, victims = reference_setup()
+    with pytest.raises(ValueError, match="trace is empty"):
+        run(SimConfig(duration=1.0), acl, [(Trace(()), AttackSchedule(rate=1000.0))], victims)
 
 
 def test_run_no_attack_full_goodput():
@@ -570,6 +591,7 @@ def test_cachemap_csv_format():
     frames = [CacheMapFrame(0, ("A", "G"), "1"), CacheMapFrame(1, ("B", "R"), "X")]
     csv = cachemap_to_csv(frames)
     assert csv == "second,attack,b1,b2\n0,1,A,G\n1,X,B,R\n"
+    assert cachemap_to_csv([]) == "second,attack\n"
 
 
 def test_config_rejects_too_many_ticks_and_fractional_duration():
@@ -611,4 +633,7 @@ def test_config_validation():
         SimConfig(tick=0.3)
     with pytest.raises(ValueError):
         SimConfig(cores=0)
+    for bad in (dict(tick=0.0), dict(duration=-1.0)):
+        with pytest.raises(ValueError, match="tick must be positive and duration non-negative"):
+            SimConfig(**bad)
     SimConfig()

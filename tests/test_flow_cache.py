@@ -1,10 +1,12 @@
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis import stateful
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -87,6 +89,11 @@ def test_emc_disabled_always_misses():
     emc = FlowCache(hyp_acl(), emc_enabled=False).emc
     emc.insert(hv(0b001), Action.ALLOW)
     assert emc.lookup(hv(0b001)) is None
+
+
+def test_emc_capacity_must_be_positive():
+    with pytest.raises(ValueError, match="EMC capacity must be >= 1"):
+        FlowCache(hyp_acl(), emc_capacity=0)
 
 
 def test_emc_collision_eviction_capacity_one():
@@ -225,19 +232,18 @@ def test_expiry_random_soundness():
 
 
 def test_rebalance_orders_by_hits_and_resets():
-    cache = SequentialCache(five_acl(), emc_enabled=False)
-    h = header(FIVE_TUPLE, ip_src=1, ip_dst=2, proto=6, sport=3, dport=80)
-    masks = [
-        mask(FIVE_TUPLE, dport=0xFFFF),
-        mask(FIVE_TUPLE, sport=0xFFFF),
-        mask(FIVE_TUPLE, proto=0xFF),
+    cache = FlowCache(five_acl(), emc_enabled=False)
+    headers = [  # one megaflow each, under three different masks
+        header(FIVE_TUPLE, ip_src=1, ip_dst=2, proto=6, sport=3, dport=80),
+        header(FIVE_TUPLE, ip_src=0x0A000001, ip_dst=2, proto=6, sport=3, dport=81),
+        header(FIVE_TUPLE, ip_src=1, ip_dst=2, proto=6, sport=12345, dport=81),
     ]
-    for m in masks:
-        cache.mfc_insert(apply_mask(h, m), m, Action.DENY, now=0.0)
+    cache.classify_batch([(h, cache.flow_id(h), 1) for h in headers], now=0.0)
     a, b, c = cache.subtables()  # current search order
-    a.interval_hits = 5
-    b.interval_hits = 100
-    c.interval_hits = 1
+    by_subtable = {cache.table.mask_of[cache.flow_id(h)]: h for h in headers}
+    for st, hits in ((a, 5), (b, 100), (c, 1)):
+        cache.credit_hits(by_subtable[st.mask_id], hits, now=0.5)
+    assert [st.interval_hits for st in (a, b, c)] == [5, 100, 1]
     cache.rebalance(1.0)
     assert cache.subtables() == [b, a, c]
     assert all(st.interval_hits == 0 for st in cache.subtables())
@@ -444,6 +450,17 @@ def test_check_invariants_detects_corruption():
     cache._idle.move_to_end(next(reversed(cache._idle)), last=False)
     with pytest.raises(AssertionError, match="out of last-hit order"):
         cache.check_invariants()
+    cache = table_b_cache()
+    cache.subtables()[0].interval_hits += 1  # hits that skipped the hit list
+    with pytest.raises(AssertionError, match="subtable 2 has hits but is not on the hit list"):
+        cache.check_invariants()
+    cache = table_b_cache()
+    st = cache.subtables()[0]
+    cache.expire(10.0)  # every entry was installed at 0.0
+    cache.check_invariants()
+    st.interval_hits = 3
+    with pytest.raises(AssertionError, match="out of storage with size 0 and 3 hits"):
+        cache.check_invariants()
 
 
 def test_check_invariants_detects_stale_id_lists():
@@ -455,12 +472,21 @@ def test_check_invariants_detects_stale_id_lists():
     st, fid = cache.subtables()[0], next(iter(cache._idle))
     cache.expire(10.0)  # every entry was installed at 0.0
     cache.check_invariants()
-    cache._sub[st.mask_id] = st
-    with pytest.raises(AssertionError, match="mask-id index holds subtables not in storage"):
+    assert cache.subtable_count == 0 and cache._sub[st.mask_id] is st  # kept dead for revival
+    st.size = 1  # counted live, but out of storage
+    with pytest.raises(AssertionError, match="out of storage with size 1 and 0 hits"):
         cache.check_invariants()
-    del cache._sub[st.mask_id]
+    st.size = 0
     cache._idle[fid] = 10.0
     with pytest.raises(AssertionError, match="idle list holds a flow whose subtable is absent"):
+        cache.check_invariants()
+    del cache._idle[fid]
+    cache.mfc_lookup(hv(0b000), now=10.0)  # nothing live: a miss
+    cache.classify(hv(0b000), now=10.0)  # revives st, first in the search order
+    assert cache.subtables() == [st] and st.size == 1
+    cache.check_invariants()
+    cache._sub[st.mask_id] = replace(st)  # a stale copy in the index
+    with pytest.raises(AssertionError, match="subtable 0 not indexed by its mask id"):
         cache.check_invariants()
 
 
@@ -710,3 +736,161 @@ def test_snapshot_lines_format():
     assert len(lines) == 3
     assert lines[0].startswith("#0 mask=7 entries=2")
     assert "hits=" in lines[0]
+
+
+# -- ranking oracle -------------------------------------------------------------
+
+_dt = st.integers(0, 24).map(lambda k: k / 2)  # 0-12 s, with exact idle deadlines
+
+
+class RankingMachine(stateful.RuleBasedStateMachine):
+    """The cache's search order against a model that keeps its own by the ranking rules.
+
+    The model holds the search order as mask ids (index 0 probed first),
+    each subtable's hits in the current interval, the live flows' last
+    hits and the EMC's slots.  A new subtable goes first, `expire` drops
+    the emptied ones, and `rebalance` stable-sorts by the model's hits,
+    descending.  A batch is priced against the state at its start.
+    """
+
+    @stateful.initialize(
+        case=acl_and_headers(), emc_enabled=st.booleans(), emc_capacity=st.sampled_from([1, 8192])
+    )
+    def setup(self, case, emc_enabled, emc_capacity):
+        acl, headers = case
+        self.cache = FlowCache(acl, emc_enabled=emc_enabled, emc_capacity=emc_capacity)
+        self.pool = headers
+        self.now = 0.0
+        self.order: list[int] = []
+        self.hits: dict[int, int] = {}  # mask id -> hits this interval, for live subtables
+        self.last: dict[int, float] = {}  # live flow id -> last hit
+        self.header_of: dict[int, object] = {}  # flow id -> a header of that flow
+        self.emc: dict[int, int] = {}  # slot -> header bits
+
+    def _slot(self, h):
+        return header_hash64(h) % self.cache.emc.capacity
+
+    def _mask(self, fid):
+        return self.cache.table.mask_of[fid]
+
+    @stateful.rule(
+        picks=st.lists(st.tuples(st.integers(0, 24), st.integers(1, 4)), max_size=8), dt=_dt
+    )
+    def classify_batch(self, picks, dt):
+        self.now += dt
+        cache, emc_on = self.cache, self.cache.emc.enabled
+        runs = [(self.pool[i % len(self.pool)], n) for i, n in picks]
+        position = {mid: i + 1 for i, mid in enumerate(self.order)}  # at batch start
+        created, cost, new = [], 0.0, set()  # default costs: 1 a probe, 50 the slow path
+        for h, count in runs:
+            fid = cache.flow_id(h)
+            self.header_of.setdefault(fid, h)
+            if emc_on:
+                cost += 1.0
+                if self.emc.get(self._slot(h)) == h.bits:
+                    cost += count - 1
+                    continue
+                cost, count = cost + count - 1, 1
+            if fid in self.last and fid not in new:
+                self.hits[self._mask(fid)] += count
+                self.last[fid] = self.now
+                cost += count * position[self._mask(fid)]
+            else:
+                cost += count * (len(position) + 50.0)
+                if fid not in new:
+                    new.add(fid)
+                    mid = self._mask(fid)
+                    if mid not in self.hits:
+                        self.order.insert(0, mid)
+                        self.hits[mid] = 0
+                        created.append(mid)
+                    self.last[fid] = self.now
+            if emc_on:
+                self.emc[self._slot(h)] = h.bits
+        got = cache.classify_batch([(h, cache.flow_id(h), n) for h, n in runs], self.now)
+        assert (got.created_masks, got.total_cost) == (created, cost)
+
+    @stateful.rule(dt=_dt)
+    def expire(self, dt):
+        self.now += dt
+        old = {fid for fid, t in self.last.items() if t + self.cache.idle_timeout <= self.now}
+        for fid in old:
+            del self.last[fid]
+        emptied = set(self.hits) - {self._mask(fid) for fid in self.last}
+        self.order = [mid for mid in self.order if mid not in emptied]
+        for mid in emptied:
+            del self.hits[mid]
+        fids, mids = self.cache.expire(self.now)
+        assert (set(fids), set(mids)) == (old, emptied)
+
+    @stateful.rule(dt=_dt)
+    def rebalance(self, dt):
+        self.now += dt
+        self.order.sort(key=lambda mid: -self.hits[mid])
+        self.hits = dict.fromkeys(self.hits, 0)
+        self.cache.rebalance(self.now)
+
+    @stateful.rule(i=st.integers(0, 24), packets=st.integers(0, 5), dt=_dt)
+    def credit_hits(self, i, packets, dt):
+        self.now += dt
+        h = self.pool[i % len(self.pool)]
+        fid = self.cache.flow_id(h)
+        if packets > 0 and fid in self.last:
+            self.hits[self._mask(fid)] += packets
+            self.last[fid] = self.now
+        self.cache.credit_hits(h, packets, self.now)
+
+    @stateful.invariant()
+    def agrees_with_model(self):
+        cache = self.cache
+        cache.check_invariants()
+        assert [st.mask_id for st in cache.subtables()] == self.order
+        hits = [st.interval_hits for st in cache.subtables()]
+        assert hits == [self.hits[mid] for mid in self.order]
+        assert set(cache._idle) == set(self.last)
+        position = {mid: i + 1 for i, mid in enumerate(self.order)}
+        for fid in self.last:
+            h = self.header_of[fid]
+            if cache.emc.enabled and self.emc.get(self._slot(h)) == h.bits:
+                want = 1.0
+            else:
+                want = (1.0 if cache.emc.enabled else 0.0) + position[self._mask(fid)]
+            assert cache.probe_cost(h) == want
+        live = list(entries(cache))
+        for i, (k1, m1, _) in enumerate(live):
+            for k2, m2, _ in live[i + 1 :]:
+                assert not megaflows_overlap((k1, m1), (k2, m2))
+
+
+TestRanking = RankingMachine.TestCase
+TestRanking.settings = settings(max_examples=100, stateful_step_count=30, deadline=None)
+
+
+def test_ranking_of_a_subtable_revived_between_rebalances():
+    """Hit, expired, re-created and hit again, all in one interval: only the last hits count.
+
+    The engine never does this (10 s idle timeout, 1 s between rebalances),
+    but the API allows it, and the subtable goes on the hit list twice.
+    """
+    machine = RankingMachine()
+    acl = hyp_acl()
+    pool = [hv(0b001), hv(0b100), hv(0b010)]  # three megaflows, three masks
+    machine.setup((acl, pool), emc_enabled=False, emc_capacity=8192)
+    steps = [
+        (machine.classify_batch, dict(picks=[(0, 1), (1, 1), (2, 1)], dt=0.0)),
+        (machine.classify_batch, dict(picks=[(0, 4)], dt=1.0)),  # 001's subtable: 4 hits
+        (machine.credit_hits, dict(i=1, packets=2, dt=8.0)),  # 100's: 2 hits, refreshed at 9
+        (machine.credit_hits, dict(i=2, packets=1, dt=0.5)),  # 010's: 1 hit, refreshed at 9.5
+        (machine.expire, dict(dt=1.5)),  # at 11: 001's megaflow and subtable expire
+        (machine.classify_batch, dict(picks=[(0, 1)], dt=0.0)),  # re-created, first in order
+        (machine.classify_batch, dict(picks=[(0, 1)], dt=0.5)),  # hit again
+    ]
+    for step, args in steps:
+        step(**args)
+        machine.agrees_with_model()
+    cache = machine.cache
+    masks = [cache.table.mask_of[cache.flow_id(h)] for h in pool]
+    assert [st.mask_id for st in cache._hits].count(masks[0]) == 2
+    machine.rebalance(dt=0.0)
+    machine.agrees_with_model()
+    assert [st.mask_id for st in cache.subtables()] == [masks[1], masks[0], masks[2]]

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -179,6 +180,26 @@ def test_ip_helpers_roundtrip():
         ip_to_int("10.0.0")
     with pytest.raises(ValueError):
         ip_to_int("10.0.0.300")
+    assert ip_to_int("010.0.0.1") == ip_to_int("10.0.0.1")  # up to 3 digits, leading zeros too
+    bad = ["1_0.0.0.1", "+10.0.0.1", " 10.0.0.1", "10.0.0.1 ", "\u0661\u0660.0.0.1",
+           "10..0.1", "0010.0.0.1", "-1.0.0.0", "10.0.0.0x1", "\u00b2.0.0.1"]
+    for dotted in bad:
+        with pytest.raises(ValueError, match=re.escape(f"bad IPv4 address {dotted!r}")):
+            ip_to_int(dotted)
+    for value in (-1, 1 << 32):
+        with pytest.raises(ValueError, match=f"IPv4 value out of range: {value}"):
+            int_to_ip(value)
+
+
+def test_layout_and_builder_guards():
+    with pytest.raises(ValueError, match=r"duplicate field names in layout: \['a', 'a'\]"):
+        HeaderLayout((FieldSpec("a", 1), FieldSpec("a", 2)))
+    with pytest.raises(ValueError, match=r"unknown header fields: \['nope'\]"):
+        header(HYP, hyp=1, nope=0)
+    with pytest.raises(ValueError, match=r"unknown mask fields: \['nope'\]"):
+        mask(HYP, nope=1)
+    assert repr(header(HYP, hyp=5)) == "HeaderValue({'hyp': 5})"
+    assert repr(mask(ODD, b=3)) == "HeaderMask({'a': 0, 'b': 3, 'c': 0})"
 
 
 def test_custom_layout_packs_first_field_highest():

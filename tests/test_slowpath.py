@@ -14,6 +14,7 @@ from tsesim.headers import FIVE_TUPLE, HYP, apply_mask, header, ip_to_int  # noq
 from tsesim.slowpath import (  # noqa: E402
     Acl,
     Action,
+    FlowRule,
     format_acl_text,
     parse_acl_text,
     rule,
@@ -68,6 +69,19 @@ def test_validate_reports_duplicate_priority_and_width():
     # Both problems in one error, and no ACL whose too-wide value could spill into another field.
     with pytest.raises(ValueError, match="duplicate priorities.*exceeds field width"):
         Acl.from_rules(FIVE_TUPLE, rules)
+
+
+def test_validate_reports_acls_only_the_constructor_can_build():
+    """`Acl(...)` takes rules as given, unsorted and unchecked by `rule`; its own check catches these."""
+    with pytest.raises(ValueError, match=r"ACL invalid: \['empty ACL'\]"):
+        Acl(FIVE_TUPLE, ())
+    deny = rule(FIVE_TUPLE, 0, Action.DENY)
+    low, high = rule(FIVE_TUPLE, 1, Action.ALLOW, dport=80), rule(FIVE_TUPLE, 2, Action.ALLOW)
+    with pytest.raises(ValueError, match="rules not in descending priority order"):
+        Acl(FIVE_TUPLE, (low, high, deny))
+    bogus = FlowRule(5, (("vlan", 1),), Action.ALLOW)
+    with pytest.raises(ValueError, match="rule priority=5: unknown field 'vlan'"):
+        Acl(FIVE_TUPLE, (bogus, deny))
 
 
 def test_lookup_hyp():
