@@ -18,9 +18,9 @@ from typing import Iterator, Optional
 
 from .headers import (
     FIVE_TUPLE,
-    HeaderLayout,
     HeaderValue,
     LayoutMismatch,
+    decimal_int,
     header,
     int_to_ip,
     ip_to_int,
@@ -51,10 +51,13 @@ class UseCase(enum.Enum):
 
 @dataclass(frozen=True)
 class Trace:
-    """Ordered probe packets plus their on-wire size."""
+    """Ordered probe packets; building an empty one raises ValueError."""
 
     packets: tuple[HeaderValue, ...]
-    wire_bytes: int = DEFAULT_WIRE_BYTES
+
+    def __post_init__(self) -> None:
+        if not self.packets:
+            raise ValueError("trace is empty")
 
     def __len__(self) -> int:
         return len(self.packets)
@@ -148,10 +151,10 @@ def field_probe_values(width: int, allow_value: int) -> list[int]:
     return [allow_value] + [allow_value ^ (1 << (width - 1 - i)) for i in range(width)]
 
 
-def default_benign_fill(layout: HeaderLayout = FIVE_TUPLE) -> HeaderValue:
+def default_benign_fill() -> HeaderValue:
     """Filler for untargeted fields; matches no allow rule of the standard table."""
     return header(
-        layout,
+        FIVE_TUPLE,
         ip_src=ip_to_int("192.0.2.1"),
         ip_dst=ip_to_int("198.51.100.7"),
         proto=6,
@@ -172,7 +175,7 @@ def build_trace(
 ) -> Trace:
     """Cross product of per-field probes on packed ints; the last targeted field cycles fastest."""
     layout = acl.layout
-    fill = benign_fill if benign_fill is not None else default_benign_fill(layout)
+    fill = benign_fill if benign_fill is not None else default_benign_fill()
     if fill.layout != layout:
         raise LayoutMismatch("benign fill and ACL use different layouts")
     packed = [fill.bits]
@@ -200,8 +203,6 @@ def schedule_emissions(
     Each trace packet repeats `clone` times back to back; the trace position
     carries across sleep phases and wraps cyclically.
     """
-    if len(trace) == 0:
-        raise ValueError("trace is empty")
     if schedule.rate <= 0:
         return
     n = schedule.clone
@@ -216,15 +217,15 @@ def schedule_emissions(
         k += 1
 
 
-def average_rate(schedule: AttackSchedule, trace: Trace) -> tuple[float, float]:
-    """Duty-cycle-averaged (packets/second, bits/second on the wire)."""
+def average_rate(schedule: AttackSchedule) -> tuple[float, float]:
+    """Duty-cycle-averaged (packets/second, bits/second on the wire at DEFAULT_WIRE_BYTES)."""
     if schedule.rate == 0:
         return 0.0, 0.0
     if schedule.t_attack is None:
         pps = schedule.rate
     else:
         pps = schedule.rate * schedule.t_attack / (schedule.t_attack + schedule.t_sleep)
-    return pps, pps * trace.wire_bytes * 8
+    return pps, pps * DEFAULT_WIRE_BYTES * 8
 
 
 # --- the standard whitelist-plus-default-deny table -------------------------
@@ -234,33 +235,33 @@ ALLOW_IP_SRC = "10.0.0.1"
 ALLOW_SPORT = 12345
 
 
-def simple_acl(layout: HeaderLayout = FIVE_TUPLE) -> Acl:
+def simple_acl() -> Acl:
     """Reference four-rule table: three single-field allows over a deny-all."""
     return Acl.from_rules(
-        layout,
+        FIVE_TUPLE,
         [
-            rule(layout, 100, Action.ALLOW, dport=ALLOW_DPORT),
-            rule(layout, 99, Action.ALLOW, ip_src=ip_to_int(ALLOW_IP_SRC)),
-            rule(layout, 98, Action.ALLOW, sport=ALLOW_SPORT),
-            rule(layout, 0, Action.DENY),
+            rule(FIVE_TUPLE, 100, Action.ALLOW, dport=ALLOW_DPORT),
+            rule(FIVE_TUPLE, 99, Action.ALLOW, ip_src=ip_to_int(ALLOW_IP_SRC)),
+            rule(FIVE_TUPLE, 98, Action.ALLOW, sport=ALLOW_SPORT),
+            rule(FIVE_TUPLE, 0, Action.DENY),
         ],
     )
 
 
-def use_case_acl(use_case: UseCase, layout: HeaderLayout = FIVE_TUPLE) -> Acl:
+def use_case_acl(use_case: UseCase) -> Acl:
     """The subset of the standard table a use case probes, plus the catch-all."""
     keep = use_case.targeted_fields
     rules = [
         r
-        for r in simple_acl(layout).rules
+        for r in simple_acl().rules
         if r.is_catch_all or (len(r.matches) == 1 and r.matches[0][0] in keep)
     ]
-    return Acl.from_rules(layout, rules)
+    return Acl.from_rules(FIVE_TUPLE, rules)
 
 
 # --- trace files -------------------------------------------------------------
 #
-# One packet per line:
+# One packet per line, each <int> in decimal digits:
 #   t=<seconds> ip_src=<dotted> ip_dst=<dotted> proto=<int> sport=<int> dport=<int>
 
 
@@ -274,7 +275,7 @@ def format_trace_text(trace: Trace, rate: float = 1000.0) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_trace_text(text: str, layout: HeaderLayout = FIVE_TUPLE) -> Trace:
+def parse_trace_text(text: str) -> Trace:
     """One packet per line; an error names its line, and a key given twice is one."""
     packets = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -287,7 +288,7 @@ def parse_trace_text(text: str, layout: HeaderLayout = FIVE_TUPLE) -> Trace:
                 key, sep, raw = token.partition("=")
                 if not sep:
                     raise ValueError(f"bad token {token!r}")
-                parse = float if key == "t" else ip_to_int if key in IP_FIELDS else int
+                parse = float if key == "t" else ip_to_int if key in IP_FIELDS else decimal_int
                 try:
                     value = parse(raw)
                 except ValueError:
@@ -296,7 +297,7 @@ def parse_trace_text(text: str, layout: HeaderLayout = FIVE_TUPLE) -> Trace:
                     raise ValueError(f"{key} given twice")
                 fields[key] = value
             fields.pop("t", None)  # validated, not kept: timing comes from schedules
-            packets.append(header(layout, **fields))
+            packets.append(header(FIVE_TUPLE, **fields))
         except ValueError as e:
             raise ValueError(f"line {lineno}: {e}") from None
     return Trace(tuple(packets))
@@ -306,5 +307,5 @@ def save_trace(path: str | Path, trace: Trace, rate: float = 1000.0) -> None:
     Path(path).write_text(format_trace_text(trace, rate))
 
 
-def load_trace(path: str | Path, layout: HeaderLayout = FIVE_TUPLE) -> Trace:
-    return parse_trace_text(Path(path).read_text(), layout)
+def load_trace(path: str | Path) -> Trace:
+    return parse_trace_text(Path(path).read_text())

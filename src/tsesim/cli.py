@@ -9,9 +9,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .attack import (
     AttackSchedule,
@@ -39,16 +39,33 @@ from .headers import FIVE_TUPLE
 from .slowpath import load_acl
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
-@dataclass
+# Field annotation -> (accepted types, name in messages, flag keywords); a bool is no number.
+_FIELD_TYPES = {
+    "bool": ((bool,), "true or false", {"action": argparse.BooleanOptionalAction}),
+    "int": ((int,), "an integer", {"type": int}),
+    "float": ((int, float), "a finite number", {"type": float}),
+    "str": ((str,), "a string", {}),
+    "Optional[str]": ((str, type(None)), "a string or null", {}),
+}
+
+# What `sweep` runs with where neither the config file nor a flag gives the key.
+SWEEP_DEFAULTS = {"tse": "2.1", "duration": 45.0}
+
+
+@dataclass(frozen=True)
 class Scenario:
-    use_case: str = "sip_sp_dp"
+    """One run's inputs; each field is a config key and a flag, `choices` in its metadata."""
+
+    use_case: str = field(
+        default="sip_sp_dp", metadata={"choices": tuple(u.value for u in UseCase)}
+    )
     acl: Optional[str] = None
     trace: Optional[str] = None
-    tse: str = "1.0"
+    tse: str = field(default="1.0", metadata={"choices": ("1.0", "2.0", "2.1")})
     rate: float = 1000.0
     t_attack: float = 10.0
     t_sleep: float = 2.0
@@ -63,6 +80,25 @@ class Scenario:
     eps_down: float = 0.01
     eps_up: float = 0.05
     out: str = ""  # not given: gen-trace writes <use_case>.trace, run out/, sweep no CSV
+
+    def __post_init__(self) -> None:
+        """Raise ConfigError naming a bad value, or ValueError from the schedule or SimConfig."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            types, kind, _ = _FIELD_TYPES[f.type]
+            bad = not isinstance(value, types) or (isinstance(value, bool) and bool not in types)
+            if bad or (isinstance(value, float) and not math.isfinite(value)):
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+            if "choices" in f.metadata and value not in f.metadata["choices"]:
+                raise ConfigError(f"{f.name} must be one of {f.metadata['choices']}")
+        if self.rate < 0 or self.duration <= 0 or self.cores < 1:
+            raise ConfigError("rate must be >= 0, duration > 0, cores >= 1")
+        if self.rate > 0 and self.attack_start > self.duration:
+            raise ConfigError("attack_start must not exceed duration")
+        if self.victim_flows < 0:
+            raise ConfigError("victim_flows must be >= 0")
+        self.sim_config()
+        self.schedule()
 
     def schedule(self) -> AttackSchedule:
         if self.tse == "1.0":
@@ -90,27 +126,6 @@ class Scenario:
         )
 
 
-_SCENARIO_FIELDS = {f.name: f for f in fields(Scenario)}
-_VALID_TSE = ("1.0", "2.0", "2.1")
-_VALID_USE_CASES = tuple(u.value for u in UseCase)
-
-# Scenario field annotation -> (accepted types, name in messages); a bool is no number.
-_FIELD_TYPES = {
-    "bool": ((bool,), "true or false"),
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a finite number"),
-    "str": ((str,), "a string"),
-    "Optional[str]": ((str, type(None)), "a string or null"),
-}
-
-
-def _check_value(key: str, value) -> None:
-    types, kind = _FIELD_TYPES[_SCENARIO_FIELDS[key].type]
-    bad_type = not isinstance(value, types) or (isinstance(value, bool) and bool not in types)
-    if bad_type or (isinstance(value, float) and not math.isfinite(value)):
-        raise ConfigError(f"{key} must be {kind}, got {value!r}")
-
-
 def _read_config(config_path: str) -> dict:
     try:
         loaded = json.loads(Path(config_path).read_text())
@@ -123,29 +138,16 @@ def _read_config(config_path: str) -> dict:
     return loaded
 
 
-def parse_config(config_path: Optional[str], overrides: dict) -> Scenario:
-    """File values first, flags on top; a bad key or value is a ConfigError naming it."""
-    values = _read_config(config_path) if config_path else {}
+def parse_config(config_path: Optional[str], overrides: dict, defaults: Mapping = {}) -> Scenario:
+    """Defaults, file values, then non-None overrides, each over the last; raises ValueError."""
+    values = {**defaults, **(_read_config(config_path) if config_path else {})}
     values.update({k: v for k, v in overrides.items() if v is not None})
-    for key, value in values.items():
-        if key not in _SCENARIO_FIELDS:
-            raise ConfigError(f"unknown config key: {key!r}")
-        _check_value(key, value)
+    if unknown := [k for k in values if k not in {f.name for f in fields(Scenario)}]:
+        raise ConfigError(f"unknown config key: {unknown[0]!r}")
     scenario = Scenario(**values)
-    if scenario.tse not in _VALID_TSE:
-        raise ConfigError(f"tse must be one of {_VALID_TSE}")
-    if scenario.use_case not in _VALID_USE_CASES:
-        raise ConfigError(f"use_case must be one of {_VALID_USE_CASES}")
-    if scenario.rate < 0 or scenario.duration <= 0 or scenario.cores < 1:
-        raise ConfigError("rate must be >= 0, duration > 0, cores >= 1")
-    if scenario.rate > 0 and scenario.attack_start > scenario.duration:
-        raise ConfigError("attack_start must not exceed duration")
-    if scenario.victim_flows < 0:
-        raise ConfigError("victim_flows must be >= 0")
-    if scenario.acl is not None and not Path(scenario.acl).exists():
-        raise ConfigError(f"ACL file not found: {scenario.acl}")
-    if scenario.trace is not None and not Path(scenario.trace).exists():
-        raise ConfigError(f"trace file not found: {scenario.trace}")
+    for path, what in ((scenario.acl, "ACL"), (scenario.trace, "trace")):
+        if path is not None and not Path(path).exists():
+            raise ConfigError(f"{what} file not found: {path}")
     return scenario
 
 
@@ -175,7 +177,7 @@ def cmd_gen_trace(scenario: Scenario) -> int:
 
 
 def cmd_run(scenario: Scenario) -> int:
-    config = scenario.sim_config()  # checked before any input is built
+    config = scenario.sim_config()
     schedule = scenario.schedule()
     acl, trace, victims = _load_scenario_parts(scenario)
     result = run(config, acl, [(trace, schedule)], victims)
@@ -184,7 +186,7 @@ def cmd_run(scenario: Scenario) -> int:
     (out_dir / "series.csv").write_text(series_to_csv(result.series))
     (out_dir / "metrics.txt").write_text(metrics_to_lines(result.metrics))
     (out_dir / "cachemap.csv").write_text(cachemap_to_csv(result.frames))
-    pps, bps = average_rate(schedule, trace)
+    pps, bps = average_rate(schedule)
     print(
         f"run complete: {len(trace)} trace packets, {result.masks_total} distinct masks, "
         f"avg attack rate {pps:.1f} pps ({bps / 1000:.0f} kbps), "
@@ -234,7 +236,7 @@ def cmd_render_map(path: str) -> int:
 
 
 def cmd_sweep(scenario: Scenario, cores_list: list[int], rates_list: list[float]) -> int:
-    base = scenario.sim_config(build_cache_map=False)  # checked before any input is built
+    base = scenario.sim_config(build_cache_map=False)
     schedules = [replace(scenario, rate=rate).schedule() for rate in rates_list]
     # Attack-phase seconds after the first full cycle and a 2 s margin; the
     # phase pattern is the same at every rate.
@@ -275,39 +277,24 @@ def cmd_sweep(scenario: Scenario, cores_list: list[int], rates_list: list[float]
     return 0
 
 
+_HELP = {
+    "acl": "ACL file (line format); default is the built-in table",
+    "trace": "replay this trace file instead of generating one",
+    "tse": "attack variant (default 1.0; sweep 2.1)",
+    "rate": "attack rate in packets/second",
+    "t_attack": "attack phase seconds",
+    "t_sleep": "sleep phase seconds",
+    "out": "output file (gen-trace: default <use-case>.trace; sweep: default none) or "
+           "directory (run: default out)",
+}
+
+
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
+    """`--config`, then one flag per Scenario field, typed and limited as the field is."""
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--use-case", dest="use_case", choices=_VALID_USE_CASES)
-    p.add_argument("--acl", help="ACL file (line format); default is the built-in table")
-    p.add_argument("--trace", help="replay this trace file instead of generating one")
-    p.add_argument("--tse", choices=_VALID_TSE, help="attack variant (default 1.0; sweep 2.1)")
-    p.add_argument("--rate", type=float, help="attack rate in packets/second")
-    p.add_argument("--t-attack", dest="t_attack", type=float, help="attack phase seconds")
-    p.add_argument("--t-sleep", dest="t_sleep", type=float, help="sleep phase seconds")
-    p.add_argument("--attack-start", dest="attack_start", type=float)
-    p.add_argument("--cores", type=int)
-    p.add_argument("--duration", type=float)
-    p.add_argument("--budget-per-core", dest="budget_per_core", type=float)
-    p.add_argument("--victim-offered", dest="victim_offered", type=float)
-    p.add_argument("--victim-flows", dest="victim_flows", type=int)
-    p.add_argument("--emc", dest="emc", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--tick", type=float)
-    p.add_argument("--eps-down", dest="eps_down", type=float)
-    p.add_argument("--eps-up", dest="eps_up", type=float)
-    p.add_argument("--out", help="output file (gen-trace: default <use-case>.trace; sweep: "
-                   "default none) or directory (run: default out)")
-
-
-def _scenario_from_args(args: argparse.Namespace) -> Scenario:
-    overrides = {
-        name: getattr(args, name, None) for name in _SCENARIO_FIELDS if hasattr(args, name)
-    }
-    if args.command == "sweep":  # its defaults, for keys neither a flag nor the file gives
-        in_file = _read_config(args.config) if args.config else {}
-        for key, value in (("tse", "2.1"), ("duration", 45.0)):
-            if overrides[key] is None and key not in in_file:
-                overrides[key] = value
-    return parse_config(args.config, overrides)
+    for f in fields(Scenario):  # a field's metadata holds its `choices`
+        p.add_argument("--" + f.name.replace("_", "-"), help=_HELP.get(f.name),
+                       **f.metadata, **_FIELD_TYPES[f.type][2])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -333,14 +320,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "gen-trace":
-            return cmd_gen_trace(_scenario_from_args(args))
-        if args.command == "run":
-            return cmd_run(_scenario_from_args(args))
         if args.command == "render-map":
             return cmd_render_map(args.csv)
+        flags = {f.name: getattr(args, f.name) for f in fields(Scenario)}
+        defaults = SWEEP_DEFAULTS if args.command == "sweep" else {}
+        scenario = parse_config(args.config, flags, defaults)
+        if args.command == "gen-trace":
+            return cmd_gen_trace(scenario)
+        if args.command == "run":
+            return cmd_run(scenario)
         # The subparsers are required, so what is left is "sweep".
-        scenario = _scenario_from_args(args)
         cores_list = _parse_list("--cores-list", args.cores_list, int)
         rates_list = _parse_list("--rates-list", args.rates_list, float)
         if not cores_list or not rates_list:
@@ -348,7 +337,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if min(cores_list) < 1:
             raise ConfigError(f"--cores-list: cores must be >= 1, got {min(cores_list)}")
         return cmd_sweep(scenario, cores_list, rates_list)
-    except (ConfigError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

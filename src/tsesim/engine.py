@@ -44,6 +44,7 @@ VICTIM_IP_B = "198.51.100.7"
 VICTIM_PROTO = 17  # victim runs over UDP; probe fill uses TCP
 VICTIM_PORT_A = 40001
 VICTIM_PORT_B = 5201
+VICTIM_PRIORITY = 1000  # the first victim flow's rule; each next flow's is one lower
 
 
 @dataclass(frozen=True)
@@ -144,17 +145,16 @@ def compute_goodput_fraction(
     budget_units: float,
     attacker_demand_units: float,
     victim_demand_units: float,
-    floor: float = 1e-3,
 ) -> float:
     """Attacker demand is served first; the victim gets the leftover.
 
-    The victim never drops below the guaranteed floor fraction, so its
-    subtable keeps accruing ranking credit even under full saturation.
+    The victim never drops below GOODPUT_FLOOR, so its subtable keeps
+    accruing ranking credit even under full saturation.
     """
     if victim_demand_units <= 0:
         return 1.0
     fraction = (budget_units - attacker_demand_units) / victim_demand_units
-    return min(1.0, max(floor, fraction))
+    return min(1.0, max(GOODPUT_FLOOR, fraction))
 
 
 def victim_cost_probe(cache: FlowCache, victim_headers: Sequence[HeaderValue]) -> float:
@@ -172,6 +172,8 @@ def victim_cost_probe(cache: FlowCache, victim_headers: Sequence[HeaderValue]) -
 # A recovery counts as sustained when the condition holds from some second t
 # through at least t+2, i.e. spans two full seconds of samples.
 SUSTAIN_SPAN_S = 2
+# The victim's goodput fraction never drops below this, even under full saturation.
+GOODPUT_FLOOR = 1e-3
 
 
 def metrics_extract(
@@ -229,7 +231,7 @@ def victim_flow_headers(layout: HeaderLayout = FIVE_TUPLE, count: int = 2) -> li
     return flows
 
 
-def victim_allow_rules(flows: Sequence[HeaderValue], base_priority: int = 1000) -> list:
+def victim_allow_rules(flows: Sequence[HeaderValue]) -> list:
     """Exact allow rules for the victim flows, keyed on destination and ports.
 
     The source address stays wildcarded: every probe packet then charges the
@@ -242,7 +244,7 @@ def victim_allow_rules(flows: Sequence[HeaderValue], base_priority: int = 1000) 
         rules.append(
             rule(
                 h.layout,
-                base_priority - i,
+                VICTIM_PRIORITY - i,
                 Action.ALLOW,
                 ip_dst=h.get("ip_dst"),
                 proto=h.get("proto"),
@@ -300,8 +302,6 @@ class _Emitter:
     """
 
     def __init__(self, compiled: MaskBatches, schedule: AttackSchedule, horizon: float):
-        if not compiled.headers:
-            raise ValueError("trace is empty")
         self.schedule = schedule
         self.headers = compiled.headers
         self.flow_ids = compiled.flow_ids

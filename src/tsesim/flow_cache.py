@@ -185,7 +185,8 @@ class FlowCache:
 
     Megaflows expire after `idle_timeout` idle seconds, fixed at 10 s as in
     Open vSwitch.  An instance expects one mutator at a time; run distinct
-    instances for parallel experiments.
+    instances for parallel experiments.  A method given a time `now` earlier
+    than one already given raises ValueError.
     """
 
     idle_timeout = 10.0
@@ -281,6 +282,7 @@ class FlowCache:
         prefix up to the highest removed subtable is renumbered; expired
         subtables have gone unhit, so they rank last and sit low in storage.
         """
+        self._advance(now)
         removed_entries: list[int] = []
         removed_masks: list[int] = []
         idle, sub = self._idle, self._sub
@@ -316,6 +318,7 @@ class FlowCache:
         they are; only the other runs and the hit subtables are renumbered.
         Costs O(hit subtables + subtables renumbered).
         """
+        self._advance(now)
         hit = [st for st in dict.fromkeys(self._hits) if st.interval_hits]
         self._hits.clear()
         if not hit:
@@ -371,8 +374,7 @@ class FlowCache:
         visible within the batch) with one install.  A run is charged
         count x its per-packet price; with integer-valued cost knobs, as the
         defaults and every calibration in use are, that equals the
-        per-packet sum exactly.  Raises ValueError if `now` is earlier than
-        a time already passed to `classify_batch`, `warm` or `credit_hits`.
+        per-packet sum exactly.
         """
         self._advance(now)
         return self._price_runs(runs, now)

@@ -187,21 +187,22 @@ HYP = HeaderLayout((FieldSpec("hyp", 3),))
 IP_FIELDS = ("ip_src", "ip_dst")
 
 
-def ip_to_int(dotted: str) -> int:
-    """A dotted quad's value: four octets of 1-3 ASCII decimal digits, each at most 255.
+def decimal_int(raw: str) -> int:
+    """The value of a string of ASCII decimal digits; `int` would also take "+2", "1_0" or " 2"."""
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"not decimal digits: {raw!r}")
+    return int(raw)
 
-    `int` alone would also take signs, underscores, whitespace and non-ASCII
-    digits, so "+10.0.0.1" or "1_0.0.0.1" would load as 10.0.0.1.
-    """
+
+def ip_to_int(dotted: str) -> int:
+    """A dotted quad's value: four octets of 1-3 decimal digits, each at most 255."""
     parts = dotted.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"bad IPv4 address {dotted!r}")
-    out = 0
-    for p in parts:
-        if not (0 < len(p) <= 3 and p.isascii() and p.isdigit() and int(p) <= 255):
-            raise ValueError(f"bad IPv4 address {dotted!r}")
-        out = (out << 8) | int(p)
-    return out
+    try:
+        if len(parts) == 4 and all(len(p) <= 3 for p in parts):
+            return int.from_bytes(bytes(map(decimal_int, parts)), "big")
+    except ValueError:  # not digits, or an octet above 255
+        pass
+    raise ValueError(f"bad IPv4 address {dotted!r}")
 
 
 def int_to_ip(value: int) -> str:

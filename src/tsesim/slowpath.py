@@ -22,6 +22,7 @@ from .headers import (
     HeaderMask,
     HeaderValue,
     MaskedKey,
+    decimal_int,
     int_to_ip,
     ip_to_int,
     mask,
@@ -169,13 +170,8 @@ def megaflow_mask(bits: int, acl: Acl) -> tuple[int, FlowRule]:
 # --- line-oriented text format -------------------------------------------
 #
 # One rule per line: "priority=<int> [field=<value>]* action=<allow|deny>".
-# Absent fields are wildcards; ip fields use dotted-quad values.
-
-
-def _parse_value(layout: HeaderLayout, name: str, raw: str) -> int:
-    if name in IP_FIELDS and "." in raw:
-        return ip_to_int(raw)
-    return int(raw, 0)
+# Absent fields are wildcards; values are decimal digits, and ip fields may
+# also take dotted quads.
 
 
 def parse_acl_text(layout: HeaderLayout, text: str) -> Acl:
@@ -196,11 +192,13 @@ def parse_acl_text(layout: HeaderLayout, text: str) -> Acl:
                 raise ValueError(f"line {lineno}: unknown field {key!r}")
             try:
                 if key == "priority":
-                    priority = int(raw)
+                    priority = decimal_int(raw)
                 elif key == "action":
                     action = Action(raw)
+                elif key in IP_FIELDS and "." in raw:
+                    matches[key] = ip_to_int(raw)
                 else:
-                    matches[key] = _parse_value(layout, key, raw)
+                    matches[key] = decimal_int(raw)
             except ValueError:
                 raise ValueError(f"line {lineno}: bad {key} value {raw!r}") from None
             if key in matches and not 0 <= matches[key] <= layout.slot(key)[1]:

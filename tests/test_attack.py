@@ -207,12 +207,11 @@ def test_emissions_deterministic():
 
 
 def test_average_rate():
-    trace = build_trace(UseCase.DP, use_case_acl(UseCase.DP))
-    pps, bps = average_rate(AttackSchedule(rate=1000), trace)
+    pps, bps = average_rate(AttackSchedule(rate=1000))
     assert (pps, bps) == (1000, 672_000)
-    pps, _ = average_rate(AttackSchedule(rate=1000, t_attack=10.0, t_sleep=2.0), trace)
+    pps, _ = average_rate(AttackSchedule(rate=1000, t_attack=10.0, t_sleep=2.0))
     assert pps == pytest.approx(1000 * 10 / 12)
-    assert average_rate(AttackSchedule(rate=0), trace) == (0.0, 0.0)
+    assert average_rate(AttackSchedule(rate=0)) == (0.0, 0.0)
 
 
 def test_dp_replay_spawns_16_masks():
@@ -266,6 +265,13 @@ def test_trace_text_rejects_bad_lines():
     good = format_trace_text(Trace((default_benign_fill(),)))
     with pytest.raises(ValueError, match="^line 4: sport given twice$"):
         parse_trace_text(f"# probes\n{good}\n{good.strip()} sport=1\n")
+
+
+def test_an_empty_trace_cannot_be_built():
+    with pytest.raises(ValueError, match="^trace is empty$"):
+        Trace(())
+    with pytest.raises(ValueError, match="^trace is empty$"):
+        parse_trace_text("# no packets\n")
 
 
 def test_schedule_validation():

@@ -1,10 +1,11 @@
+import argparse
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from tsesim.cli import ConfigError, main, parse_config, render_cache_map
+from tsesim.cli import ConfigError, Scenario, main, parse_config, render_cache_map
 from tsesim.engine import SERIES_CSV_HEADER
 
 
@@ -103,6 +104,19 @@ GOOD_PACKET = "t=0 ip_src=10.0.0.1 ip_dst=198.51.100.7 proto=6 sport=1 dport=2"
             )
             for kind, ip in (("underscore", "1_0.0.0.1"), ("sign", "+10.0.0.1"),
                              ("arabic-indic", "\u0661\u0660.0.0.1"))
+        ),
+        pytest.param("--trace", GOOD_PACKET.replace("sport=1", "sport=1_0"),
+                     "bad sport value '1_0'", id="trace-int-underscore"),
+        pytest.param("--trace", GOOD_PACKET.replace("dport=2", "dport=+2"),
+                     "bad dport value '+2'", id="trace-int-sign"),
+        *(
+            pytest.param("--acl", f"{rule} action=allow\npriority=0 action=deny",
+                         f"bad {key} value {raw!r}", id=f"acl-{name}")
+            for name, rule, key, raw in (
+                ("priority-underscore", "priority=1_0 dport=80", "priority", "1_0"),
+                ("int-underscore", "priority=1 dport=8_0", "dport", "8_0"),
+                ("int-hex", "priority=1 dport=0x50", "dport", "0x50"),
+            )
         ),
     ],
 )
@@ -663,3 +677,67 @@ def test_guarded_input_exits_2_with_one_line(args, message, tmp_path, capsys):
     assert main(args) == 2
     assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"tse": "9"}, "tse must be one of ('1.0', '2.0', '2.1')"),
+        ({"emc": "no"}, "emc must be true or false, got 'no'"),
+        ({"victim_flows": -1}, "victim_flows must be >= 0"),
+        ({"tick": 0.3}, "tick must divide 1.0 exactly"),
+        ({"attack_start": -1}, "attack start must be >= 0, got -1"),
+    ],
+)
+def test_a_scenario_is_checked_when_built(values, message, tmp_path, monkeypatch, capsys):
+    """`Scenario(**mapping)` raises what `tsesim run --config` prints for the same mapping."""
+    with pytest.raises(ValueError) as built:
+        Scenario(**values)
+    assert str(built.value) == message
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(values))
+    assert main(["run", "--config", "cfg.json"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_every_scenario_field_checks_its_type():
+    for f in fields(Scenario):
+        with pytest.raises(ConfigError, match=f"^{f.name} must be "):
+            Scenario(**{f.name: object()})
+
+
+def test_gen_trace_rejects_a_scenario_run_would_reject(tmp_path, capsys):
+    flags = ["--use-case", "dp", "--attack-start", "1", "--duration", "2.5"]
+    message = "error: duration must be a whole number of seconds, got 2.5\n"
+    for command in ("gen-trace", "run"):
+        out = tmp_path / command
+        assert main([command, *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+
+def test_scenario_commands_take_one_flag_per_field(monkeypatch):
+    """`--config`, then each Scenario field as a flag of its own type and choices."""
+    parsers = []
+
+    def capture(parser, args=None, namespace=None):
+        parsers.append(parser)
+        raise LookupError("parsers captured")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+    with pytest.raises(LookupError):
+        main([])
+    (commands,) = [a.choices for a in parsers[0]._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    kinds = {"bool": argparse.BooleanOptionalAction, "int": int, "float": float,
+             "str": None, "Optional[str]": None}
+    for name, extra in (("gen-trace", []), ("run", []), ("sweep", ["cores_list", "rates_list"])):
+        actions = [a for a in commands[name]._actions if a.dest != "help"]
+        assert [a.dest for a in actions] == ["config"] + [f.name for f in fields(Scenario)] + extra
+        for f, a in zip(fields(Scenario), actions[1:]):
+            flag = "--" + f.name.replace("_", "-")
+            if f.type == "bool":
+                assert isinstance(a, kinds["bool"]) and a.option_strings == [flag, "--no-emc"]
+            else:
+                assert a.type is kinds[f.type] and a.option_strings == [flag]
+            assert a.choices == f.metadata.get("choices")

@@ -1,5 +1,4 @@
 import functools
-import inspect
 import sys
 from pathlib import Path
 
@@ -17,6 +16,7 @@ from tsesim.attack import (  # noqa: E402
     schedule_emissions,
 )
 from tsesim.engine import (  # noqa: E402
+    GOODPUT_FLOOR,
     CacheMapFrame,
     MaskBatches,
     Metrics,
@@ -274,7 +274,6 @@ def test_run_budget_accounting():
     records = run(cfg, acl, [(trace, sched)], victims).ticks
     assert len(records) == 120
     budget = cfg.cores * cfg.budget_per_core * cfg.tick
-    floor = inspect.signature(compute_goodput_fraction).parameters["floor"].default
     one_packet = max(r.batch.total_cost for r in records) / 100 + 1
     for r in records:
         attacker_demand = r.batch.total_cost
@@ -282,7 +281,7 @@ def test_run_budget_accounting():
         assert r.fraction == compute_goodput_fraction(budget, attacker_demand, victim_demand)
         attacker_consumed = min(attacker_demand, budget)
         assert attacker_consumed <= budget + 1e-6
-        if r.fraction > floor:
+        if r.fraction > GOODPUT_FLOOR:
             assert attacker_consumed + r.fraction * victim_demand <= budget + one_packet
 
 

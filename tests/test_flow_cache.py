@@ -592,6 +592,8 @@ STAMPING = {
     "classify_batch": lambda cache, h, now: cache.classify_batch([(h, cache.flow_id(h), 1)], now),
     "warm": lambda cache, h, now: cache.warm([h], now),
     "credit_hits": lambda cache, h, now: cache.credit_hits(h, 1, now),
+    "expire": lambda cache, h, now: cache.expire(now),
+    "rebalance": lambda cache, h, now: cache.rebalance(now),
 }
 
 

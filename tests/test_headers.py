@@ -17,6 +17,7 @@ from tsesim.headers import (
     LayoutMismatch,
     MaskedKey,
     apply_mask,
+    decimal_int,
     header,
     header_hash64,
     int_to_ip,
@@ -189,6 +190,14 @@ def test_ip_helpers_roundtrip():
     for value in (-1, 1 << 32):
         with pytest.raises(ValueError, match=f"IPv4 value out of range: {value}"):
             int_to_ip(value)
+
+
+def test_decimal_int_takes_ascii_digits_only():
+    for raw, value in (("0", 0), ("007", 7), ("65535", 65535)):
+        assert decimal_int(raw) == value
+    for raw in ("", "+1", "-1", "1_0", " 1", "1 ", "0x50", "1.0", "\u0661", "\u00b2"):
+        with pytest.raises(ValueError, match=re.escape(f"not decimal digits: {raw!r}")):
+            decimal_int(raw)
 
 
 def test_layout_and_builder_guards():
