@@ -1,15 +1,6 @@
 """Tuple-space flow-cache simulator and probe-trace toolkit."""
 
-from .headers import (
-    FIVE_TUPLE,
-    HYP,
-    FieldSpec,
-    HeaderLayout,
-    HeaderMask,
-    HeaderValue,
-    MaskedKey,
-    apply_mask,
-)
+from .headers import FIVE_TUPLE, HYP, FieldSpec, HeaderLayout, HeaderValue
 from .slowpath import Acl, Action, FlowRule, slowpath_lookup, synthesize_megaflow, validate_acl
 from .flow_cache import CostModel, EmcCache, FlowCache, FlowTable
 from .attack import (
@@ -36,12 +27,11 @@ from .engine import (
 )
 
 __all__ = [
-    "FIVE_TUPLE", "HYP", "FieldSpec", "HeaderLayout", "HeaderMask", "HeaderValue", "MaskedKey",
-    "apply_mask", "Acl", "Action", "FlowRule", "slowpath_lookup", "synthesize_megaflow",
-    "validate_acl", "CostModel", "EmcCache", "FlowCache", "FlowTable", "AttackSchedule", "Trace",
-    "UseCase", "average_rate", "build_trace", "clone_factor", "field_probe_values",
-    "schedule_emissions", "simple_acl", "use_case_acl", "Metrics", "SimConfig",
-    "compute_goodput_fraction", "metrics_extract", "run", "scenario_acl", "victim_cost_probe",
-    "victim_flow_headers",
+    "FIVE_TUPLE", "HYP", "FieldSpec", "HeaderLayout", "HeaderValue", "Acl", "Action", "FlowRule",
+    "slowpath_lookup", "synthesize_megaflow", "validate_acl", "CostModel", "EmcCache", "FlowCache",
+    "FlowTable", "AttackSchedule", "Trace", "UseCase", "average_rate", "build_trace",
+    "clone_factor", "field_probe_values", "schedule_emissions", "simple_acl", "use_case_acl",
+    "Metrics", "SimConfig", "compute_goodput_fraction", "metrics_extract", "run", "scenario_acl",
+    "victim_cost_probe", "victim_flow_headers",
 ]
 __version__ = "0.1.0"

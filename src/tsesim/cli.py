@@ -26,6 +26,7 @@ from .attack import (
 from .engine import (
     DEFAULT_BUDGET_PER_CORE,
     DEFAULT_VICTIM_OFFERED,
+    MAX_VICTIM_FLOWS,
     MaskBatches,
     SimConfig,
     cachemap_to_csv,
@@ -97,6 +98,10 @@ class Scenario:
             raise ConfigError("attack_start must not exceed duration")
         if self.victim_flows < 0:
             raise ConfigError("victim_flows must be >= 0")
+        if self.victim_flows > MAX_VICTIM_FLOWS:
+            raise ConfigError(
+                f"victim_flows must be <= {MAX_VICTIM_FLOWS}, got {self.victim_flows}"
+            )
         self.sim_config()
         self.schedule()
 
@@ -237,7 +242,12 @@ def cmd_render_map(path: str) -> int:
 
 def cmd_sweep(scenario: Scenario, cores_list: list[int], rates_list: list[float]) -> int:
     base = scenario.sim_config(build_cache_map=False)
-    schedules = [replace(scenario, rate=rate).schedule() for rate in rates_list]
+    schedules = []
+    for rate in rates_list:
+        try:
+            schedules.append(replace(scenario, rate=rate).schedule())
+        except ValueError as e:
+            raise ConfigError(f"--rates-list {rate:g}: {e}") from None
     # Attack-phase seconds after the first full cycle and a 2 s margin; the
     # phase pattern is the same at every rate.
     steady_start = scenario.attack_start + scenario.t_attack + scenario.t_sleep + 2

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .attack import AttackSchedule, Trace, use_case_acl, UseCase
+from .attack import AttackSchedule, Trace, simple_acl, use_case_acl, UseCase
 from .flow_cache import BatchResult, FlowCache, FlowTable
 from .headers import (
     FIVE_TUPLE,
@@ -45,6 +45,8 @@ VICTIM_PROTO = 17  # victim runs over UDP; probe fill uses TCP
 VICTIM_PORT_A = 40001
 VICTIM_PORT_B = 5201
 VICTIM_PRIORITY = 1000  # the first victim flow's rule; each next flow's is one lower
+# Victim flow i's rule has priority VICTIM_PRIORITY - i, which must stay above every use-case rule.
+MAX_VICTIM_FLOWS = VICTIM_PRIORITY - max(r.priority for r in simple_acl().rules)
 
 
 @dataclass(frozen=True)

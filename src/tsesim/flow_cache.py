@@ -29,8 +29,8 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .headers import HeaderMask, HeaderValue, header_hash64
-# synthesize_megaflow, the object form of megaflow_mask, stays here for tracers to wrap.
+from .headers import HeaderValue, header_hash64
+# No path here calls synthesize_megaflow; tracers look it up in this module by name.
 from .slowpath import Acl, Action, megaflow_mask, synthesize_megaflow  # noqa: F401
 
 
@@ -88,7 +88,7 @@ class FlowTable:
     """One ACL's megaflows: an int id per distinct (mask, key) and per mask, in first-sight order.
 
     The table holds ints only: mask id, key bits and action per flow id, and
-    mask bits per mask id; `mask` builds a mask id's `HeaderMask` on request.
+    mask bits per mask id.
     Synthesis depends only on the ACL and the header, so all caches and runs
     on one ACL object share its table (`of`) and synthesize a header once.
     No output depends on the ids, so none depends on what was interned before.
@@ -103,7 +103,6 @@ class FlowTable:
         self.mask_ids: dict[int, int] = {}  # mask bits -> mask id
         self._flow_ids: dict[tuple[int, int], int] = {}  # (mask bits, key bits) -> flow id
         self._of_header: dict[int, int] = {}  # header bits (of the ACL's layout) -> flow id
-        self._masks: dict[int, HeaderMask] = {}  # mask id -> its object, once asked for
 
     @staticmethod
     def of(acl: Acl) -> FlowTable:
@@ -143,25 +142,14 @@ class FlowTable:
             raise ValueError(f"megaflow {key_bits:#x}/{mask_bits:#x} already has action {had}")
         return fid
 
-    def mask(self, mid: int) -> HeaderMask:
-        m = self._masks.get(mid)
-        if m is None:
-            m = self._masks[mid] = HeaderMask(self.acl.layout, self.mask_bits[mid])
-        return m
-
 
 @dataclass(eq=False)
 class Subtable:
-    table: FlowTable = field(repr=False)
     mask_id: int
     size: int = 0  # live megaflows with this mask
     interval_hits: int = 0
     # While live: index in FlowCache._rev plus the cache's position offset.
     pos: int = 0
-
-    @property
-    def mask(self) -> HeaderMask:
-        return self.table.mask(self.mask_id)
 
 
 _by_pos = operator.attrgetter("pos")
@@ -262,7 +250,7 @@ class FlowCache:
         mid = self.table.mask_of[fid]
         st = self._sub.get(mid)
         if st is None:
-            st = self._sub[mid] = Subtable(self.table, mid)
+            st = self._sub[mid] = Subtable(mid)
         created = not st.size
         if created:
             st.pos = len(self._rev) + self._pos_offset
@@ -498,12 +486,15 @@ class FlowCache:
         require(all(a <= b for a, b in zip(hits, hits[1:])), "idle list is out of last-hit order")
 
     def snapshot_lines(self) -> list[str]:
-        """Search-order dump: one line per subtable with mask, size and hits."""
+        """Search-order dump: one line per subtable with mask, size and hits.
+
+        The mask prints per field in layout order, each as hex of its width.
+        """
+        layout = self.table.acl.layout
+        columns = [(layout.slot(f.name), f"0{(f.width + 3) // 4}x") for f in layout.fields]
         lines = []
         for i, st in enumerate(self.subtables()):
-            hexmask = "/".join(
-                format(v, f"0{(f.width + 3) // 4}x")
-                for f, v in zip(st.mask.layout.fields, st.mask.values)
-            )
+            bits = self.table.mask_bits[st.mask_id]
+            hexmask = "/".join(format(bits >> shift & full, fmt) for (shift, full), fmt in columns)
             lines.append(f"#{i} mask={hexmask} entries={st.size} hits={st.interval_hits}")
         return lines

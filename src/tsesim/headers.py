@@ -1,11 +1,13 @@
-"""Bit-level header model: field layouts, header values, wildcard masks, masked keys.
+"""Bit-level header model: field layouts and packed header values.
 
-A header, mask or masked key is a layout plus one unsigned int: the layout's
-fields concatenated with the first field in the highest bits.  Masking,
-overlap and hashing work on that int; per-field values are derived views.
-Layouts are plain data so the same code serves both the real five-field
-layout and tiny synthetic layouts used in tests.  Bit index 0 is the most
-significant bit of a field.
+A header is a layout plus one unsigned int: the layout's fields concatenated
+with the first field in the highest bits.  A wildcard mask and a masked key
+are plain ints in the same packing: a set mask bit is examined, and a key is
+a header's bits AND-ed with its mask.  Masking and overlap are int
+operations; per-field values, which hashing and printing read, are derived
+views.  Layouts are plain data so the same code serves both the real
+five-field layout and tiny synthetic layouts used in tests.  Bit index 0 is
+the most significant bit of a field.
 """
 
 from __future__ import annotations
@@ -58,33 +60,37 @@ class HeaderLayout:
         """(shift, unshifted full mask) of a field within the packed int."""
         return self._slot[name]  # type: ignore[attr-defined]
 
-    def pack(self, values: Iterable[int], what: str = "header") -> int:
+    def pack(self, values: Iterable[int]) -> int:
         """Concatenate per-field values, first field highest; each must fit its width."""
         values = tuple(values)
         if len(values) != len(self.fields):
-            raise ValueError(f"{what}: expected {len(self.fields)} fields, got {len(values)}")
+            raise ValueError(
+                f"HeaderValue: expected {len(self.fields)} fields, got {len(values)}"
+            )
         bits = 0
         for f, v in zip(self.fields, values):
             if not 0 <= v <= f.full_mask:
-                raise ValueError(f"{what}: field {f.name!r} value {v:#x} exceeds {f.width} bits")
+                raise ValueError(
+                    f"HeaderValue: field {f.name!r} value {v:#x} exceeds {f.width} bits"
+                )
             bits = (bits << f.width) | v
         return bits
 
 
-class _Packed:
-    """A layout plus its fields packed into one int.  Hashable; never mutated."""
+class HeaderValue:
+    """A packet's classifier-relevant fields packed into one int; hashable, never mutated."""
 
     __slots__ = ("layout", "bits")
 
     def __init__(self, layout: HeaderLayout, bits: int):
         if bits < 0 or bits >> layout.width:  # type: ignore[attr-defined]
-            raise ValueError(f"{type(self).__name__}: {bits:#x} exceeds the layout's bits")
+            raise ValueError(f"HeaderValue: {bits:#x} exceeds the layout's bits")
         self.layout = layout
         self.bits = bits
 
     def __hash__(self) -> int:
         # hash(int) is the int modulo 2**61 - 1, which folds high fields onto
-        # low ones, so many packed masks would share a hash; pairing it with
+        # low ones, so many packed headers would share a hash; pairing it with
         # the high part tells them apart.
         return hash((self.bits >> 61, self.bits))
 
@@ -93,7 +99,7 @@ class _Packed:
         return same and (other.bits, other.layout) == (self.bits, self.layout)  # type: ignore
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self.items())})"
+        return f"HeaderValue({dict(self.items())})"
 
     @property
     def values(self) -> tuple[int, ...]:
@@ -109,24 +115,6 @@ class _Packed:
         return zip(self.layout.names, self.values)
 
 
-class HeaderValue(_Packed):
-    """One packet's classifier-relevant field values."""
-
-    __slots__ = ()
-
-
-class HeaderMask(_Packed):
-    """Bitwise wildcard mask; a set bit means the bit is examined (un-wildcarded)."""
-
-    __slots__ = ()
-
-
-class MaskedKey(_Packed):
-    """A header AND-ed with a mask; key & ~mask == 0 holds by construction."""
-
-    __slots__ = ()
-
-
 def header(layout: HeaderLayout, **fields: int) -> HeaderValue:
     """Build a HeaderValue by field name; every field of the layout is required."""
     missing = set(layout.names) - set(fields)
@@ -135,22 +123,7 @@ def header(layout: HeaderLayout, **fields: int) -> HeaderValue:
     extra = set(fields) - set(layout.names)
     if extra:
         raise ValueError(f"unknown header fields: {sorted(extra)}")
-    return HeaderValue(layout, layout.pack((fields[n] for n in layout.names), "HeaderValue"))
-
-
-def mask(layout: HeaderLayout, **fields: int) -> HeaderMask:
-    """Build a HeaderMask by field name; absent fields are fully wildcarded (0)."""
-    extra = set(fields) - set(layout.names)
-    if extra:
-        raise ValueError(f"unknown mask fields: {sorted(extra)}")
-    return HeaderMask(layout, layout.pack((fields.get(n, 0) for n in layout.names), "HeaderMask"))
-
-
-def apply_mask(h: HeaderValue, m: HeaderMask) -> MaskedKey:
-    """Bitwise AND of a header with a mask."""
-    if h.layout != m.layout:
-        raise LayoutMismatch("header and mask use different layouts")
-    return MaskedKey(h.layout, h.bits & m.bits)
+    return HeaderValue(layout, layout.pack(fields[n] for n in layout.names))
 
 
 _FNV_OFFSET = 0xCBF29CE484222325

@@ -17,17 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .headers import (
-    HeaderLayout,
-    HeaderMask,
-    HeaderValue,
-    MaskedKey,
-    decimal_int,
-    int_to_ip,
-    ip_to_int,
-    mask,
-    IP_FIELDS,
-)
+from .headers import HeaderLayout, HeaderValue, decimal_int, int_to_ip, ip_to_int, IP_FIELDS
 
 
 class Action(enum.Enum):
@@ -80,18 +70,19 @@ class Acl:
     def packed(self) -> tuple[tuple[int, int, FlowRule], ...]:
         """(mask, value, rule) per rule: h matches the rule iff h.bits & mask == value.
 
-        The last rule is a catch-all, which every header matches, so a walk
-        over these always stops at a rule.
+        The mask examines the rule's constrained fields whole; the value holds
+        their constraints and 0 elsewhere.  The last rule is a catch-all,
+        which every header matches, so a walk over these always stops at a rule.
         """
-        full = {f.name: f.full_mask for f in self.layout.fields}
-        return tuple(
-            (
-                mask(self.layout, **{name: full[name] for name, _ in r.matches}).bits,
-                mask(self.layout, **dict(r.matches)).bits,  # constraints, others 0
-                r,
-            )
-            for r in self.rules
-        )
+        packed = []
+        for r in self.rules:
+            m = value = 0
+            for name, v in r.matches:
+                shift, full = self.layout.slot(name)
+                m |= full << shift
+                value |= v << shift
+            packed.append((m, value, r))
+        return tuple(packed)
 
 
 def validate_acl(acl: Acl) -> list[str]:
@@ -127,17 +118,10 @@ def slowpath_lookup(h: HeaderValue, acl: Acl) -> FlowRule:
     return next(r for m, value, r in acl.packed if bits & m == value)
 
 
-@dataclass
-class SynthesizedFlow:
-    key: MaskedKey
-    mask: HeaderMask
-    action: Action
-
-
-def synthesize_megaflow(h: HeaderValue, acl: Acl) -> SynthesizedFlow:
-    """Derive the (key, mask, action) cache entry for a header; see `megaflow_mask`."""
-    acc, r = megaflow_mask(h.bits, acl)
-    return SynthesizedFlow(MaskedKey(h.layout, h.bits & acc), HeaderMask(h.layout, acc), r.action)
+def synthesize_megaflow(h: HeaderValue, acl: Acl) -> tuple[int, int, Action]:
+    """The (key bits, mask bits, action) cache entry for a header; see `megaflow_mask`."""
+    mask_bits, r = megaflow_mask(h.bits, acl)
+    return h.bits & mask_bits, mask_bits, r.action
 
 
 def megaflow_mask(bits: int, acl: Acl) -> tuple[int, FlowRule]:

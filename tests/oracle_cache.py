@@ -11,8 +11,9 @@ interned (mask, key) pairs and testing whether that flow is live, never by
 the header's own flow id.
 
 The cache and its `FlowTable` hold megaflows as ints and report ids; the
-helpers below map ids back to `MaskedKey`/`HeaderMask` objects through the
-table, so tests can state expectations in terms of keys and masks.
+helpers below map ids back to key and mask bits through the table, so tests
+can state expectations as (key bits, mask bits) pairs, the one form of a
+megaflow.
 """
 
 from __future__ import annotations
@@ -22,8 +23,13 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from tsesim.flow_cache import BatchResult, FlowCache, FlowTable
-from tsesim.headers import HeaderMask, HeaderValue, LayoutMismatch, MaskedKey, apply_mask
-from tsesim.slowpath import Action, SynthesizedFlow
+from tsesim.headers import HeaderLayout, HeaderValue
+from tsesim.slowpath import Action
+
+
+def packed_mask(layout: HeaderLayout, **fields: int) -> int:
+    """Mask bits by field name; absent fields are fully wildcarded (0)."""
+    return layout.pack(fields.get(name, 0) for name in layout.names)
 
 
 class HitPath(enum.Enum):
@@ -45,25 +51,24 @@ class SequentialCache(FlowCache):
     def mfc_lookup(self, h: HeaderValue, now: float) -> Optional[tuple[Action, int]]:
         """Probe subtables sequentially; on a hit, count it and refresh the entry."""
         self._advance(now)
-        interned = self.table._flow_ids
+        interned, mask_bits = self.table._flow_ids, self.table.mask_bits
         for probed, st in enumerate(self.subtables(), start=1):
-            fid = interned.get((st.mask.bits, apply_mask(h, st.mask).bits))
+            m = mask_bits[st.mask_id]
+            fid = interned.get((m, h.bits & m))
             if fid is not None and fid in self._idle:
                 self._hit(st, 1)
                 self._refresh(fid, now)
                 return self.table.action_of[fid], probed
         return None
 
-    def mfc_insert(
-        self, key: MaskedKey, mask: HeaderMask, action: Action, now: float
-    ) -> tuple[bool, bool]:
+    def mfc_insert(self, key: int, mask: int, action: Action, now: float) -> tuple[bool, bool]:
         """Add an entry; returns (created_subtable, created_entry).
 
         A new mask creates a subtable at search index 0.  A duplicate
         (key, mask) only refreshes the entry's idle clock.
         """
         self._advance(now)
-        fid = self.table.intern(mask.bits, key.bits, action)
+        fid = self.table.intern(mask, key, action)
         if fid in self._idle:
             self._refresh(fid, now)
             return False, False
@@ -85,75 +90,72 @@ class SequentialCache(FlowCache):
                 action, HitPath.MFC, emc_probes, probed, emc_probes * c.c_emc + probed * c.c_sub
             )
         probed = self.subtable_count
-        flow = synthesize(self, h)
-        self.mfc_insert(flow.key, flow.mask, flow.action, now)
-        self.emc.insert(h, flow.action)
+        key, mask, action = synthesize(self, h)
+        self.mfc_insert(key, mask, action, now)
+        self.emc.insert(h, action)
         cost = emc_probes * c.c_emc + probed * c.c_sub + c.c_slow
-        return ClassifyResult(flow.action, HitPath.SLOW, emc_probes, probed, cost)
+        return ClassifyResult(action, HitPath.SLOW, emc_probes, probed, cost)
 
 
-def megaflows_overlap(e1: tuple[MaskedKey, HeaderMask], e2: tuple[MaskedKey, HeaderMask]) -> bool:
-    """True iff some header matches both entries.
+def megaflows_overlap(e1: tuple[int, int], e2: tuple[int, int]) -> bool:
+    """True iff some header matches both (key bits, mask bits) entries.
 
     Two masked entries overlap exactly when their keys agree on every bit
     both masks examine.
     """
-    k1, m1 = e1
-    k2, m2 = e2
-    if k1.layout != k2.layout:
-        raise LayoutMismatch("entries use different layouts")
-    return not (k1.bits ^ k2.bits) & m1.bits & m2.bits
+    (k1, m1), (k2, m2) = e1, e2
+    return not (k1 ^ k2) & m1 & m2
 
 
-def flow(table: FlowTable, fid: int) -> SynthesizedFlow:
-    """Flow id fid's key, mask and action as objects, read back from the table."""
-    key = MaskedKey(table.acl.layout, table.key_of[fid])
-    return SynthesizedFlow(key, table.mask(table.mask_of[fid]), table.action_of[fid])
+def flow(table: FlowTable, fid: int) -> tuple[int, int, Action]:
+    """Flow id fid's (key bits, mask bits, action), read back from the table."""
+    return table.key_of[fid], table.mask_bits[table.mask_of[fid]], table.action_of[fid]
 
 
-def synthesize(cache: FlowCache, h: HeaderValue) -> SynthesizedFlow:
-    """h's megaflow as objects, through the cache's table."""
+def synthesize(cache: FlowCache, h: HeaderValue) -> tuple[int, int, Action]:
+    """h's megaflow as (key bits, mask bits, action), through the cache's table."""
     return flow(cache.table, cache.flow_id(h))
 
 
-def entries(cache: FlowCache) -> Iterator[tuple[MaskedKey, HeaderMask, Action]]:
-    """Live megaflows, least recently hit first."""
+def masks(cache: FlowCache) -> list[int]:
+    """Mask bits of the subtables in search order."""
+    return [cache.table.mask_bits[st.mask_id] for st in cache.subtables()]
+
+
+def entries(cache: FlowCache) -> Iterator[tuple[int, int, Action]]:
+    """Live megaflows as (key bits, mask bits, action), least recently hit first."""
     for fid in cache._idle:
-        f = flow(cache.table, fid)
-        yield f.key, f.mask, f.action
+        yield flow(cache.table, fid)
 
 
-def search_index(cache: FlowCache, mask: HeaderMask) -> int:
-    """Search position (0 probed first) of the live subtable with this mask."""
-    st = cache._sub[cache.table.mask_ids[mask.bits]]
+def search_index(cache: FlowCache, mask: int) -> int:
+    """Search position (0 probed first) of the live subtable with these mask bits."""
+    st = cache._sub[cache.table.mask_ids[mask]]
     return cache.subtable_count - 1 - (st.pos - cache._pos_offset)
 
 
-def expire(
-    cache: FlowCache, now: float
-) -> tuple[list[tuple[MaskedKey, HeaderMask]], list[HeaderMask]]:
-    """`cache.expire(now)` with its flow ids as (key, mask) pairs and its mask ids as masks."""
+def expire(cache: FlowCache, now: float) -> tuple[list[tuple[int, int]], list[int]]:
+    """`cache.expire(now)` with its flow ids as (key, mask) pairs and its mask ids as mask bits."""
     fids, mids = cache.expire(now)
-    pairs = [(f.key, f.mask) for f in (flow(cache.table, fid) for fid in fids)]
-    return pairs, [cache.table.mask(mid) for mid in mids]
+    pairs = [flow(cache.table, fid)[:2] for fid in fids]
+    return pairs, [cache.table.mask_bits[mid] for mid in mids]
 
 
-def batch_objects(cache: FlowCache, res: BatchResult) -> BatchResult:
-    """`res` with its created mask ids as masks."""
-    return replace(res, created_masks=[cache.table.mask(mid) for mid in res.created_masks])
+def batch_masks(cache: FlowCache, res: BatchResult) -> BatchResult:
+    """`res` with its created mask ids as mask bits."""
+    return replace(res, created_masks=[cache.table.mask_bits[mid] for mid in res.created_masks])
 
 
-def last_hits(cache: FlowCache) -> dict[tuple[MaskedKey, HeaderMask], float]:
+def last_hits(cache: FlowCache) -> dict[tuple[int, int], float]:
     """Each live entry's (key, mask) and last hit, least recently hit first."""
-    flows = {fid: flow(cache.table, fid) for fid in cache._idle}
-    return {(flows[fid].key, flows[fid].mask): t for fid, t in cache._idle.items()}
+    return {flow(cache.table, fid)[:2]: t for fid, t in cache._idle.items()}
 
 
 def cache_state(cache: FlowCache):
     """Everything classification can change: subtables in order, EMC, live entries by last hit."""
     actions = {(k, m): a for k, m, a in entries(cache)}
     return (
-        [(s.mask, s.size, s.interval_hits) for s in cache.subtables()],
+        [(m, s.size, s.interval_hits) for m, s in zip(masks(cache), cache.subtables())],
         dict(cache.emc.slots),
         [(k, m, actions[k, m], t) for (k, m), t in last_hits(cache).items()],
     )

@@ -14,7 +14,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracle_cache import entries, expire, last_hits, search_index, synthesize  # noqa: E402
+from oracle_cache import entries, expire, last_hits, masks, search_index, synthesize  # noqa: E402
 from oracle_synth import o_counts  # noqa: E402
 from oracle_trace import mask_generation_rate  # noqa: E402
 
@@ -54,13 +54,10 @@ def hyp_acl():
 
 def pack_entries(cache):
     """Split every packed (key, mask) into two uint64 columns for the pair check."""
-    keys, masks = [], []
-    for k, m, _ in entries(cache):
-        keys.append(k.bits)
-        masks.append(m.bits)
+    live = list(entries(cache))
     lo = (1 << 64) - 1
-    k_arr = np.array([[v >> 64, v & lo] for v in keys], dtype=np.uint64)
-    m_arr = np.array([[v >> 64, v & lo] for v in masks], dtype=np.uint64)
+    k_arr = np.array([[k >> 64, k & lo] for k, _, _ in live], dtype=np.uint64)
+    m_arr = np.array([[m >> 64, m & lo] for _, m, _ in live], dtype=np.uint64)
     return k_arr, m_arr
 
 
@@ -104,7 +101,7 @@ def test_criterion_01_hyp_golden_table():
     cache = FlowCache(hyp_acl(), emc_enabled=False)
     for v in range(8):
         cache.classify_batch([(header(HYP, hyp=v), cache.flow_id(header(HYP, hyp=v)), 1)], now=0.0)
-    rows = {(k.values[0], m.values[0], a) for k, m, a in entries(cache)}
+    rows = set(entries(cache))
     expected = {
         (0b001, 0b111, Action.ALLOW),
         (0b100, 0b100, Action.DENY),
@@ -174,12 +171,12 @@ def test_criterion_04_ranking_properties_fuzz():
                 sport=rng.getrandbits(16),
                 dport=rng.getrandbits(16),
             )
-            flow = synthesize(cache, h)
-            existed = flow.mask in {st.mask for st in cache.subtables()}
+            _, mask, _ = synthesize(cache, h)
+            existed = mask in masks(cache)
             cache.classify_batch([(h, cache.flow_id(h), 1)], now)
             if not existed:
                 creations += 1
-                assert search_index(cache, flow.mask) == 0
+                assert search_index(cache, mask) == 0
         elif roll < 0.95:
             cache.expire(now)
         else:

@@ -234,7 +234,7 @@ def test_clone_invariance_of_mask_production():
         sched = AttackSchedule(rate=rate, clone=clone, start=0.0)
         for t, _, p in schedule_emissions(trace, sched, horizon):
             cache.classify_batch([(p, cache.flow_id(p), 1)], t)
-        return {st.mask for st in cache.subtables()}
+        return {cache.table.mask_bits[st.mask_id] for st in cache.subtables()}
 
     base = masks_after(rate=1000, clone=1, horizon=0.4)
     cloned = masks_after(rate=3000, clone=3, horizon=0.4)

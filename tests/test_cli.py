@@ -237,6 +237,7 @@ def test_unknown_acl_field_exits_2(command, tmp_path, capsys):
         ("--budget-per-core", "-5", "budget_per_core must be > 0"),
         ("--victim-offered", "0", "victim_offered must be > 0"),
         ("--victim-flows", "-3", "victim_flows must be >= 0"),
+        ("--victim-flows", "901", "victim_flows must be <= 900, got 901"),
     ],
 )
 def test_bad_budget_or_victim_value_exits_2(command, flag, value, message, tmp_path, capsys):
@@ -549,8 +550,20 @@ RUN_LENGTH_CASES = {
         pytest.param(
             "sweep",
             ["--tse", "2.0", "--rates-list", "1000,0.01", "--cores-list", "1", "--duration", "20"],
-            "attack phase shorter than one packet interval",
+            "--rates-list 0.01: attack phase shorter than one packet interval",
             id="phase_under_one_packet-sweep",
+        ),
+        pytest.param(
+            "sweep",
+            ["--rates-list", "-5", "--cores-list", "1"],
+            "--rates-list -5: rate must be >= 0, duration > 0, cores >= 1",
+            id="negative_rate-sweep",
+        ),
+        pytest.param(
+            "sweep",
+            ["--rates-list", "0.5", "--cores-list", "1"],
+            "--rates-list 0.5: rate must be >= 1 pps",
+            id="clone_rate_under_1_pps-sweep",
         ),
         pytest.param(
             "run",
@@ -685,6 +698,7 @@ def test_guarded_input_exits_2_with_one_line(args, message, tmp_path, capsys):
         ({"tse": "9"}, "tse must be one of ('1.0', '2.0', '2.1')"),
         ({"emc": "no"}, "emc must be true or false, got 'no'"),
         ({"victim_flows": -1}, "victim_flows must be >= 0"),
+        ({"victim_flows": 901}, "victim_flows must be <= 900, got 901"),
         ({"tick": 0.3}, "tick must divide 1.0 exactly"),
         ({"attack_start": -1}, "attack start must be >= 0, got -1"),
     ],

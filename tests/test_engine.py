@@ -17,6 +17,7 @@ from tsesim.attack import (  # noqa: E402
 )
 from tsesim.engine import (  # noqa: E402
     GOODPUT_FLOOR,
+    MAX_VICTIM_FLOWS,
     CacheMapFrame,
     MaskBatches,
     Metrics,
@@ -185,6 +186,14 @@ def test_victim_flows_and_rules():
         assert slowpath_lookup(h, acl).action is Action.ALLOW
 
 
+def test_max_victim_flows_is_the_most_a_scenario_acl_takes():
+    """Victim rules stay above the use-case rules up to MAX_VICTIM_FLOWS flows, and no further."""
+    for uc in UseCase:
+        scenario_acl(uc, victim_flows=victim_flow_headers(count=MAX_VICTIM_FLOWS))
+        with pytest.raises(ValueError, match="duplicate priorities"):
+            scenario_acl(uc, victim_flows=victim_flow_headers(count=MAX_VICTIM_FLOWS + 1))
+
+
 def test_victim_rules_do_not_change_attack_mask_counts():
     flows = victim_flow_headers()
     for uc, masks in [(UseCase.DP, 16), (UseCase.SP_DP, 257), (UseCase.SIP_SP_DP, 8209)]:
@@ -208,7 +217,7 @@ def test_victim_cost_probe_positions():
     trace = build_trace(UseCase.DP, acl)
     for i, p in enumerate(trace.packets):
         cache.classify_batch([(p, cache.flow_id(p), 1)], now=0.1 + i * 0.001)
-    victim_mask = synthesize(cache, flows[0]).mask
+    _, victim_mask, _ = synthesize(cache, flows[0])
     idx = search_index(cache, victim_mask)
     assert idx == 16  # 16 fresh attack masks rank first
     assert victim_cost_probe(cache, flows) == pytest.approx((idx + 1) * cache.costs.c_sub)
@@ -498,7 +507,8 @@ def reference_batch_starts() -> tuple[int, ...]:
     acl, trace, _ = reference_setup()
     first_pos: dict = {}
     for pos, h in enumerate(trace.packets):
-        first_pos.setdefault(synthesize_megaflow(h, acl).mask, pos)
+        _, mask, _ = synthesize_megaflow(h, acl)
+        first_pos.setdefault(mask, pos)
     return tuple(list(first_pos.values())[::1000])
 
 
@@ -579,6 +589,23 @@ def test_series_csv_format():
     lines = csv.strip().split("\n")
     assert lines[0] == SERIES_CSV_HEADER
     assert lines[1] == "0,1.000000,1.000,0,1,2"
+
+
+def test_snapshot_lines_of_a_five_tuple_cache():
+    """Each field's mask prints as zero-padded hex of the field's width, fields in layout order."""
+    victims = victim_flow_headers()
+    acl = scenario_acl(UseCase.DP, victim_flows=victims)
+    trace = build_trace(UseCase.DP, acl)
+    cfg = SimConfig(duration=25.0, build_cache_map=False)
+    res = run(cfg, acl, [(trace, AttackSchedule(rate=1000.0, start=1.0))], victims)
+    dport = [0xFFF0 << k & 0xFFFF for k in range(12)] + [0xFFFE, 0xFFFC, 0xFFF8]
+    assert res.cache.snapshot_lines() == [
+        "#0 mask=00000000/ffffffff/ff/ffff/ffff entries=2 hits=0",
+        "#1 mask=00000000/ffffffff/f0/0000/ffff entries=2 hits=0",
+    ] + [
+        f"#{i} mask=00000000/ffffffff/f0/0000/{m:04x} entries=1 hits=0"
+        for i, m in enumerate(dport, start=2)
+    ]
 
 
 def test_metrics_lines_format():

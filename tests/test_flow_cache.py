@@ -12,27 +12,22 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from oracle_cache import (  # noqa: E402
     SequentialCache,
-    batch_objects,
+    batch_masks,
     cache_state,
     entries,
     expire,
     flow,
     last_hits,
+    masks,
     megaflows_overlap,
+    packed_mask,
     search_index,
     synthesize,
 )
 
 from tsesim.attack import simple_acl  # noqa: E402
 from tsesim.flow_cache import CostModel, FlowCache, FlowTable  # noqa: E402
-from tsesim.headers import (  # noqa: E402
-    FIVE_TUPLE,
-    HYP,
-    apply_mask,
-    header,
-    header_hash64,
-    mask,
-)
+from tsesim.headers import FIVE_TUPLE, HYP, header, header_hash64  # noqa: E402
 from tsesim.slowpath import (  # noqa: E402
     Acl,
     Action,
@@ -122,8 +117,7 @@ def table_b_cache(emc=False):
         (0b000, 0b111, Action.DENY),
     ]
     for key_bits, mask_bits, action in rows:
-        m = mask(HYP, hyp=mask_bits)
-        cache.mfc_insert(apply_mask(hv(key_bits), m), m, action, now=0.0)
+        cache.mfc_insert(key_bits & mask_bits, mask_bits, action, now=0.0)
     return cache
 
 
@@ -135,7 +129,7 @@ def test_mfc_lookup_empty():
 
 def test_mfc_lookup_probe_counts():
     cache = table_b_cache()
-    assert [st.mask.values[0] for st in cache.subtables()] == [0b111, 0b100, 0b110]
+    assert masks(cache) == [0b111, 0b100, 0b110]
     # 111&111=111 misses the {001,000} keys; the 100 subtable matches second.
     action, probed = cache.mfc_lookup(hv(0b111), now=0.0)
     assert action is Action.DENY
@@ -148,21 +142,20 @@ def test_mfc_lookup_probe_counts():
 
 def test_mfc_insert_new_mask_ranked_first():
     cache = SequentialCache(five_acl(), emc_enabled=False)
-    ma = mask(FIVE_TUPLE, dport=0xFFFF)
-    mb = mask(FIVE_TUPLE, sport=0x8000)
+    ma = packed_mask(FIVE_TUPLE, dport=0xFFFF)
+    mb = packed_mask(FIVE_TUPLE, sport=0x8000)
     h = header(FIVE_TUPLE, ip_src=1, ip_dst=2, proto=6, sport=3, dport=80)
-    cache.mfc_insert(apply_mask(h, ma), ma, Action.ALLOW, now=0.0)
-    cache.mfc_insert(apply_mask(h, mb), mb, Action.DENY, now=0.0)
-    order = [st.mask for st in cache.subtables()]
-    assert order == [mb, ma]
+    cache.mfc_insert(h.bits & ma, ma, Action.ALLOW, now=0.0)
+    cache.mfc_insert(h.bits & mb, mb, Action.DENY, now=0.0)
+    assert masks(cache) == [mb, ma]
     assert search_index(cache, mb) == 0
 
 
 def test_mfc_insert_same_mask_no_new_subtable():
     cache = SequentialCache(hyp_acl())
-    m = mask(HYP, hyp=0b111)
-    cache.mfc_insert(apply_mask(hv(0b001), m), m, Action.ALLOW, now=0.0)
-    created, new_entry = cache.mfc_insert(apply_mask(hv(0b000), m), m, Action.DENY, now=0.0)
+    m = 0b111
+    cache.mfc_insert(0b001, m, Action.ALLOW, now=0.0)
+    created, new_entry = cache.mfc_insert(0b000, m, Action.DENY, now=0.0)
     assert not created and new_entry
     assert cache.subtable_count == 1
     assert cache.entry_count == 2
@@ -170,8 +163,7 @@ def test_mfc_insert_same_mask_no_new_subtable():
 
 def test_mfc_insert_duplicate_refreshes_only():
     cache = SequentialCache(hyp_acl())
-    m = mask(HYP, hyp=0b111)
-    k = apply_mask(hv(0b001), m)
+    k, m = 0b001, 0b111
     cache.mfc_insert(k, m, Action.ALLOW, now=0.0)
     created, new_entry = cache.mfc_insert(k, m, Action.ALLOW, now=5.0)
     assert not created and not new_entry
@@ -183,8 +175,7 @@ def test_mfc_insert_duplicate_refreshes_only():
 
 def test_expiry_boundaries():
     cache = SequentialCache(hyp_acl())
-    m = mask(HYP, hyp=0b111)
-    k = apply_mask(hv(0b001), m)
+    k, m = 0b001, 0b111
     cache.mfc_insert(k, m, Action.ALLOW, now=0.0)
     cache.expire(9.9)
     assert cache.entry_count == 1
@@ -195,8 +186,7 @@ def test_expiry_boundaries():
 
 def test_expiry_respects_refresh():
     cache = SequentialCache(hyp_acl())
-    m = mask(HYP, hyp=0b111)
-    k = apply_mask(hv(0b001), m)
+    k, m = 0b001, 0b111
     cache.mfc_insert(k, m, Action.ALLOW, now=0.0)
     cache.mfc_lookup(hv(0b001), now=6.0)  # refresh
     cache.expire(10.0)
@@ -215,9 +205,9 @@ def test_expiry_random_soundness():
     for _ in range(2000):
         now += rng.random() * 0.5
         h = rand_five(rng)
-        f = synthesize(cache, h)
-        cache.mfc_insert(f.key, f.mask, f.action, now)
-        last_hits[(f.key, f.mask)] = now
+        key, m, action = synthesize(cache, h)
+        cache.mfc_insert(key, m, action, now)
+        last_hits[(key, m)] = now
         if rng.random() < 0.3:
             expired, _ = expire(cache, now)
             for key, m in expired:
@@ -252,8 +242,8 @@ def test_rebalance_orders_by_hits_and_resets():
 def test_rebalance_all_zero_is_stable():
     cache = SequentialCache(five_acl(), emc_enabled=False)
     h = header(FIVE_TUPLE, ip_src=1, ip_dst=2, proto=6, sport=3, dport=80)
-    for m in [mask(FIVE_TUPLE, dport=0xFFFF), mask(FIVE_TUPLE, sport=0xFFFF)]:
-        cache.mfc_insert(apply_mask(h, m), m, Action.DENY, now=0.0)
+    for m in [packed_mask(FIVE_TUPLE, dport=0xFFFF), packed_mask(FIVE_TUPLE, sport=0xFFFF)]:
+        cache.mfc_insert(h.bits & m, m, Action.DENY, now=0.0)
     before = cache.subtables()
     cache.rebalance(1.0)
     assert cache.subtables() == before
@@ -283,7 +273,7 @@ def test_classify_hyp_sweep_builds_golden_table():
     cache = FlowCache(hyp_acl(), emc_enabled=False)
     for v in range(8):
         cache.classify_batch([(hv(v), cache.flow_id(hv(v)), 1)], now=0.0)
-    rows = {(k.values[0], m.values[0], a) for k, m, a in entries(cache)}
+    rows = set(entries(cache))
     assert rows == {
         (0b001, 0b111, Action.ALLOW),
         (0b100, 0b100, Action.DENY),
@@ -320,7 +310,7 @@ def test_batch_of_one_matches_sequential():
         total_bat += bat.classify_batch([(h, bat.flow_id(h), 1)], now).total_cost
     assert total_bat == pytest.approx(total_seq)
     assert {e for e in entries(bat)} == {e for e in entries(seq)}
-    assert [st.mask for st in bat.subtables()] == [st.mask for st in seq.subtables()]
+    assert masks(bat) == masks(seq)
 
 
 def test_batch_hit_cost_matches_linear_scan_position():
@@ -333,13 +323,13 @@ def test_batch_hit_cost_matches_linear_scan_position():
     cache.rebalance(2.0)
     live = last_hits(cache)
     for h in rng.sample(headers, 50):
-        f = synthesize(cache, h)
+        _, mask, _ = synthesize(cache, h)
         scan_pos = None
-        for pos, st in enumerate(cache.subtables()):
-            if (apply_mask(h, st.mask), st.mask) in live:
+        for pos, m in enumerate(masks(cache)):
+            if (h.bits & m, m) in live:
                 scan_pos = pos
                 break
-        assert scan_pos == search_index(cache, f.mask)
+        assert scan_pos == search_index(cache, mask)
         assert cache.probe_cost(h) == (scan_pos + 1) * cache.costs.c_sub
 
 
@@ -413,13 +403,13 @@ def test_runs_price_like_runs_of_one(table, emc_enabled, emc_capacity, costs, st
             ones = [(h, 1) for h, count in runs for _ in range(count)]
             got = grouped.classify_batch([(h, grouped.flow_id(h), n) for h, n in runs], now)
             want = single.classify_batch([(h, single.flow_id(h), n) for h, n in ones], now)
-            assert batch_objects(grouped, got) == batch_objects(single, want)
+            assert batch_masks(grouped, got) == batch_masks(single, want)
         elif step[0] == "expire":
-            before = grouped.subtables()
+            before = list(zip(masks(grouped), grouped.subtables()))
             expired = expire(grouped, now)
             assert expired == expire(single, now)
             removed = set(expired[1])
-            assert grouped.subtables() == [s for s in before if s.mask not in removed]
+            assert grouped.subtables() == [s for m, s in before if m not in removed]
         else:
             grouped.rebalance(now)
             single.rebalance(now)
@@ -501,11 +491,11 @@ def test_flow_table_is_one_per_acl_object():
     fid_a, fid_b, fid_c = table.flow_ids([a, b, c])
     assert fid_a == fid_b != fid_c and table.flow_ids([c, a]) == [fid_c, fid_a]
     assert [table.flow_id(c), table.flow_id(b)] == [fid_c, fid_a]
-    want = synthesize_megaflow(a, acl)
-    assert flow(table, fid_a) == want and table.mask(table.mask_of[fid_a]) == want.mask
-    assert table.mask_ids[want.mask.bits] == table.mask_of[fid_a]
+    key, mask, action = want = synthesize_megaflow(a, acl)
+    assert flow(table, fid_a) == want and table.mask_bits[table.mask_of[fid_a]] == mask
+    assert table.mask_ids[mask] == table.mask_of[fid_a]
     with pytest.raises(ValueError, match="already has action"):
-        table.intern(want.mask.bits, want.key.bits, Action.DENY)
+        table.intern(mask, key, Action.DENY)
 
 
 @st.composite
@@ -548,15 +538,15 @@ def test_int_compile_matches_synthesize_megaflow(case):
     table = FlowTable(acl)
     fids = table.flow_ids(headers)
     want = [synthesize_megaflow(h, acl) for h in headers]
-    for fid, w in zip(fids, want):
+    for fid, (key, mask, action) in zip(fids, want):
         got = (table.mask_bits[table.mask_of[fid]], table.key_of[fid], table.action_of[fid])
-        assert got == (w.mask.bits, w.key.bits, w.action)
-        assert table.mask_ids[w.mask.bits] == table.mask_of[fid]
-    for i, (f1, w1) in enumerate(zip(fids, want)):
-        for f2, w2 in zip(fids[i:], want[i:]):
-            assert (f1 == f2) == ((w1.mask, w1.key) == (w2.mask, w2.key))
+        assert got == (mask, key, action)
+        assert table.mask_ids[mask] == table.mask_of[fid]
+    for i, (f1, (k1, m1, _)) in enumerate(zip(fids, want)):
+        for f2, (k2, m2, _) in zip(fids[i:], want[i:]):
+            assert (f1 == f2) == ((m1, k1) == (m2, k2))
             same_mask = table.mask_of[f1] == table.mask_of[f2]
-            assert same_mask == (w1.mask == w2.mask)
+            assert same_mask == (m1 == m2)
     assert fids == [table.flow_id(h) for h in headers]  # a second look finds the same ids
 
 
@@ -570,7 +560,7 @@ def test_probe_cost_of_absent_entry_is_what_classify_batch_charges(emc):
         cache.classify_batch([(h, cache.flow_id(h), 1)], now=i * 0.01)
     live = {(k, m) for k, m, _ in entries(cache)}
     h = rand_five(rng)
-    while (synthesize(cache, h).key, synthesize(cache, h).mask) in live:
+    while synthesize(cache, h)[:2] in live:
         h = rand_five(rng)
     miss = (1 if emc else 0) * cache.costs.c_emc + cache.subtable_count * cache.costs.c_sub
     cost = cache.probe_cost(h)
@@ -581,8 +571,7 @@ def test_probe_cost_of_absent_entry_is_what_classify_batch_charges(emc):
         others = [g for g in others if cache.flow_id(g) != cache.flow_id(h)]
         cache.classify_batch([(g, cache.flow_id(g), 1) for g in others], now=8.0)
         cache.expire(11.0)  # h's entry, installed at 1.0, expires; the others stay
-        f = synthesize(cache, h)
-        assert (f.key, f.mask) not in last_hits(cache) and cache.subtable_count > 0
+        assert synthesize(cache, h)[:2] not in last_hits(cache) and cache.subtable_count > 0
         cost = cache.probe_cost(h)
         assert cost == cache.subtable_count * cache.costs.c_sub + cache.costs.c_slow
         assert cache.classify_batch([(h, cache.flow_id(h), 1)], now=11.0).total_cost == cost
@@ -669,13 +658,13 @@ def test_expire_removes_exactly_the_idle_entries(pool, emc_enabled, steps):
         else:
             stamps = last_hits(cache)
             old = {k for k, t in stamps.items() if t + cache.idle_timeout <= now}
-            emptied = {s.mask for s in cache.subtables()} - {m for k, m in stamps.keys() - old}
+            emptied = set(masks(cache)) - {m for k, m in stamps.keys() - old}
             expired, removed = expire(cache, now)
             assert len(expired) == len(old) and set(expired) == old
             assert len(removed) == len(emptied) and set(removed) == emptied
             hits = [stamps[e] for e in expired]
             assert hits == sorted(hits)  # returned in last-hit order
-            assert all(s.mask not in emptied for s in cache.subtables())
+            assert all(m not in emptied for m in masks(cache))
         cache.check_invariants()
 
 
@@ -714,11 +703,11 @@ def test_fuzz_disjointness_and_ranking_properties():
         op = rng.random()
         if op < 0.8:
             h = rand_five(rng)
-            f = synthesize(cache, h)
-            existed = any(st.mask == f.mask for st in cache.subtables())
+            _, mask, _ = synthesize(cache, h)
+            existed = mask in masks(cache)
             cache.classify_batch([(h, cache.flow_id(h), 1)], now)
             if not existed:
-                assert search_index(cache, f.mask) == 0  # new subtable ranks first
+                assert search_index(cache, mask) == 0  # new subtable ranks first
         elif op < 0.9:
             cache.expire(now)
         else:

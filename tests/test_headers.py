@@ -12,22 +12,17 @@ from tsesim.headers import (
     HYP,
     FieldSpec,
     HeaderLayout,
-    HeaderMask,
     HeaderValue,
-    LayoutMismatch,
-    MaskedKey,
-    apply_mask,
     decimal_int,
     header,
     header_hash64,
     int_to_ip,
     ip_to_int,
-    mask,
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracle_cache import megaflows_overlap  # noqa: E402
+from oracle_cache import megaflows_overlap, packed_mask  # noqa: E402
 
 # Widths that are not byte-aligned, so each field hashes as its own padded bytes.
 ODD = HeaderLayout((FieldSpec("a", 3), FieldSpec("b", 5), FieldSpec("c", 9)))
@@ -37,23 +32,12 @@ def hyp_header(v):
     return header(HYP, hyp=v)
 
 
-def hyp_mask(v):
-    return mask(HYP, hyp=v)
+def test_masking_packed_bits_masks_each_field():
+    """A key is a header's bits AND-ed with a mask; per field, that is each field's AND."""
 
+    def field_values(bits):
+        return tuple(bits >> shift & full for shift, full in map(FIVE_TUPLE.slot, FIVE_TUPLE.names))
 
-def test_apply_mask_hyp_rows():
-    assert apply_mask(hyp_header(0b001), hyp_mask(0b111)).values == (0b001,)
-    assert apply_mask(hyp_header(0b101), hyp_mask(0b100)).values == (0b100,)
-    assert apply_mask(hyp_header(0b000), hyp_mask(0b000)).values == (0b000,)
-
-
-def test_apply_mask_layout_mismatch():
-    h = header(FIVE_TUPLE, ip_src=1, ip_dst=2, proto=6, sport=1, dport=2)
-    with pytest.raises(LayoutMismatch):
-        apply_mask(h, hyp_mask(0b111))
-
-
-def test_apply_mask_idempotent():
     rng = random.Random(7)
     for _ in range(200):
         h = header(
@@ -64,15 +48,14 @@ def test_apply_mask_idempotent():
             sport=rng.getrandbits(16),
             dport=rng.getrandbits(16),
         )
-        m = HeaderMask(FIVE_TUPLE, rng.getrandbits(FIVE_TUPLE.width))
-        once = apply_mask(h, m)
-        twice = apply_mask(HeaderValue(FIVE_TUPLE, once.bits), m)
-        assert once.values == twice.values
-        assert once.values == tuple(v & mv for v, mv in zip(h.values, m.values))
+        m = rng.getrandbits(FIVE_TUPLE.width)
+        key = h.bits & m
+        assert key & m == key
+        assert field_values(key) == tuple(v & mv for v, mv in zip(h.values, field_values(m)))
 
 
 def entry(key_bits, mask_bits):
-    return (apply_mask(hyp_header(key_bits), hyp_mask(mask_bits)), hyp_mask(mask_bits))
+    return (key_bits & mask_bits, mask_bits)
 
 
 def test_overlap_examples():
@@ -85,10 +68,7 @@ def brute_force_overlap(e1, e2):
     """Oracle: enumerate all 8 HYP headers and look for a common match."""
     for v in range(8):
         h = hyp_header(v)
-        if (
-            apply_mask(h, e1[1]).values == e1[0].values
-            and apply_mask(h, e2[1]).values == e2[0].values
-        ):
+        if h.bits & e1[1] == e1[0] and h.bits & e2[1] == e2[0]:
             return True
     return False
 
@@ -113,14 +93,14 @@ SMALL = HeaderLayout((FieldSpec("x", 2), FieldSpec("y", 3), FieldSpec("z", 1)))
 )
 def test_overlap_matches_enumeration_multi_field(k1, m1, k2, m2):
     """On a 2/3/1-bit layout, overlap holds iff one of the 64 headers matches both."""
-    e1 = (MaskedKey(SMALL, k1 & m1), HeaderMask(SMALL, m1))
-    e2 = (MaskedKey(SMALL, k2 & m2), HeaderMask(SMALL, m2))
+    e1 = (k1 & m1, m1)
+    e2 = (k2 & m2, m2)
     common = False
     for x in range(4):
         for y in range(8):
             for z in range(2):
                 h = header(SMALL, x=x, y=y, z=z)
-                if apply_mask(h, e1[1]) == e1[0] and apply_mask(h, e2[1]) == e2[0]:
+                if h.bits & e1[1] == e1[0] and h.bits & e2[1] == e2[0]:
                     common = True
     assert megaflows_overlap(e1, e2) == common
 
@@ -129,7 +109,7 @@ def test_field_width_validation():
     with pytest.raises(ValueError):
         header(HYP, hyp=8)
     with pytest.raises(ValueError):
-        mask(FIVE_TUPLE, proto=0x100)
+        packed_mask(FIVE_TUPLE, proto=0x100)
     with pytest.raises(ValueError):
         HeaderValue(HYP, 8)
     with pytest.raises(ValueError):
@@ -205,10 +185,8 @@ def test_layout_and_builder_guards():
         HeaderLayout((FieldSpec("a", 1), FieldSpec("a", 2)))
     with pytest.raises(ValueError, match=r"unknown header fields: \['nope'\]"):
         header(HYP, hyp=1, nope=0)
-    with pytest.raises(ValueError, match=r"unknown mask fields: \['nope'\]"):
-        mask(HYP, nope=1)
     assert repr(header(HYP, hyp=5)) == "HeaderValue({'hyp': 5})"
-    assert repr(mask(ODD, b=3)) == "HeaderMask({'a': 0, 'b': 3, 'c': 0})"
+    assert repr(header(ODD, a=0, b=3, c=0)) == "HeaderValue({'a': 0, 'b': 3, 'c': 0})"
 
 
 def test_custom_layout_packs_first_field_highest():
@@ -218,14 +196,14 @@ def test_custom_layout_packs_first_field_highest():
     assert h.values == (0b1001, 0b10)
     assert h.get("a") == 0b1001 and h.get("b") == 0b10
     assert dict(h.items()) == {"a": 0b1001, "b": 0b10}
-    assert mask(layout, a=0xF).bits == 0b1111_00
+    assert packed_mask(layout, a=0xF) == 0b1111_00
     assert layout.pack((0xF, 0b11)) == (1 << layout.width) - 1
     with pytest.raises(ValueError):
         layout.pack((0x10, 0))
     with pytest.raises(ValueError):
         layout.pack((1,))
-    # Equal bits on a different type or layout are a different value.
-    assert h != HeaderMask(layout, h.bits)
+    # Equal bits as a bare int or on a different layout are a different value.
+    assert h != h.bits
     assert h != HeaderValue(HeaderLayout((FieldSpec("c", 6),)), h.bits)
 
 

@@ -22,7 +22,7 @@ from oracle_synth import o_counts  # noqa: E402
 
 from tsesim.attack import UseCase, build_trace, use_case_acl  # noqa: E402
 from tsesim.flow_cache import FlowCache  # noqa: E402
-from tsesim.headers import FIVE_TUPLE, HeaderMask  # noqa: E402
+from tsesim.headers import FIVE_TUPLE  # noqa: E402
 
 # (packets, distinct masks, distinct entries) per use case, oracle-frozen.
 FROZEN = {
@@ -51,10 +51,8 @@ def test_cache_replay_matches_oracle_counts_and_mask_sets():
             cache.classify_batch([(p, cache.flow_id(p), 1)], now=i / 1000.0)
         assert cache.subtable_count == masks
         assert cache.entry_count == entries
-        oracle_masks = {
-            HeaderMask(FIVE_TUPLE, FIVE_TUPLE.pack(m)) for m in o_counts(uc_name)["spawn_order"]
-        }
-        cache_masks = {st.mask for st in cache.subtables()}
+        oracle_masks = {FIVE_TUPLE.pack(m) for m in o_counts(uc_name)["spawn_order"]}
+        cache_masks = {cache.table.mask_bits[st.mask_id] for st in cache.subtables()}
         assert cache_masks == oracle_masks
 
 

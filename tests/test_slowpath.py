@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from oracle_synth import ORDER, WIDTH, o_synthesize  # noqa: E402
 
-from tsesim.headers import FIVE_TUPLE, HYP, apply_mask, header, ip_to_int  # noqa: E402
+from tsesim.headers import FIVE_TUPLE, HYP, HeaderValue, header, ip_to_int  # noqa: E402
 from tsesim.slowpath import (  # noqa: E402
     Acl,
     Action,
@@ -117,18 +117,14 @@ HYP_GOLDEN = {
     ],
 )
 def test_synthesize_hyp_rows(h, key, mask_bits, action):
-    flow = synthesize_megaflow(hv(h), hyp_acl())
-    assert flow.key.values == (key,)
-    assert flow.mask.values == (mask_bits,)
-    assert flow.action is action
+    assert synthesize_megaflow(hv(h), hyp_acl()) == (key, mask_bits, action)
 
 
 def test_synthesize_hyp_exhaustive_dedup():
     acl = hyp_acl()
     rows = set()
     for v in range(8):
-        flow = synthesize_megaflow(hv(v), acl)
-        rows.add((flow.key.values[0], flow.mask.values[0], flow.action))
+        rows.add(synthesize_megaflow(hv(v), acl))
     assert rows == HYP_GOLDEN
 
 
@@ -144,17 +140,17 @@ def test_synthesis_covers_trigger_header():
             sport=rng.getrandbits(16),
             dport=rng.getrandbits(16),
         )
-        flow = synthesize_megaflow(h, acl)
-        assert apply_mask(h, flow.mask).values == flow.key.values
+        key, mask, _ = synthesize_megaflow(h, acl)
+        assert h.bits & mask == key
 
 
 def test_decision_consistency_exhaustive_hyp():
     acl = hyp_acl()
     for v in range(8):
-        flow = synthesize_megaflow(hv(v), acl)
+        key, mask, action = synthesize_megaflow(hv(v), acl)
         for other in range(8):
-            if apply_mask(hv(other), flow.mask).values == flow.key.values:
-                assert slowpath_lookup(hv(other), acl).action is flow.action
+            if other & mask == key:
+                assert slowpath_lookup(hv(other), acl).action is action
 
 
 def test_decision_consistency_sampled_five_tuple():
@@ -170,15 +166,13 @@ def test_decision_consistency_sampled_five_tuple():
             sport=rng.getrandbits(16),
             dport=rng.getrandbits(16),
         )
-        flow = synthesize_megaflow(h, acl)
+        key, mask, action = synthesize_megaflow(h, acl)
         for _ in range(20):
             # Randomize wildcarded bits, keep examined bits fixed.
-            probe = {}
-            for f, kv, mv in zip(FIVE_TUPLE.fields, flow.key.values, flow.mask.values):
-                probe[f.name] = kv | (rng.getrandbits(f.width) & ~mv & f.full_mask)
-            h2 = header(FIVE_TUPLE, **probe)
-            assert apply_mask(h2, flow.mask).values == flow.key.values
-            assert slowpath_lookup(h2, acl).action is flow.action
+            noise = FIVE_TUPLE.pack(rng.getrandbits(f.width) for f in FIVE_TUPLE.fields)
+            h2 = HeaderValue(FIVE_TUPLE, key | noise & ~mask)
+            assert h2.bits & mask == key
+            assert slowpath_lookup(h2, acl).action is action
 
 
 @st.composite
@@ -219,10 +213,11 @@ def test_synthesis_matches_independent_oracle(case):
     by_priority = sorted(rules, key=lambda r: -r[0])
     oracle_rules = [(matches, action.value) for _, matches, action in by_priority] + [({}, "deny")]
     for fields in headers:
-        flow = synthesize_megaflow(header(FIVE_TUPLE, **fields), acl)
-        key, msk, action = o_synthesize(fields, oracle_rules)
-        assert (flow.key.values, flow.mask.values, flow.action.value) == (key, msk, action)
-        assert slowpath_lookup(header(FIVE_TUPLE, **fields), acl).action is flow.action
+        key, mask, action = synthesize_megaflow(header(FIVE_TUPLE, **fields), acl)
+        o_key, o_mask, o_action = o_synthesize(fields, oracle_rules)
+        want = FIVE_TUPLE.pack(o_key), FIVE_TUPLE.pack(o_mask), o_action
+        assert (key, mask, action.value) == want
+        assert slowpath_lookup(header(FIVE_TUPLE, **fields), acl).action is action
 
 
 def test_synthesized_entries_same_acl_disjoint_or_identical():
@@ -241,10 +236,10 @@ def test_synthesized_entries_same_acl_disjoint_or_identical():
         flows.append(synthesize_megaflow(h, acl))
     from oracle_cache import megaflows_overlap
 
-    for i, a in enumerate(flows):
-        for b in flows[i + 1 :]:
-            same = a.key.values == b.key.values and a.mask.values == b.mask.values
-            assert megaflows_overlap((a.key, a.mask), (b.key, b.mask)) == same
+    for i, (k1, m1, _) in enumerate(flows):
+        for k2, m2, _ in flows[i + 1 :]:
+            same = (k1, m1) == (k2, m2)
+            assert megaflows_overlap((k1, m1), (k2, m2)) == same
 
 
 def test_acl_text_roundtrip():
