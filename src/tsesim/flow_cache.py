@@ -31,7 +31,7 @@ from typing import Iterable, Optional
 
 from .headers import HeaderValue, header_hash64
 # No path here calls synthesize_megaflow; tracers look it up in this module by name.
-from .slowpath import Acl, Action, megaflow_mask, synthesize_megaflow  # noqa: F401
+from .slowpath import Acl, Action, synthesize_megaflow  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,12 @@ class EmcCache:
 
 
 class FlowTable:
-    """One ACL's megaflows: an int id per distinct (mask, key) and per mask, in first-sight order.
+    """One ACL's megaflows: an int id per distinct key and per mask, in first-sight order.
 
     The table holds ints only: mask id, key bits and action per flow id, and
-    mask bits per mask id.
+    mask bits per mask id.  A key names one synthesized flow: the header at
+    the key's bits lies in every flow with that key, and synthesized flows
+    are disjoint or identical.
     Synthesis depends only on the ACL and the header, so all caches and runs
     on one ACL object share its table (`of`) and synthesize a header once.
     No output depends on the ids, so none depends on what was interned before.
@@ -101,7 +103,7 @@ class FlowTable:
         self.action_of: list[Action] = []  # by flow id
         self.mask_bits: list[int] = []  # by mask id
         self.mask_ids: dict[int, int] = {}  # mask bits -> mask id
-        self._flow_ids: dict[tuple[int, int], int] = {}  # (mask bits, key bits) -> flow id
+        self._flow_ids: dict[int, int] = {}  # key bits -> flow id
         self._of_header: dict[int, int] = {}  # header bits (of the ACL's layout) -> flow id
 
     @staticmethod
@@ -117,20 +119,34 @@ class FlowTable:
         return self.flow_ids((h,))[0] if fid is None else fid
 
     def flow_ids(self, headers: Iterable[HeaderValue]) -> list[int]:
-        """The flow id of each header's megaflow; a header is synthesized on first sight only."""
-        known, acl, intern = self._of_header, self.acl, self.intern
-        ids = []
+        """Each header's megaflow id: `megaflow_mask`'s walk, inline, on first sight only."""
+        known, flow_ids, packed = self._of_header, self._flow_ids, self.acl.packed
+        mask_ids, mask_bits, mask_of = self.mask_ids, self.mask_bits, self.mask_of
+        key_of, action_of, ids = self.key_of, self.action_of, []
         for h in headers:
             fid = known.get(bits := h.bits)
             if fid is None:
-                m, r = megaflow_mask(bits, acl)
-                fid = known[bits] = intern(m, bits & m, r.action)
+                acc = 0
+                for m, value, r, prefix in packed:
+                    diff = (bits ^ value) & m
+                    if not diff:
+                        break
+                    acc |= prefix[diff.bit_length()]
+                fid = flow_ids.get(key := bits & (m := acc | m))
+                if fid is None:
+                    fid = flow_ids[key] = len(key_of)
+                    if (mid := mask_ids.setdefault(m, len(mask_bits))) == len(mask_bits):
+                        mask_bits.append(m)
+                    mask_of.append(mid)
+                    key_of.append(key)
+                    action_of.append(r.action)
+                known[bits] = fid
             ids.append(fid)
         return ids
 
     def intern(self, mask_bits: int, key_bits: int, action: Action) -> int:
-        """The id of megaflow (mask, key); raise ValueError if it has another action."""
-        fid = self._flow_ids.setdefault((mask_bits, key_bits), len(self.key_of))
+        """The id of megaflow (mask, key); raise ValueError if key has another mask or action."""
+        fid = self._flow_ids.setdefault(key_bits, len(self.key_of))
         if fid == len(self.key_of):
             mid = self.mask_ids.setdefault(mask_bits, len(self.mask_bits))
             if mid == len(self.mask_bits):
@@ -138,6 +154,8 @@ class FlowTable:
             self.mask_of.append(mid)
             self.key_of.append(key_bits)
             self.action_of.append(action)
+        elif (had := self.mask_bits[self.mask_of[fid]]) != mask_bits:
+            raise ValueError(f"megaflow key {key_bits:#x} already has mask {had:#x}")
         elif (had := self.action_of[fid]) is not action:
             raise ValueError(f"megaflow {key_bits:#x}/{mask_bits:#x} already has action {had}")
         return fid

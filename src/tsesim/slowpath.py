@@ -5,8 +5,8 @@ rule constrains some fields to exact values and wildcards the rest.  A lookup
 returns the highest-priority matching rule.  Synthesis turns one lookup into
 a cached (key, mask, action) entry that covers the triggering header, stays
 disjoint from every other entry the same table can produce, and wildcards as
-many bits as the rule set allows.  Both work on packed headers: each rule is
-precomputed as a packed (mask, value) pair.
+many bits as the rule set allows.  It works on packed headers: each rule is
+precomputed as a packed (mask, value) pair and a prefix table of its mask.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .headers import HeaderLayout, HeaderValue, decimal_int, int_to_ip, ip_to_int, IP_FIELDS
+from .headers import HeaderLayout, HeaderValue, decimal_int, ip_to_int, IP_FIELDS
 
 
 class Action(enum.Enum):
@@ -67,21 +67,24 @@ class Acl:
         return Acl(layout, ordered)
 
     @cached_property
-    def packed(self) -> tuple[tuple[int, int, FlowRule], ...]:
-        """(mask, value, rule) per rule: h matches the rule iff h.bits & mask == value.
+    def packed(self) -> tuple[tuple[int, int, FlowRule, tuple[int, ...]], ...]:
+        """(mask, value, rule, prefix) per rule: h matches the rule iff h.bits & mask == value.
 
         The mask examines the rule's constrained fields whole; the value holds
-        their constraints and 0 elsewhere.  The last rule is a catch-all,
-        which every header matches, so a walk over these always stops at a rule.
+        their constraints and 0 elsewhere; `prefix[n]` holds the mask's bits
+        at or above bit n - 1, one tuple per distinct mask.  The last rule is
+        a catch-all, so a walk over these always stops at a rule.
         """
-        packed = []
+        packed, prefixes, width = [], {}, self.layout.width  # type: ignore[attr-defined]
         for r in self.rules:
             m = value = 0
             for name, v in r.matches:
                 shift, full = self.layout.slot(name)
                 m |= full << shift
                 value |= v << shift
-            packed.append((m, value, r))
+            if m not in prefixes:
+                prefixes[m] = (0, *(m >> n << n for n in range(width)))
+            packed.append((m, value, r, prefixes[m]))
         return tuple(packed)
 
 
@@ -112,12 +115,6 @@ def validate_acl(acl: Acl) -> list[str]:
     return problems
 
 
-def slowpath_lookup(h: HeaderValue, acl: Acl) -> FlowRule:
-    """First rule, in descending priority, whose exact constraints all match."""
-    bits = h.bits
-    return next(r for m, value, r in acl.packed if bits & m == value)
-
-
 def synthesize_megaflow(h: HeaderValue, acl: Acl) -> tuple[int, int, Action]:
     """The (key bits, mask bits, action) cache entry for a header; see `megaflow_mask`."""
     mask_bits, r = megaflow_mask(h.bits, acl)
@@ -136,18 +133,17 @@ def megaflow_mask(bits: int, acl: Acl) -> tuple[int, FlowRule]:
     so the entry is as broad as the rule set permits.  The entry's key is
     `bits & mask`.
 
-    On packed ints a rule's walk is one expression: fields are packed first
+    On packed ints a rule's walk is one table lookup: fields are packed first
     field highest, so the highest bit where the header differs from the rule
     under the rule's mask is the walk's first mismatch, and the walk examined
-    exactly the rule's mask bits at or above it.
+    exactly the rule's mask bits at or above it, `prefix[diff.bit_length()]`.
     """
     acc = 0
-    for m, value, r in acl.packed:
+    for m, value, r, prefix in acl.packed:
         diff = (bits ^ value) & m
         if not diff:
             break
-        low = diff.bit_length() - 1
-        acc |= m >> low << low
+        acc |= prefix[diff.bit_length()]
     return acc | m, r
 
 
@@ -194,20 +190,6 @@ def parse_acl_text(layout: HeaderLayout, text: str) -> Acl:
             raise ValueError(f"line {lineno}: rule needs priority= and action=")
         rules.append(rule(layout, priority, action, **matches))
     return Acl.from_rules(layout, rules)
-
-
-def format_acl_text(acl: Acl) -> str:
-    lines = []
-    for r in acl.rules:
-        parts = [f"priority={r.priority}"]
-        for name, value in r.matches:
-            if name in IP_FIELDS:
-                parts.append(f"{name}={int_to_ip(value)}")
-            else:
-                parts.append(f"{name}={value}")
-        parts.append(f"action={r.action.value}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
 
 
 def load_acl(path: str | Path, layout: HeaderLayout) -> Acl:

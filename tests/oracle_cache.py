@@ -7,8 +7,8 @@ matching entry through synthesis instead and charges the probe count this
 scan would have; the differential tests compare the two.  The scan shares
 the cache's storage, expiry and ranking, which other tests check.  It finds
 the entry at each subtable by looking the masked header up in the table's
-interned (mask, key) pairs and testing whether that flow is live, never by
-the header's own flow id.
+interned keys and testing whether that flow has the subtable's mask and is
+live, never by the header's own flow id.
 
 The cache and its `FlowTable` hold megaflows as ints and report ids; the
 helpers below map ids back to key and mask bits through the table, so tests
@@ -54,8 +54,8 @@ class SequentialCache(FlowCache):
         interned, mask_bits = self.table._flow_ids, self.table.mask_bits
         for probed, st in enumerate(self.subtables(), start=1):
             m = mask_bits[st.mask_id]
-            fid = interned.get((m, h.bits & m))
-            if fid is not None and fid in self._idle:
+            fid = interned.get(h.bits & m)
+            if fid is not None and self.table.mask_of[fid] == st.mask_id and fid in self._idle:
                 self._hit(st, 1)
                 self._refresh(fid, now)
                 return self.table.action_of[fid], probed

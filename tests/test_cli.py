@@ -1,6 +1,8 @@
 import argparse
 import hashlib
 import json
+import runpy
+import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -192,6 +194,16 @@ def test_exit_code_2_on_config_error(tmp_path, capsys):
     rc = main(["run", "--acl", "/missing/file.acl", "--duration", "5"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    """`python -m tsesim.cli` reaches `main` through the module's `__main__` guard."""
+    monkeypatch.setattr(sys, "argv", ["tsesim", "--help"])
+    monkeypatch.delitem(sys.modules, "tsesim.cli")  # run_module warns about an imported module
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("tsesim.cli", run_name="__main__")
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tsesim")
 
 
 def test_gen_trace_needs_a_positive_rate(tmp_path, capsys):
@@ -606,7 +618,7 @@ def test_acl_file_loads_for_run_and_sweep(tmp_path, capsys):
     """A valid --acl file gives the output of the built-in table it was written from."""
     from tsesim.attack import UseCase
     from tsesim.engine import scenario_acl, victim_flow_headers
-    from tsesim.slowpath import format_acl_text
+    from oracle_acl import format_acl_text
 
     acl_file = tmp_path / "dp.acl"
     acl_file.write_text(format_acl_text(scenario_acl(UseCase.DP, victim_flow_headers())))

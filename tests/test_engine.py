@@ -179,7 +179,8 @@ def test_victim_flows_and_rules():
     flows = victim_flow_headers()
     assert len(flows) == 2
     acl = scenario_acl(UseCase.SIP_SP_DP, victim_flows=flows)
-    from tsesim.slowpath import slowpath_lookup, validate_acl
+    from oracle_acl import slowpath_lookup
+    from tsesim.slowpath import validate_acl
 
     assert validate_acl(acl) == []
     for h in flows:
@@ -454,6 +455,24 @@ def test_cache_map_batches():
     assert batches.mask_count == 8209
     assert batches.count == 9
     assert batches.mask_count - (batches.count - 1) * 1000 == 209
+
+
+def test_second_compile_on_one_acl_walks_no_header():
+    """A trace compiled again on the same ACL object reuses every header's flow id.
+
+    Sweep cells share one ACL and one trace, so a sweep synthesizes its
+    trace once: with the rules made unwalkable, the second compile agrees.
+    """
+
+    class Unwalkable:
+        def __iter__(self):
+            raise AssertionError("a compiled header was walked again")
+
+    acl, trace, _ = reference_setup(UseCase.SP_DP)
+    first = MaskBatches(trace, acl)
+    vars(acl)["packed"] = Unwalkable()
+    second = MaskBatches(trace, acl)
+    assert second.flow_ids == first.flow_ids and second.batch_of() == first.batch_of()
 
 
 def test_cache_map_pre_attack_absent():

@@ -27,7 +27,7 @@ from oracle_cache import (  # noqa: E402
 
 from tsesim.attack import simple_acl  # noqa: E402
 from tsesim.flow_cache import CostModel, FlowCache, FlowTable  # noqa: E402
-from tsesim.headers import FIVE_TUPLE, HYP, header, header_hash64  # noqa: E402
+from tsesim.headers import FIVE_TUPLE, HYP, HeaderValue, header, header_hash64  # noqa: E402
 from tsesim.slowpath import (  # noqa: E402
     Acl,
     Action,
@@ -548,6 +548,34 @@ def test_int_compile_matches_synthesize_megaflow(case):
             same_mask = table.mask_of[f1] == table.mask_of[f2]
             assert same_mask == (m1 == m2)
     assert fids == [table.flow_id(h) for h in headers]  # a second look finds the same ids
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=acl_and_headers(), data=st.data())
+def test_key_bits_name_one_synthesized_flow(case, data):
+    """Synthesized flows with equal keys have equal masks and actions; `intern` refuses others.
+
+    This is what lets the table intern a flow by its key bits alone.  The
+    headers at the keys' own bits join the drawn ones, as those are the
+    headers that lie in every flow with that key.
+    """
+    acl, drawn = case
+    headers = drawn + [HeaderValue(FIVE_TUPLE, synthesize_megaflow(h, acl)[0]) for h in drawn]
+    by_key: dict[int, tuple[int, Action]] = {}
+    for key, mask, action in (synthesize_megaflow(h, acl) for h in headers):
+        assert by_key.setdefault(key, (mask, action)) == (mask, action)
+    table = FlowTable(acl)
+    table.flow_ids(headers)
+    assert len(table.key_of) == len(by_key)
+    fid = data.draw(st.sampled_from(range(len(table.key_of))))
+    key, mask, action = flow(table, fid)
+    other_mask = mask ^ 1 << data.draw(st.integers(0, FIVE_TUPLE.width - 1))
+    with pytest.raises(ValueError, match="already has mask"):
+        table.intern(other_mask, key, action)
+    other_action = Action.DENY if action is Action.ALLOW else Action.ALLOW
+    with pytest.raises(ValueError, match="already has action"):
+        table.intern(mask, key, other_action)
+    assert table.intern(mask, key, action) == fid and len(table.key_of) == len(by_key)
 
 
 @pytest.mark.parametrize("emc", [False, True])

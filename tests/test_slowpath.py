@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from oracle_acl import format_acl_text, slowpath_lookup  # noqa: E402
 from oracle_synth import ORDER, WIDTH, o_synthesize  # noqa: E402
 
 from tsesim.headers import FIVE_TUPLE, HYP, HeaderValue, header, ip_to_int  # noqa: E402
@@ -15,10 +16,8 @@ from tsesim.slowpath import (  # noqa: E402
     Acl,
     Action,
     FlowRule,
-    format_acl_text,
     parse_acl_text,
     rule,
-    slowpath_lookup,
     synthesize_megaflow,
     validate_acl,
 )
