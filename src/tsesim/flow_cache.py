@@ -13,6 +13,12 @@ mask and action are read from the table; a subtable keeps its mask id and a
 count.  Results are ids: new subtables' mask ids from `classify_batch`,
 expired flow ids and removed mask ids from `expire`.
 
+All pricing goes through one loop, `FlowCache._price_runs`, which makes no
+Python call per run: it reads the EMC's slot memo and slots itself (hashing
+only a header it has not seen), fills the EMC with a plain store, and does
+a megaflow install inline.  `expire` pops the idle list's front with
+`popitem` and puts the first entry still young back in front.
+
 A cache keeps one subtable per mask id it has installed.  A subtable is live
 while it holds a megaflow; `expire` takes an emptied one out of the search
 order, and the next install of its mask revives it first in the order, as
@@ -72,8 +78,6 @@ class EmcCache:
         if not self.enabled:
             return None
         stored = self.slots.get(self._slot(h))
-        # Replayed trace packets are the stored objects themselves, so the
-        # identity test settles most hits without a field comparison.
         if stored is not None and (stored[0] is h or stored[0] == h):
             return stored[1]
         return None
@@ -143,22 +147,6 @@ class FlowTable:
                 known[bits] = fid
             ids.append(fid)
         return ids
-
-    def intern(self, mask_bits: int, key_bits: int, action: Action) -> int:
-        """The id of megaflow (mask, key); raise ValueError if key has another mask or action."""
-        fid = self._flow_ids.setdefault(key_bits, len(self.key_of))
-        if fid == len(self.key_of):
-            mid = self.mask_ids.setdefault(mask_bits, len(self.mask_bits))
-            if mid == len(self.mask_bits):
-                self.mask_bits.append(mask_bits)
-            self.mask_of.append(mid)
-            self.key_of.append(key_bits)
-            self.action_of.append(action)
-        elif (had := self.mask_bits[self.mask_of[fid]]) != mask_bits:
-            raise ValueError(f"megaflow key {key_bits:#x} already has mask {had:#x}")
-        elif (had := self.action_of[fid]) is not action:
-            raise ValueError(f"megaflow {key_bits:#x}/{mask_bits:#x} already has action {had}")
-        return fid
 
 
 @dataclass(eq=False)
@@ -253,50 +241,32 @@ class FlowCache:
             raise ValueError(f"time went backwards: {now} < {self._clock}")
         self._clock = now
 
-    def _refresh(self, fid: int, now: float) -> None:
-        self._idle[fid] = now
-        self._idle.move_to_end(fid)
-
-    def _hit(self, st: Subtable, count: int) -> None:
-        """Count `count` interval hits on st, listing it on its first."""
-        if not st.interval_hits:
-            self._hits.append(st)
-        st.interval_hits += count
-
-    def _install(self, fid: int, now: float) -> bool:
-        """Make flow fid live; return whether that created (or revived) its subtable."""
-        mid = self.table.mask_of[fid]
-        st = self._sub.get(mid)
-        if st is None:
-            st = self._sub[mid] = Subtable(mid)
-        created = not st.size
-        if created:
-            st.pos = len(self._rev) + self._pos_offset
-            self._rev.append(st)
-        st.size += 1
-        self._idle[fid] = now
-        return created
-
     def expire(self, now: float) -> tuple[list[int], list[int]]:
         """Remove entries idle for >= idle_timeout; take emptied subtables out of the order.
 
         Returns (expired flow ids in last-hit order, mask ids of the removed
         subtables).  An emptied subtable leaves storage with its interval
-        hits zeroed and stays in the mask-id index for `_install` to revive.
+        hits zeroed and stays in the mask-id index for an install to revive.
         Costs O(expired + 1): the idle list is in last-hit order, so expiry
-        stops at its first entry that is still young.  Only the storage
-        prefix up to the highest removed subtable is renumbered; expired
-        subtables have gone unhit, so they rank last and sit low in storage.
+        pops from the front and puts the first entry still young back in
+        front.  Only the storage prefix up to the highest removed subtable is
+        renumbered; expired subtables have gone unhit, so they rank last and
+        sit low in storage.
         """
         self._advance(now)
         removed_entries: list[int] = []
         removed_masks: list[int] = []
         idle, sub = self._idle, self._sub
-        mask_of = self.table.mask_of
+        mask_of, pop, timeout = self.table.mask_of, idle.popitem, self.idle_timeout
         offset = self._pos_offset
         top = -1  # highest storage index of a removed subtable
-        while idle and idle[fid := next(iter(idle))] + self.idle_timeout <= now:
-            del idle[fid]
+        while idle:
+            fid, last_hit = pop(last=False)
+            # Not `last_hit <= now - timeout`: the two round differently.
+            if not (last_hit + timeout <= now):
+                idle[fid] = last_hit
+                idle.move_to_end(fid, last=False)
+                break
             st = sub[mask_of[fid]]
             st.size -= 1
             removed_entries.append(fid)
@@ -397,25 +367,32 @@ class FlowCache:
 
     def probe_cost(self, *headers: HeaderValue) -> float:
         """Total cost of classifying each header right now, without mutating any state."""
-        runs = [(h, self.flow_id(h), 1) for h in headers]
+        flow_id = self.table.flow_id
+        runs = [(h, flow_id(h), 1) for h in headers]
         return self._price_runs(runs, self._clock, probe=True).total_cost
 
     def _price_runs(
         self, runs: Iterable[tuple[HeaderValue, int, int]], now: float, probe: bool = False
     ) -> BatchResult:
-        """The one pricing path; with `probe`, change nothing."""
+        """The one pricing path, one loop with no call per run; with `probe`, change nothing.
+
+        An install revives or creates the flow's subtable first in the
+        search order; `EmcCache._slot` runs only on a slot-memo miss.
+        """
         c = self.costs
         emc = self.emc
         emc_on = emc.enabled
-        idle, sub = self._idle, self._sub
+        slots, slot_of, emc_slot = emc.slots, emc._slot_of, emc._slot
+        idle, sub, rev = self._idle, self._sub, self._rev
         action_of, mask_of = self.table.action_of, self.table.mask_of
-        move_to_end = idle.move_to_end  # `_refresh`, inlined
+        move_to_end = idle.move_to_end
         list_hit = self._hits.append
         c_emc, c_sub = c.c_emc, c.c_sub
         emc_probe = (1 if emc_on else 0) * c_emc
-        miss_cost = emc_probe + len(self._rev) * c_sub + c.c_slow
+        miss_cost = emc_probe + len(rev) * c_sub + c.c_slow
         # A subtable's 1-based search position at batch start is base - st.pos.
-        base = len(self._rev) + self._pos_offset
+        offset = self._pos_offset
+        base = len(rev) + offset
         packets = emc_hits = mfc_hits = slow_path = 0
         cost = 0.0
         created: list[int] = []
@@ -424,7 +401,13 @@ class FlowCache:
             packets += count
             rest = 0
             if emc_on:
-                if emc.lookup(h) is not None:
+                slot = slot_of.get(h.bits)
+                if slot is None:
+                    slot = emc_slot(h)
+                stored = slots.get(slot)
+                # Replayed trace packets are the stored objects themselves, so
+                # the identity test settles most hits without a field comparison.
+                if stored is not None and (stored[0] is h or stored[0] == h):
                     emc_hits += count
                     cost += count * c_emc
                     continue
@@ -435,7 +418,7 @@ class FlowCache:
                 cost += count * (emc_probe + (base - st.pos) * c_sub)
                 if probe:
                     continue
-                if not st.interval_hits:  # `_hit`, inlined
+                if not st.interval_hits:
                     list_hit(st)
                 st.interval_hits += count
                 idle[fid] = now
@@ -447,10 +430,17 @@ class FlowCache:
                     continue
                 if fid not in batch_new:  # then it is not live either
                     batch_new.add(fid)
-                    if self._install(fid, now):
-                        created.append(mask_of[fid])
+                    st = sub.get(mid := mask_of[fid])
+                    if st is None:
+                        st = sub[mid] = Subtable(mid)
+                    if not st.size:
+                        st.pos = len(rev) + offset
+                        rev.append(st)
+                        created.append(mid)
+                    st.size += 1
+                    idle[fid] = now
             if emc_on:
-                emc.insert(h, action_of[fid])
+                slots[slot] = (h, action_of[fid])
                 if rest:
                     emc_hits += rest
                     cost += rest * c_emc
@@ -462,10 +452,14 @@ class FlowCache:
         self._advance(now)
         if packets <= 0:
             return
-        fid = self.flow_id(h)
-        if fid in self._idle:
-            self._hit(self._sub[self.table.mask_of[fid]], packets)
-            self._refresh(fid, now)
+        idle = self._idle
+        if (fid := self.table.flow_id(h)) in idle:
+            st = self._sub[self.table.mask_of[fid]]
+            if not st.interval_hits:
+                self._hits.append(st)
+            st.interval_hits += packets
+            idle[fid] = now
+            idle.move_to_end(fid)
 
     # -- introspection ---------------------------------------------------------
 

@@ -8,7 +8,9 @@ scan would have; the differential tests compare the two.  The scan shares
 the cache's storage, expiry and ranking, which other tests check.  It finds
 the entry at each subtable by looking the masked header up in the table's
 interned keys and testing whether that flow has the subtable's mask and is
-live, never by the header's own flow id.
+live, never by the header's own flow id.  Its inserts go through `intern`
+and `SequentialCache._install`, which add any (mask, key) pair the way the
+cache's pricing loop adds a synthesized one inline.
 
 The cache and its `FlowTable` hold megaflows as ints and report ids; the
 helpers below map ids back to key and mask bits through the table, so tests
@@ -22,7 +24,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
-from tsesim.flow_cache import BatchResult, FlowCache, FlowTable
+from tsesim.flow_cache import BatchResult, FlowCache, FlowTable, Subtable
 from tsesim.headers import HeaderLayout, HeaderValue
 from tsesim.slowpath import Action
 
@@ -47,7 +49,46 @@ class ClassifyResult:
     cost_units: float
 
 
+def intern(table: FlowTable, mask_bits: int, key_bits: int, action: Action) -> int:
+    """The id of megaflow (mask, key) in table; raise ValueError if key has another mask or action.
+
+    `FlowTable.flow_ids` interns synthesized flows inline; this is the entry
+    for any other (mask, key) pair.
+    """
+    fid = table._flow_ids.setdefault(key_bits, len(table.key_of))
+    if fid == len(table.key_of):
+        mid = table.mask_ids.setdefault(mask_bits, len(table.mask_bits))
+        if mid == len(table.mask_bits):
+            table.mask_bits.append(mask_bits)
+        table.mask_of.append(mid)
+        table.key_of.append(key_bits)
+        table.action_of.append(action)
+    elif (had := table.mask_bits[table.mask_of[fid]]) != mask_bits:
+        raise ValueError(f"megaflow key {key_bits:#x} already has mask {had:#x}")
+    elif (had := table.action_of[fid]) is not action:
+        raise ValueError(f"megaflow {key_bits:#x}/{mask_bits:#x} already has action {had}")
+    return fid
+
+
 class SequentialCache(FlowCache):
+    def _refresh(self, fid: int, now: float) -> None:
+        self._idle[fid] = now
+        self._idle.move_to_end(fid)
+
+    def _install(self, fid: int, now: float) -> bool:
+        """Make flow fid live; return whether that created (or revived) its subtable."""
+        mid = self.table.mask_of[fid]
+        st = self._sub.get(mid)
+        if st is None:
+            st = self._sub[mid] = Subtable(mid)
+        created = not st.size
+        if created:
+            st.pos = len(self._rev) + self._pos_offset
+            self._rev.append(st)
+        st.size += 1
+        self._idle[fid] = now
+        return created
+
     def mfc_lookup(self, h: HeaderValue, now: float) -> Optional[tuple[Action, int]]:
         """Probe subtables sequentially; on a hit, count it and refresh the entry."""
         self._advance(now)
@@ -56,7 +97,9 @@ class SequentialCache(FlowCache):
             m = mask_bits[st.mask_id]
             fid = interned.get(h.bits & m)
             if fid is not None and self.table.mask_of[fid] == st.mask_id and fid in self._idle:
-                self._hit(st, 1)
+                if not st.interval_hits:
+                    self._hits.append(st)
+                st.interval_hits += 1
                 self._refresh(fid, now)
                 return self.table.action_of[fid], probed
         return None
@@ -68,7 +111,7 @@ class SequentialCache(FlowCache):
         (key, mask) only refreshes the entry's idle clock.
         """
         self._advance(now)
-        fid = self.table.intern(mask, key, action)
+        fid = intern(self.table, mask, key, action)
         if fid in self._idle:
             self._refresh(fid, now)
             return False, False

@@ -34,8 +34,10 @@ from tsesim.engine import (  # noqa: E402
     victim_flow_headers,
     SERIES_CSV_HEADER,
 )
+from tsesim import flow_cache  # noqa: E402
+from tsesim.cli import Scenario  # noqa: E402
 from tsesim.flow_cache import FlowCache, FlowTable  # noqa: E402
-from tsesim.headers import FIVE_TUPLE, header  # noqa: E402
+from tsesim.headers import FIVE_TUPLE, header, header_hash64  # noqa: E402
 from tsesim.slowpath import Action, parse_acl_text, synthesize_megaflow  # noqa: E402
 
 
@@ -671,6 +673,28 @@ def test_run_does_not_depend_on_what_the_acl_table_interned():
         FlowTable.of(acl).flow_ids(warm_up)
         assert artifacts(acl) == fresh
         assert artifacts(acl) == fresh  # and again on the same, now shared, table
+
+
+def test_emc_run_hashes_each_distinct_header_once(monkeypatch):
+    """With the EMC on, a run hashes each distinct header once, trace packets and victims alike.
+
+    The scenario is the benchmark's `emc_small` (`sp_dp` clone replay), with
+    the attack started at 1 s and the run cut at 4 s: by then every trace
+    packet has been replayed about ten times.
+    """
+    scenario = Scenario(use_case="sp_dp", tse="2.1", rate=12000.0, t_attack=10.0, t_sleep=2.0,
+                        cores=4, emc=True, attack_start=1.0, duration=4.0)
+    acl, trace, victims = reference_setup(UseCase.SP_DP)
+    hashed = []
+
+    def counting_hash(h):
+        hashed.append(h.bits)
+        return header_hash64(h)
+
+    monkeypatch.setattr(flow_cache, "header_hash64", counting_hash)
+    res = run(scenario.sim_config(), acl, [(trace, scenario.schedule())], victims)
+    assert sum(r.batch.emc_hits for r in res.ticks) > 10 * len(trace)
+    assert sorted(hashed) == sorted({h.bits for h in [*trace.packets, *victims]})
 
 
 def test_config_validation():

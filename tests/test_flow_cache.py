@@ -17,6 +17,7 @@ from oracle_cache import (  # noqa: E402
     entries,
     expire,
     flow,
+    intern,
     last_hits,
     masks,
     megaflows_overlap,
@@ -27,7 +28,7 @@ from oracle_cache import (  # noqa: E402
 
 from tsesim.attack import simple_acl  # noqa: E402
 from tsesim.flow_cache import CostModel, FlowCache, FlowTable  # noqa: E402
-from tsesim.headers import FIVE_TUPLE, HYP, HeaderValue, header, header_hash64  # noqa: E402
+from tsesim.headers import FIVE_TUPLE, HYP, HeaderValue, header, header_hash64, ip_to_int  # noqa: E402
 from tsesim.slowpath import (  # noqa: E402
     Acl,
     Action,
@@ -495,7 +496,7 @@ def test_flow_table_is_one_per_acl_object():
     assert flow(table, fid_a) == want and table.mask_bits[table.mask_of[fid_a]] == mask
     assert table.mask_ids[mask] == table.mask_of[fid_a]
     with pytest.raises(ValueError, match="already has action"):
-        table.intern(mask, key, Action.DENY)
+        intern(table, mask, key, Action.DENY)
 
 
 @st.composite
@@ -571,11 +572,11 @@ def test_key_bits_name_one_synthesized_flow(case, data):
     key, mask, action = flow(table, fid)
     other_mask = mask ^ 1 << data.draw(st.integers(0, FIVE_TUPLE.width - 1))
     with pytest.raises(ValueError, match="already has mask"):
-        table.intern(other_mask, key, action)
+        intern(table, other_mask, key, action)
     other_action = Action.DENY if action is Action.ALLOW else Action.ALLOW
     with pytest.raises(ValueError, match="already has action"):
-        table.intern(mask, key, other_action)
-    assert table.intern(mask, key, action) == fid and len(table.key_of) == len(by_key)
+        intern(table, mask, key, other_action)
+    assert intern(table, mask, key, action) == fid and len(table.key_of) == len(by_key)
 
 
 @pytest.mark.parametrize("emc", [False, True])
@@ -696,6 +697,30 @@ def test_expire_removes_exactly_the_idle_entries(pool, emc_enabled, steps):
         cache.check_invariants()
 
 
+def test_expire_compares_last_hit_plus_timeout_with_now():
+    """A flow last hit at 62 ticks of 0.1 s is expired at 162 ticks; the next entry stays first.
+
+    In floats `6.2 + 10.0 <= 16.2` holds but `6.2 <= 16.2 - 10.0` does not,
+    so this pins the form of the comparison.  In whole ticks, 62 + 100 <= 162.
+    """
+    tick = 0.1
+    assert 62 * tick + 10.0 <= 162 * tick and not 62 * tick <= 162 * tick - 10.0
+    cache = FlowCache(five_acl(), emc_enabled=False)
+    old, young, younger = (
+        header(FIVE_TUPLE, ip_src=9, ip_dst=2, proto=6, sport=3, dport=80),
+        header(FIVE_TUPLE, ip_src=ip_to_int("10.0.0.1"), ip_dst=2, proto=6, sport=3, dport=81),
+        header(FIVE_TUPLE, ip_src=9, ip_dst=2, proto=6, sport=12345, dport=81),
+    )
+    fids = [cache.flow_id(h) for h in (old, young, younger)]
+    for k, h in zip((62, 63, 64), (old, young, younger)):
+        cache.classify_batch([(h, cache.flow_id(h), 1)], k * tick)
+    assert len(set(fids)) == 3 and list(cache._idle) == fids
+    expired, removed = cache.expire(162 * tick)
+    assert expired == fids[:1] and removed == [cache.table.mask_of[fids[0]]]
+    assert list(cache._idle.items()) == [(fids[1], 63 * tick), (fids[2], 64 * tick)]
+    cache.check_invariants()
+
+
 def test_probe_cost_is_read_only():
     cache = FlowCache(five_acl(), emc_enabled=False)
     h = header(FIVE_TUPLE, ip_src=9, ip_dst=2, proto=6, sport=3, dport=81)
@@ -707,6 +732,29 @@ def test_probe_cost_is_read_only():
     assert cost == cache.costs.c_sub
     assert st.interval_hits == hits_before
     assert last_hits(cache) == stamps
+
+    # EMC on: an MFC hit (h's megaflow, a header not in the EMC) and a miss.
+    cache = FlowCache(five_acl())
+    same_flow = [header(FIVE_TUPLE, ip_src=src, ip_dst=2, proto=6, sport=3, dport=81)
+                 for src in (7, 8)]
+    cache.classify_batch([(h, cache.flow_id(h), 1)], now=0.0)
+    cache.classify_batch([(same_flow[0], cache.flow_id(h), 1)], now=1.0)  # an MFC hit
+    assert cache._hits == cache.subtables() and last_hits(cache) == {synthesize(cache, h)[:2]: 1.0}
+    mfc_hit = same_flow[1]
+    miss = header(FIVE_TUPLE, ip_src=9, ip_dst=2, proto=6, sport=3, dport=80)
+    assert cache.flow_id(mfc_hit) == cache.flow_id(h) and cache.flow_id(miss) not in cache._idle
+
+    def state():
+        hits = [s.interval_hits for s in cache.subtables()]
+        return dict(cache.emc.slots), hits, list(cache._hits), last_hits(cache), dict(cache._sub)
+
+    before = state()
+    c = cache.costs
+    assert cache.probe_cost(mfc_hit) == c.c_emc + c.c_sub
+    assert cache.probe_cost(miss) == c.c_emc + c.c_sub + c.c_slow
+    assert cache.probe_cost(mfc_hit, miss) == 2 * c.c_emc + 2 * c.c_sub + c.c_slow
+    assert state() == before and cache.subtable_count == 1
+    cache.check_invariants()
 
 
 def test_credit_hits_bulk():
