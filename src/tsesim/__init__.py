@@ -1,8 +1,8 @@
 """Tuple-space flow-cache simulator and probe-trace toolkit."""
 
 from .headers import FIVE_TUPLE, HYP, FieldSpec, HeaderLayout, HeaderValue
-from .slowpath import Acl, Action, FlowRule, synthesize_megaflow, validate_acl
-from .flow_cache import CostModel, EmcCache, FlowCache, FlowTable
+from .slowpath import Acl, Action, FlowRule, validate_acl
+from .flow_cache import CostModel, EmcCache, FlowCache, FlowTable, synthesize_megaflow
 from .attack import (
     AttackSchedule,
     Trace,

@@ -8,16 +8,16 @@ synthesis rather than by scanning, and charged the scan's probe count: each
 ACL's megaflows are interned as ints in a `FlowTable`, and a packet arrives
 with its megaflow's id.  The one record of a live megaflow is its id in a
 list kept in last-hit order: an install appends, a hit moves the id to the
-end, and expiry of entries idle for the timeout pops from the front.  Key,
+end, and expiry takes entries idle for the timeout from the front.  Key,
 mask and action are read from the table; a subtable keeps its mask id and a
 count.  Results are ids: new subtables' mask ids from `classify_batch`,
 expired flow ids and removed mask ids from `expire`.
 
-All pricing goes through one loop, `FlowCache._price_runs`, which makes no
-Python call per run: it reads the EMC's slot memo and slots itself (hashing
-only a header it has not seen), fills the EMC with a plain store, and does
-a megaflow install inline.  `expire` pops the idle list's front with
-`popitem` and puts the first entry still young back in front.
+Each rule is written once: the synthesis walk in `FlowTable.flow_ids`, and
+the EMC probe, the EMC fill and the megaflow install in the one pricing
+loop, `FlowCache._price_runs`, which makes no Python call per run.  An EMC
+slot holds a header's bits.  `expire` deletes the idle list's front up to
+the first entry still young.
 
 A cache keeps one subtable per mask id it has installed.  A subtable is live
 while it holds a megaflow; `expire` takes an emptied one out of the search
@@ -33,11 +33,10 @@ from __future__ import annotations
 import operator
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .headers import HeaderValue, header_hash64
-# No path here calls synthesize_megaflow; tracers look it up in this module by name.
-from .slowpath import Acl, Action, synthesize_megaflow  # noqa: F401
+from .slowpath import Acl, Action
 
 
 @dataclass(frozen=True)
@@ -50,14 +49,13 @@ class CostModel:
 
 
 class EmcCache:
-    """Fixed-size direct-mapped exact-match cache; full header is the key.
+    """Fixed-size direct-mapped exact-match cache; a slot holds a header's bits.
 
-    A header's slot is `header_hash64(h) % capacity`, computed once per
-    distinct header and kept in `_slot_of` under the header's bits, as a
-    datapath carries one hash per packet instead of rehashing at each probe.
-    The memo belongs to the instance because the slot depends on `capacity`.
-    It holds one int per header ever looked up or inserted, which in a run
-    is the trace packets and the victim headers.
+    A header hits when its slot holds its own bits.  Its slot,
+    `header_hash64(h) % capacity`, is computed once per distinct header and
+    kept in `_slot_of` under its bits, as a datapath carries one hash per
+    packet.  The memo is per instance, as the slot depends on `capacity`;
+    it holds one int per header probed (in a run, trace and victim headers).
     """
 
     def __init__(self, capacity: int = 8192, enabled: bool = True):
@@ -65,7 +63,7 @@ class EmcCache:
             raise ValueError("EMC capacity must be >= 1")
         self.capacity = capacity
         self.enabled = enabled
-        self.slots: dict[int, tuple[HeaderValue, Action]] = {}
+        self.slots: dict[int, int] = {}  # slot -> header bits
         self._slot_of: dict[int, int] = {}  # header bits (of the ACL's layout) -> slot
 
     def _slot(self, h: HeaderValue) -> int:
@@ -73,19 +71,6 @@ class EmcCache:
         if slot is None:
             slot = self._slot_of[h.bits] = header_hash64(h) % self.capacity
         return slot
-
-    def lookup(self, h: HeaderValue) -> Optional[Action]:
-        if not self.enabled:
-            return None
-        stored = self.slots.get(self._slot(h))
-        if stored is not None and (stored[0] is h or stored[0] == h):
-            return stored[1]
-        return None
-
-    def insert(self, h: HeaderValue, action: Action) -> None:
-        if not self.enabled:
-            return
-        self.slots[self._slot(h)] = (h, action)
 
 
 class FlowTable:
@@ -123,7 +108,19 @@ class FlowTable:
         return self.flow_ids((h,))[0] if fid is None else fid
 
     def flow_ids(self, headers: Iterable[HeaderValue]) -> list[int]:
-        """Each header's megaflow id: `megaflow_mask`'s walk, inline, on first sight only."""
+        """Each header's megaflow id, by the synthesis walk on first sight only.
+
+        The walk takes rules in descending priority and a rule's constrained
+        fields in layout order: a matching field is un-wildcarded whole; a
+        mismatching one un-wildcards its prefix up to and including the first
+        differing bit and abandons the rule.  The first rule matched in full
+        ends the walk (the catch-all with a deny).  Only examined bits enter
+        the mask, so the megaflow is as broad as the rules permit; its key
+        is `bits & mask`.  Fields are packed first field highest, so a rule's
+        walk is one lookup: the highest bit of `diff` is the first mismatch,
+        and the walk examined the rule's mask bits at or above it,
+        `prefix[diff.bit_length()]`.
+        """
         known, flow_ids, packed = self._of_header, self._flow_ids, self.acl.packed
         mask_ids, mask_bits, mask_of = self.mask_ids, self.mask_bits, self.mask_of
         key_of, action_of, ids = self.key_of, self.action_of, []
@@ -147,6 +144,13 @@ class FlowTable:
                 known[bits] = fid
             ids.append(fid)
         return ids
+
+
+def synthesize_megaflow(h: HeaderValue, acl: Acl) -> tuple[int, int, Action]:
+    """The (key bits, mask bits, action) megaflow of a header, read from the ACL's table."""
+    table = FlowTable.of(acl)
+    fid = table.flow_id(h)
+    return table.key_of[fid], table.mask_bits[table.mask_of[fid]], table.action_of[fid]
 
 
 @dataclass(eq=False)
@@ -248,24 +252,21 @@ class FlowCache:
         subtables).  An emptied subtable leaves storage with its interval
         hits zeroed and stays in the mask-id index for an install to revive.
         Costs O(expired + 1): the idle list is in last-hit order, so expiry
-        pops from the front and puts the first entry still young back in
-        front.  Only the storage prefix up to the highest removed subtable is
-        renumbered; expired subtables have gone unhit, so they rank last and
-        sit low in storage.
+        reads it from the front up to the first entry still young, then
+        deletes the entries before it.  Only the storage prefix up to the
+        highest removed subtable is renumbered; expired subtables have gone
+        unhit, so they rank last and sit low in storage.
         """
         self._advance(now)
         removed_entries: list[int] = []
         removed_masks: list[int] = []
         idle, sub = self._idle, self._sub
-        mask_of, pop, timeout = self.table.mask_of, idle.popitem, self.idle_timeout
+        mask_of, timeout = self.table.mask_of, self.idle_timeout
         offset = self._pos_offset
         top = -1  # highest storage index of a removed subtable
-        while idle:
-            fid, last_hit = pop(last=False)
+        for fid, last_hit in idle.items():
             # Not `last_hit <= now - timeout`: the two round differently.
             if not (last_hit + timeout <= now):
-                idle[fid] = last_hit
-                idle.move_to_end(fid, last=False)
                 break
             st = sub[mask_of[fid]]
             st.size -= 1
@@ -274,6 +275,8 @@ class FlowCache:
                 st.interval_hits = 0
                 removed_masks.append(st.mask_id)
                 top = max(top, st.pos - offset)
+        for fid in removed_entries:
+            del idle[fid]
         if removed_masks:
             kept = [st for st in self._rev[: top + 1] if st.size]
             self._rev[: top + 1] = kept
@@ -384,7 +387,7 @@ class FlowCache:
         emc_on = emc.enabled
         slots, slot_of, emc_slot = emc.slots, emc._slot_of, emc._slot
         idle, sub, rev = self._idle, self._sub, self._rev
-        action_of, mask_of = self.table.action_of, self.table.mask_of
+        mask_of = self.table.mask_of
         move_to_end = idle.move_to_end
         list_hit = self._hits.append
         c_emc, c_sub = c.c_emc, c.c_sub
@@ -401,13 +404,10 @@ class FlowCache:
             packets += count
             rest = 0
             if emc_on:
-                slot = slot_of.get(h.bits)
+                slot = slot_of.get(bits := h.bits)
                 if slot is None:
                     slot = emc_slot(h)
-                stored = slots.get(slot)
-                # Replayed trace packets are the stored objects themselves, so
-                # the identity test settles most hits without a field comparison.
-                if stored is not None and (stored[0] is h or stored[0] == h):
+                if slots.get(slot) == bits:
                     emc_hits += count
                     cost += count * c_emc
                     continue
@@ -440,7 +440,7 @@ class FlowCache:
                     st.size += 1
                     idle[fid] = now
             if emc_on:
-                slots[slot] = (h, action_of[fid])
+                slots[slot] = bits
                 if rest:
                     emc_hits += rest
                     cost += rest * c_emc

@@ -1,12 +1,13 @@
-"""Order-dependent priority flow table and megaflow mask synthesis.
+"""Order-dependent priority flow table: rules, ACLs and their text format.
 
 The flow table ("slow path") is a list of rules with unique priorities; each
 rule constrains some fields to exact values and wildcards the rest.  A lookup
 returns the highest-priority matching rule.  Synthesis turns one lookup into
 a cached (key, mask, action) entry that covers the triggering header, stays
 disjoint from every other entry the same table can produce, and wildcards as
-many bits as the rule set allows.  It works on packed headers: each rule is
-precomputed as a packed (mask, value) pair and a prefix table of its mask.
+many bits as the rule set allows.  `Acl.packed` precomputes each rule for it
+as a packed (mask, value) pair and a prefix table of its mask; the walk
+itself is `flow_cache.FlowTable.flow_ids`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .headers import HeaderLayout, HeaderValue, decimal_int, ip_to_int, IP_FIELDS
+from .headers import HeaderLayout, decimal_int, ip_to_int, IP_FIELDS
 
 
 class Action(enum.Enum):
@@ -113,38 +114,6 @@ def validate_acl(acl: Acl) -> list[str]:
                     f"rule priority={r.priority}: value {value} exceeds field width of {name}"
                 )
     return problems
-
-
-def synthesize_megaflow(h: HeaderValue, acl: Acl) -> tuple[int, int, Action]:
-    """The (key bits, mask bits, action) cache entry for a header; see `megaflow_mask`."""
-    mask_bits, r = megaflow_mask(h.bits, acl)
-    return h.bits & mask_bits, mask_bits, r.action
-
-
-def megaflow_mask(bits: int, acl: Acl) -> tuple[int, FlowRule]:
-    """The synthesis walk on packed ints: (mask bits, deciding rule) of a header's bits.
-
-    Walk rules in descending priority.  For the current rule, examine its
-    constrained fields in layout order: an exact match un-wildcards the whole
-    field and moves on to the rule's next field; a mismatch un-wildcards the
-    prefix up to and including the first differing bit and abandons the rule.
-    The first rule whose constrained fields all match ends the walk; the
-    catch-all ends it with a deny.  Only examined bits ever enter the mask,
-    so the entry is as broad as the rule set permits.  The entry's key is
-    `bits & mask`.
-
-    On packed ints a rule's walk is one table lookup: fields are packed first
-    field highest, so the highest bit where the header differs from the rule
-    under the rule's mask is the walk's first mismatch, and the walk examined
-    exactly the rule's mask bits at or above it, `prefix[diff.bit_length()]`.
-    """
-    acc = 0
-    for m, value, r, prefix in acl.packed:
-        diff = (bits ^ value) & m
-        if not diff:
-            break
-        acc |= prefix[diff.bit_length()]
-    return acc | m, r
 
 
 # --- line-oriented text format -------------------------------------------

@@ -5,17 +5,21 @@ does: probe the EMC, then every subtable in search order with the header
 masked by that subtable's mask, then the slow path.  `FlowCache` finds the
 matching entry through synthesis instead and charges the probe count this
 scan would have; the differential tests compare the two.  The scan shares
-the cache's storage, expiry and ranking, which other tests check.  It finds
-the entry at each subtable by looking the masked header up in the table's
-interned keys and testing whether that flow has the subtable's mask and is
-live, never by the header's own flow id.  Its inserts go through `intern`
-and `SequentialCache._install`, which add any (mask, key) pair the way the
+the cache's storage, expiry and ranking, which other tests check.  It
+probes and fills the EMC's slots itself, hashing each header afresh rather
+than through the cache's slot memo.  It finds the entry at each subtable
+by looking the masked header up in the table's interned keys and testing
+whether that flow has the subtable's mask and is live, never by the
+header's own flow id.  Its inserts go through `intern` and
+`SequentialCache._install`, which add any (mask, key) pair the way the
 cache's pricing loop adds a synthesized one inline.
 
 The cache and its `FlowTable` hold megaflows as ints and report ids; the
 helpers below map ids back to key and mask bits through the table, so tests
 can state expectations as (key bits, mask bits) pairs, the one form of a
-megaflow.
+megaflow.  `oracle_synthesize` gives a five-tuple header's megaflow by the
+independent per-field walk of `oracle_synth`, for tests that check the
+table's own walk.
 """
 
 from __future__ import annotations
@@ -24,9 +28,11 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
+from oracle_synth import o_synthesize
+
 from tsesim.flow_cache import BatchResult, FlowCache, FlowTable, Subtable
-from tsesim.headers import HeaderLayout, HeaderValue
-from tsesim.slowpath import Action
+from tsesim.headers import HeaderLayout, HeaderValue, header_hash64
+from tsesim.slowpath import Acl, Action
 
 
 def packed_mask(layout: HeaderLayout, **fields: int) -> int:
@@ -118,26 +124,29 @@ class SequentialCache(FlowCache):
         return self._install(fid, now), True
 
     def classify(self, h: HeaderValue, now: float) -> ClassifyResult:
-        """Full pipeline for one packet: EMC, then MFC, then slow path."""
+        """Full pipeline for one packet: EMC, then MFC, then slow path.
+
+        The EMC slot is `header_hash64(h) % capacity`, hashed afresh; it hits
+        when it holds h's bits, and a hit reads h's action from the table.
+        """
         c = self.costs
         emc_probes = 1 if self.emc.enabled else 0
-        if emc_probes:
-            action = self.emc.lookup(h)
-            if action is not None:
-                return ClassifyResult(action, HitPath.EMC, 1, 0, c.c_emc)
+        slot = header_hash64(h) % self.emc.capacity
+        if emc_probes and self.emc.slots.get(slot) == h.bits:
+            action = synthesize(self, h)[2]
+            return ClassifyResult(action, HitPath.EMC, 1, 0, c.c_emc)
         hit = self.mfc_lookup(h, now)
         if hit is not None:
             action, probed = hit
-            self.emc.insert(h, action)
-            return ClassifyResult(
-                action, HitPath.MFC, emc_probes, probed, emc_probes * c.c_emc + probed * c.c_sub
-            )
-        probed = self.subtable_count
-        key, mask, action = synthesize(self, h)
-        self.mfc_insert(key, mask, action, now)
-        self.emc.insert(h, action)
-        cost = emc_probes * c.c_emc + probed * c.c_sub + c.c_slow
-        return ClassifyResult(action, HitPath.SLOW, emc_probes, probed, cost)
+            path, cost = HitPath.MFC, emc_probes * c.c_emc + probed * c.c_sub
+        else:
+            probed = self.subtable_count
+            key, mask, action = synthesize(self, h)
+            self.mfc_insert(key, mask, action, now)
+            path, cost = HitPath.SLOW, emc_probes * c.c_emc + probed * c.c_sub + c.c_slow
+        if emc_probes:
+            self.emc.slots[slot] = h.bits
+        return ClassifyResult(action, path, emc_probes, probed, cost)
 
 
 def megaflows_overlap(e1: tuple[int, int], e2: tuple[int, int]) -> bool:
@@ -158,6 +167,13 @@ def flow(table: FlowTable, fid: int) -> tuple[int, int, Action]:
 def synthesize(cache: FlowCache, h: HeaderValue) -> tuple[int, int, Action]:
     """h's megaflow as (key bits, mask bits, action), through the cache's table."""
     return flow(cache.table, cache.flow_id(h))
+
+
+def oracle_synthesize(h: HeaderValue, acl: Acl) -> tuple[int, int, Action]:
+    """h's (key bits, mask bits, action) by `oracle_synth.o_synthesize`; five-tuple layouts only."""
+    rules = [(dict(r.matches), r.action.value) for r in acl.rules]
+    key, mask, action = o_synthesize(dict(h.items()), rules)
+    return h.layout.pack(key), h.layout.pack(mask), Action(action)
 
 
 def masks(cache: FlowCache) -> list[int]:

@@ -6,7 +6,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracle_cache import SequentialCache, cache_state, last_hits, search_index, synthesize  # noqa: E402
+from oracle_cache import (  # noqa: E402
+    SequentialCache,
+    cache_state,
+    last_hits,
+    oracle_synthesize,
+    search_index,
+    synthesize,
+)
 
 from tsesim.attack import (  # noqa: E402
     AttackSchedule,
@@ -38,7 +45,7 @@ from tsesim import flow_cache  # noqa: E402
 from tsesim.cli import Scenario  # noqa: E402
 from tsesim.flow_cache import FlowCache, FlowTable  # noqa: E402
 from tsesim.headers import FIVE_TUPLE, header, header_hash64  # noqa: E402
-from tsesim.slowpath import Action, parse_acl_text, synthesize_megaflow  # noqa: E402
+from tsesim.slowpath import Action, parse_acl_text  # noqa: E402
 
 
 def reference_setup(use_case=UseCase.SIP_SP_DP):
@@ -523,12 +530,13 @@ def reference_batch_starts() -> tuple[int, ...]:
     """Trace position of each 1000-mask batch's first mask, by synthesis over the trace.
 
     Masks are taken in first-spawn order, as the cache map batches them, but
-    without `MaskBatches` or the `FlowTable`.
+    from the independent walk `oracle_synthesize`, without `MaskBatches` or
+    the `FlowTable`.
     """
     acl, trace, _ = reference_setup()
     first_pos: dict = {}
     for pos, h in enumerate(trace.packets):
-        _, mask, _ = synthesize_megaflow(h, acl)
+        _, mask, _ = oracle_synthesize(h, acl)
         first_pos.setdefault(mask, pos)
     return tuple(list(first_pos.values())[::1000])
 

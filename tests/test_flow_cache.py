@@ -11,6 +11,7 @@ from hypothesis import stateful
 sys.path.insert(0, str(Path(__file__).parent))
 
 from oracle_cache import (  # noqa: E402
+    HitPath,
     SequentialCache,
     batch_masks,
     cache_state,
@@ -21,6 +22,7 @@ from oracle_cache import (  # noqa: E402
     last_hits,
     masks,
     megaflows_overlap,
+    oracle_synthesize,
     packed_mask,
     search_index,
     synthesize,
@@ -29,13 +31,7 @@ from oracle_cache import (  # noqa: E402
 from tsesim.attack import simple_acl  # noqa: E402
 from tsesim.flow_cache import CostModel, FlowCache, FlowTable  # noqa: E402
 from tsesim.headers import FIVE_TUPLE, HYP, HeaderValue, header, header_hash64, ip_to_int  # noqa: E402
-from tsesim.slowpath import (  # noqa: E402
-    Acl,
-    Action,
-    parse_acl_text,
-    rule,
-    synthesize_megaflow,
-)
+from tsesim.slowpath import Acl, Action, parse_acl_text, rule  # noqa: E402
 
 
 def hyp_acl():
@@ -74,17 +70,23 @@ def rand_five(rng):
 # -- EMC ---------------------------------------------------------------------
 
 
+def emc_hits(cache, h, now=0.0):
+    """EMC hits of one packet h classified by `classify_batch`: 1 or 0."""
+    return cache.classify_batch([(h, cache.flow_id(h), 1)], now).emc_hits
+
+
 def test_emc_read_your_write():
-    emc = FlowCache(hyp_acl()).emc
-    emc.insert(hv(0b001), Action.ALLOW)
-    assert emc.lookup(hv(0b001)) is Action.ALLOW
-    assert emc.lookup(hv(0b011)) is None
+    cache = FlowCache(hyp_acl())
+    assert emc_hits(cache, hv(0b001)) == 0  # a miss fills the EMC
+    assert emc_hits(cache, hv(0b001)) == 1
+    assert emc_hits(cache, hv(0b011)) == 0
 
 
 def test_emc_disabled_always_misses():
-    emc = FlowCache(hyp_acl(), emc_enabled=False).emc
-    emc.insert(hv(0b001), Action.ALLOW)
-    assert emc.lookup(hv(0b001)) is None
+    cache = FlowCache(hyp_acl(), emc_enabled=False)
+    assert emc_hits(cache, hv(0b001)) == 0
+    assert emc_hits(cache, hv(0b001)) == 0
+    assert cache.emc.slots == {}
 
 
 def test_emc_capacity_must_be_positive():
@@ -93,12 +95,13 @@ def test_emc_capacity_must_be_positive():
 
 
 def test_emc_collision_eviction_capacity_one():
-    emc = FlowCache(hyp_acl(), emc_capacity=1).emc
-    emc.insert(hv(0b001), Action.ALLOW)
-    emc.insert(hv(0b010), Action.DENY)
-    assert emc.lookup(hv(0b001)) is None
-    assert emc.lookup(hv(0b010)) is Action.DENY
-    assert len(emc.slots) <= 1
+    cache = FlowCache(hyp_acl(), emc_capacity=1)
+    assert emc_hits(cache, hv(0b001)) == emc_hits(cache, hv(0b010)) == 0
+    assert cache.emc.slots == {0: hv(0b010).bits}  # 010 evicted 001
+    assert emc_hits(cache, hv(0b010)) == 1
+    assert emc_hits(cache, hv(0b001)) == 0  # the slot is full, but not with 001
+    assert cache.emc.slots == {0: hv(0b001).bits}
+    assert len(cache.emc.slots) <= 1
 
 
 # -- MFC lookup / insert (the sequential reference) ----------------------------
@@ -314,6 +317,28 @@ def test_batch_of_one_matches_sequential():
     assert masks(bat) == masks(seq)
 
 
+@pytest.mark.parametrize("capacity", [1, 3, 8192])
+def test_emc_batch_of_one_matches_sequential(capacity):
+    """With the EMC on, one-packet batches price and fill it as the scan's own EMC does.
+
+    A pool of 30 headers repeats, so slots are hit, and at capacities 1 and 3
+    they are shared by several headers.
+    """
+    rng = random.Random(19)
+    pool = [rand_five(rng) for _ in range(30)]
+    seq = SequentialCache(five_acl(), emc_capacity=capacity)
+    bat = FlowCache(five_acl(), emc_capacity=capacity)
+    hits = 0
+    for i in range(400):
+        h = rng.choice(pool)
+        want = seq.classify(h, i * 0.01)
+        got = bat.classify_batch([(h, bat.flow_id(h), 1)], i * 0.01)
+        assert (got.total_cost, got.emc_hits) == (want.cost_units, want.path is HitPath.EMC)
+        hits += got.emc_hits
+    assert cache_state(bat) == cache_state(seq)
+    assert 0 < hits < 400
+
+
 def test_batch_hit_cost_matches_linear_scan_position():
     """Fast-path probe counts agree with an independent sequential scan."""
     rng = random.Random(29)
@@ -416,8 +441,9 @@ def test_runs_price_like_runs_of_one(table, emc_enabled, emc_capacity, costs, st
             single.rebalance(now)
         for cache in caches:
             cache.check_invariants()
-            for slot, (h, _) in cache.emc.slots.items():
-                assert slot == header_hash64(h) % cache.emc.capacity
+            layout = cache.table.acl.layout
+            for slot, bits in cache.emc.slots.items():
+                assert slot == header_hash64(HeaderValue(layout, bits)) % cache.emc.capacity
         assert cache_state(grouped) == cache_state(single)
 
 
@@ -492,7 +518,7 @@ def test_flow_table_is_one_per_acl_object():
     fid_a, fid_b, fid_c = table.flow_ids([a, b, c])
     assert fid_a == fid_b != fid_c and table.flow_ids([c, a]) == [fid_c, fid_a]
     assert [table.flow_id(c), table.flow_id(b)] == [fid_c, fid_a]
-    key, mask, action = want = synthesize_megaflow(a, acl)
+    key, mask, action = want = oracle_synthesize(a, acl)
     assert flow(table, fid_a) == want and table.mask_bits[table.mask_of[fid_a]] == mask
     assert table.mask_ids[mask] == table.mask_of[fid_a]
     with pytest.raises(ValueError, match="already has action"):
@@ -534,11 +560,11 @@ def acl_and_headers(draw):
 @settings(max_examples=100, deadline=None)
 @given(case=acl_and_headers())
 def test_int_compile_matches_synthesize_megaflow(case):
-    """The table's int megaflow per header is synthesize_megaflow's, and ids follow (mask, key)."""
+    """The table's int megaflow per header is the independent walk's, and ids follow (mask, key)."""
     acl, headers = case
     table = FlowTable(acl)
     fids = table.flow_ids(headers)
-    want = [synthesize_megaflow(h, acl) for h in headers]
+    want = [oracle_synthesize(h, acl) for h in headers]
     for fid, (key, mask, action) in zip(fids, want):
         got = (table.mask_bits[table.mask_of[fid]], table.key_of[fid], table.action_of[fid])
         assert got == (mask, key, action)
@@ -561,9 +587,9 @@ def test_key_bits_name_one_synthesized_flow(case, data):
     headers that lie in every flow with that key.
     """
     acl, drawn = case
-    headers = drawn + [HeaderValue(FIVE_TUPLE, synthesize_megaflow(h, acl)[0]) for h in drawn]
+    headers = drawn + [HeaderValue(FIVE_TUPLE, oracle_synthesize(h, acl)[0]) for h in drawn]
     by_key: dict[int, tuple[int, Action]] = {}
-    for key, mask, action in (synthesize_megaflow(h, acl) for h in headers):
+    for key, mask, action in (oracle_synthesize(h, acl) for h in headers):
         assert by_key.setdefault(key, (mask, action)) == (mask, action)
     table = FlowTable(acl)
     table.flow_ids(headers)

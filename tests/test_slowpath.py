@@ -11,6 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracle_acl import format_acl_text, slowpath_lookup  # noqa: E402
 from oracle_synth import ORDER, WIDTH, o_synthesize  # noqa: E402
 
+from tsesim.flow_cache import synthesize_megaflow  # noqa: E402
 from tsesim.headers import FIVE_TUPLE, HYP, HeaderValue, header, ip_to_int  # noqa: E402
 from tsesim.slowpath import (  # noqa: E402
     Acl,
@@ -18,7 +19,6 @@ from tsesim.slowpath import (  # noqa: E402
     FlowRule,
     parse_acl_text,
     rule,
-    synthesize_megaflow,
     validate_acl,
 )
 
