@@ -19,7 +19,7 @@ from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .attack import AttackSchedule, Trace, simple_acl, use_case_acl, UseCase
-from .flow_cache import BatchResult, FlowCache, FlowTable
+from .flow_cache import BatchResult, FlowCache, FlowTable, Run
 from .headers import (
     FIVE_TUPLE,
     HeaderLayout,
@@ -159,14 +159,14 @@ def compute_goodput_fraction(
     return min(1.0, max(GOODPUT_FLOOR, fraction))
 
 
-def victim_cost_probe(cache: FlowCache, victim_headers: Sequence[HeaderValue]) -> float:
-    """Mean cost of classifying one representative packet per victim flow.
+def victim_cost_probe(cache: FlowCache, victim_runs: Sequence[Run]) -> float:
+    """Mean cost of classifying one packet per victim flow, given as runs `(h, flow_id, 1)`.
 
     Read-only: neither hit counters nor idle clocks move.
     """
-    if not victim_headers:
+    if not victim_runs:
         return 0.0
-    return cache.probe_cost(*victim_headers) / len(victim_headers)
+    return cache.probe_cost(victim_runs) / len(victim_runs)
 
 
 # --- metrics -------------------------------------------------------------------
@@ -299,8 +299,9 @@ class _Emitter:
 
     A run is `(header, flow_id, count)`: consecutive emissions of one trace
     position.  Tick boundaries come from the schedule's `emission_count`, and
-    a tick's runs are built in one pass over its trace positions, every run a
-    whole clone group but the two ends, so a tick costs O(runs), not O(packets).
+    a tick's runs are zipped from slices of the trace (whole copies of it for
+    full passes), every run a whole clone group but the two ends, so a tick
+    costs O(runs), not O(packets).
     """
 
     def __init__(self, compiled: MaskBatches, schedule: AttackSchedule, horizon: float):
@@ -311,7 +312,7 @@ class _Emitter:
         self._end = schedule.emission_count(horizon)
         self.last_pos: Optional[int] = None
 
-    def due(self, until: float) -> list[tuple[HeaderValue, int, int]]:
+    def due(self, until: float) -> list[Run]:
         """Runs of the emissions before `until` not yet returned, in order."""
         k0 = self._k
         k1 = min(self.schedule.emission_count(until), self._end)
@@ -323,10 +324,13 @@ class _Emitter:
         length = len(headers)
         p0, p1 = k0 // n, (k1 - 1) // n
         q0, q1 = p0 % length, p1 % length
-        if q1 - q0 == p1 - p0:  # the tick does not wrap the trace
-            runs = list(zip(headers[q0 : q1 + 1], fids[q0 : q1 + 1], repeat(n)))
+        cycles = p1 // length - p0 // length - 1  # full passes between the ends; -1 if none
+        if cycles < 0:  # the tick does not wrap the trace
+            hs, fs = headers[q0 : q1 + 1], fids[q0 : q1 + 1]
         else:
-            runs = [(headers[q], fids[q], n) for p in range(p0, p1 + 1) for q in (p % length,)]
+            hs = headers[q0:] + headers * cycles + headers[: q1 + 1]
+            fs = fids[q0:] + fids * cycles + fids[: q1 + 1]
+        runs = list(zip(hs, fs, repeat(n)))
         # Cut the end runs at k1, then at k0; with p0 == p1 both cuts fall
         # on the one run, leaving k1 - k0.
         runs[-1] = runs[-1][:2] + (k1 - p1 * n,)
@@ -336,23 +340,22 @@ class _Emitter:
 
 
 def _ticks(config: SimConfig, cache: FlowCache, emitters: Sequence[_Emitter],
-           victims: Sequence[HeaderValue]) -> Iterator[TickRecord]:
-    """Step the classifier through the run, yielding one record per tick."""
+           victims: Sequence[Run]) -> Iterator[TickRecord]:
+    """Step the classifier through the run, yielding one record per tick; `victims` are runs."""
     ticks_per_second = config.ticks_per_second
     budget_tick = config.cores * config.budget_per_core * config.tick
     first = emitters[0] if emitters else None
+    lone = first if len(emitters) == 1 else None
     for step in range(int(round(config.duration / config.tick))):
         t1 = (step + 1) * config.tick
-        due: list[tuple[HeaderValue, int, int]] = []
-        for em in emitters:
-            due.extend(em.due(t1))
+        due = lone.due(t1) if lone else [r for em in emitters for r in em.due(t1)]
         batch = cache.classify_batch(due, now=t1)
 
         victim_cost = victim_cost_probe(cache, victims)
         victim_demand = config.victim_offered * config.tick * victim_cost
         fraction = compute_goodput_fraction(budget_tick, batch.total_cost, victim_demand)
         share = fraction * config.victim_offered * config.tick / len(victims) if victims else 0.0
-        for h in victims:
+        for h, _, _ in victims:
             cache.credit_hits(h, int(round(share)), now=t1)
 
         _, removed_masks = cache.expire(t1)
@@ -423,10 +426,11 @@ def run(
     victims = list(victim_headers)
     cache = FlowCache(acl, emc_enabled=config.emc_enabled)
     cache.warm(victims, now=0.0)
+    victim_runs = [(h, cache.flow_id(h), 1) for h in victims]
     compiled = [MaskBatches(trace, acl) for trace, _ in attacks]
     emitters = [_Emitter(c, sched, config.duration) for c, (_, sched) in zip(compiled, attacks)]
 
-    ticks = list(_ticks(config, cache, emitters, victims))
+    ticks = list(_ticks(config, cache, emitters, victim_runs))
     series = series_of(ticks, config.ticks_per_second)
     frames = []
     if compiled and config.build_cache_map:

@@ -16,8 +16,9 @@ expired flow ids and removed mask ids from `expire`.
 Each rule is written once: the synthesis walk in `FlowTable.flow_ids`, and
 the EMC probe, the EMC fill and the megaflow install in the one pricing
 loop, `FlowCache._price_runs`, which makes no Python call per run.  An EMC
-slot holds a header's bits.  `expire` deletes the idle list's front up to
-the first entry still young.
+slot holds a header's bits, and an EMC hit is one lookup in the set of
+them.  `expire` deletes the idle list's front up to the first entry still
+young.
 
 A cache keeps one subtable per mask id it has installed.  A subtable is live
 while it holds a megaflow; `expire` takes an emptied one out of the search
@@ -38,6 +39,8 @@ from typing import Iterable
 from .headers import HeaderValue, header_hash64
 from .slowpath import Acl, Action
 
+Run = tuple[HeaderValue, int, int]  # (header, flow_id(header), count) of back-to-back packets
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -51,11 +54,11 @@ class CostModel:
 class EmcCache:
     """Fixed-size direct-mapped exact-match cache; a slot holds a header's bits.
 
-    A header hits when its slot holds its own bits.  Its slot,
-    `header_hash64(h) % capacity`, is computed once per distinct header and
+    A header hits when its slot holds its own bits: when its bits are in
+    `resident`, the set of bits the slots hold.  Only a fill needs the slot,
+    `header_hash64(h) % capacity`, computed once per distinct header and
     kept in `_slot_of` under its bits, as a datapath carries one hash per
-    packet.  The memo is per instance, as the slot depends on `capacity`;
-    it holds one int per header probed (in a run, trace and victim headers).
+    packet.  The memo is per instance, as the slot depends on `capacity`.
     """
 
     def __init__(self, capacity: int = 8192, enabled: bool = True):
@@ -64,13 +67,8 @@ class EmcCache:
         self.capacity = capacity
         self.enabled = enabled
         self.slots: dict[int, int] = {}  # slot -> header bits
+        self.resident: set[int] = set()  # the header bits the slots hold
         self._slot_of: dict[int, int] = {}  # header bits (of the ACL's layout) -> slot
-
-    def _slot(self, h: HeaderValue) -> int:
-        slot = self._slot_of.get(h.bits)
-        if slot is None:
-            slot = self._slot_of[h.bits] = header_hash64(h) % self.capacity
-        return slot
 
 
 class FlowTable:
@@ -340,9 +338,7 @@ class FlowCache:
     # last-hit list replaces the sequential probe while charging the same
     # probe count the scan would have.
 
-    def classify_batch(
-        self, runs: Iterable[tuple[HeaderValue, int, int]], now: float
-    ) -> BatchResult:
+    def classify_batch(self, runs: Iterable[Run], now: float) -> BatchResult:
         """Price runs `(header, flow_id(header), count)` of back-to-back identical packets.
 
         A run costs O(1).  With the EMC on, its first packet is classified
@@ -368,24 +364,21 @@ class FlowCache:
         for h in headers:
             self._price_runs(((h, self.flow_id(h), 1),), now)
 
-    def probe_cost(self, *headers: HeaderValue) -> float:
-        """Total cost of classifying each header right now, without mutating any state."""
-        flow_id = self.table.flow_id
-        runs = [(h, flow_id(h), 1) for h in headers]
+    def probe_cost(self, runs: Iterable[Run]) -> float:
+        """Total cost of classifying the runs right now, without mutating any state."""
         return self._price_runs(runs, self._clock, probe=True).total_cost
 
-    def _price_runs(
-        self, runs: Iterable[tuple[HeaderValue, int, int]], now: float, probe: bool = False
-    ) -> BatchResult:
+    def _price_runs(self, runs: Iterable[Run], now: float, probe: bool = False) -> BatchResult:
         """The one pricing path, one loop with no call per run; with `probe`, change nothing.
 
-        An install revives or creates the flow's subtable first in the
-        search order; `EmcCache._slot` runs only on a slot-memo miss.
+        An EMC hit is `bits in resident`; a fill finds the slot (memo, then
+        `header_hash64`) and swaps the slot's old occupant out of `resident`.
+        An install revives or creates the flow's subtable first in the order.
         """
         c = self.costs
         emc = self.emc
         emc_on = emc.enabled
-        slots, slot_of, emc_slot = emc.slots, emc._slot_of, emc._slot
+        slots, resident, slot_of, capacity = emc.slots, emc.resident, emc._slot_of, emc.capacity
         idle, sub, rev = self._idle, self._sub, self._rev
         mask_of = self.table.mask_of
         move_to_end = idle.move_to_end
@@ -404,10 +397,7 @@ class FlowCache:
             packets += count
             rest = 0
             if emc_on:
-                slot = slot_of.get(bits := h.bits)
-                if slot is None:
-                    slot = emc_slot(h)
-                if slots.get(slot) == bits:
+                if (bits := h.bits) in resident:
                     emc_hits += count
                     cost += count * c_emc
                     continue
@@ -440,6 +430,11 @@ class FlowCache:
                     st.size += 1
                     idle[fid] = now
             if emc_on:
+                slot = slot_of.get(bits)
+                if slot is None:
+                    slot = slot_of[bits] = header_hash64(h) % capacity
+                resident.discard(slots.get(slot))
+                resident.add(bits)
                 slots[slot] = bits
                 if rest:
                     emc_hits += rest
@@ -470,8 +465,9 @@ class FlowCache:
         every subtable in storage, each stored subtable's size is the count
         of its live flows in the idle list (and not 0), an indexed subtable
         out of storage is dead (size 0, no hits), every stored subtable with
-        hits is on the hit list, and last hits are non-decreasing along the
-        idle list.
+        hits is on the hit list, last hits are non-decreasing along the idle
+        list, the EMC's `resident` is the set of bits its slots hold, and
+        each slot's bits hash to that slot.
         """
 
         def require(ok: bool, what: str) -> None:
@@ -496,6 +492,11 @@ class FlowCache:
                 "idle list holds a flow whose subtable is absent")
         hits = list(self._idle.values())
         require(all(a <= b for a, b in zip(hits, hits[1:])), "idle list is out of last-hit order")
+        emc, layout, held = self.emc, self.table.acl.layout, set(self.emc.slots.values())
+        require(not emc.resident - held, "EMC resident set holds bits that no slot holds")
+        require(not held - emc.resident, "EMC resident set lacks bits that a slot holds")
+        require(all(header_hash64(HeaderValue(layout, b)) % emc.capacity == s
+                    for s, b in emc.slots.items()), "EMC slot holds bits that hash to another slot")
 
     def snapshot_lines(self) -> list[str]:
         """Search-order dump: one line per subtable with mask, size and hits.

@@ -55,6 +55,9 @@ class HeaderLayout:
         set_(self, "names", names)
         set_(self, "width", width)
         set_(self, "_slot", slot)
+        # When every field after the first is whole bytes, the padded fields are the bits' bytes.
+        whole = all(f.width % 8 == 0 for f in self.fields[1:])
+        set_(self, "_nbytes", (width + 7) // 8 if whole else 0)
 
     def slot(self, name: str) -> tuple[int, int]:
         """(shift, unshifted full mask) of a field within the packed int."""
@@ -135,12 +138,19 @@ def header_hash64(h: HeaderValue) -> int:
     """Stable 64-bit FNV-1a hash over the header's fields, MSB-first per field.
 
     Each field contributes its value as (width + 7) // 8 big-endian bytes.
+    One loop masks to 64 bits once, at the end, which is exact: XOR with a
+    byte changes only the low 8 bits, and a product mod 2**64 depends only
+    on its operands mod 2**64.
     """
+    if nbytes := h.layout._nbytes:  # type: ignore[attr-defined]
+        data = h.bits.to_bytes(nbytes, "big")
+    else:
+        fields = zip(h.layout.fields, h.values)
+        data = b"".join(v.to_bytes((f.width + 7) // 8, "big") for f, v in fields)
     acc = _FNV_OFFSET
-    for f, value in zip(h.layout.fields, h.values):
-        for byte in value.to_bytes((f.width + 7) // 8, "big"):
-            acc = ((acc ^ byte) * _FNV_PRIME) & _MASK64
-    return acc
+    for byte in data:
+        acc = (acc ^ byte) * _FNV_PRIME
+    return acc & _MASK64
 
 
 # The two layouts used throughout: the real five-field layout and the 3-bit

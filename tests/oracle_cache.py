@@ -128,6 +128,8 @@ class SequentialCache(FlowCache):
 
         The EMC slot is `header_hash64(h) % capacity`, hashed afresh; it hits
         when it holds h's bits, and a hit reads h's action from the table.
+        A fill also keeps the EMC's `resident` set, which this scan never
+        reads, so that the cache's own invariants hold.
         """
         c = self.costs
         emc_probes = 1 if self.emc.enabled else 0
@@ -145,6 +147,8 @@ class SequentialCache(FlowCache):
             self.mfc_insert(key, mask, action, now)
             path, cost = HitPath.SLOW, emc_probes * c.c_emc + probed * c.c_sub + c.c_slow
         if emc_probes:
+            self.emc.resident.discard(self.emc.slots.get(slot))
+            self.emc.resident.add(h.bits)
             self.emc.slots[slot] = h.bits
         return ClassifyResult(action, path, emc_probes, probed, cost)
 

@@ -215,14 +215,20 @@ def test_victim_rules_do_not_change_attack_mask_counts():
         assert cache.subtable_count == masks
 
 
+def victim_runs(cache, flows):
+    """One run `(header, flow_id, 1)` per victim flow, as `run` builds them."""
+    return [(h, cache.flow_id(h), 1) for h in flows]
+
+
 def test_victim_cost_probe_positions():
     flows = victim_flow_headers()
     acl = scenario_acl(UseCase.DP, victim_flows=flows)
     cache = FlowCache(acl, emc_enabled=False)
     cache.warm(flows, now=0.0)
+    runs = victim_runs(cache, flows)
     # both victim flows share one subtable at the front
     assert cache.subtable_count == 1
-    assert victim_cost_probe(cache, flows) == pytest.approx(cache.costs.c_sub)
+    assert victim_cost_probe(cache, runs) == pytest.approx(cache.costs.c_sub)
     # bury the victim behind attack masks
     trace = build_trace(UseCase.DP, acl)
     for i, p in enumerate(trace.packets):
@@ -230,7 +236,7 @@ def test_victim_cost_probe_positions():
     _, victim_mask, _ = synthesize(cache, flows[0])
     idx = search_index(cache, victim_mask)
     assert idx == 16  # 16 fresh attack masks rank first
-    assert victim_cost_probe(cache, flows) == pytest.approx((idx + 1) * cache.costs.c_sub)
+    assert victim_cost_probe(cache, runs) == pytest.approx((idx + 1) * cache.costs.c_sub)
 
 
 def test_victim_cost_probe_emc():
@@ -238,7 +244,7 @@ def test_victim_cost_probe_emc():
     acl = scenario_acl(UseCase.DP, victim_flows=flows)
     cache = FlowCache(acl, emc_enabled=True)
     cache.warm(flows, now=0.0)
-    assert victim_cost_probe(cache, flows) == pytest.approx(cache.costs.c_emc)
+    assert victim_cost_probe(cache, victim_runs(cache, flows)) == pytest.approx(cache.costs.c_emc)
 
 
 @pytest.mark.parametrize("emc", [False, True])
@@ -703,6 +709,20 @@ def test_emc_run_hashes_each_distinct_header_once(monkeypatch):
     res = run(scenario.sim_config(), acl, [(trace, scenario.schedule())], victims)
     assert sum(r.batch.emc_hits for r in res.ticks) > 10 * len(trace)
     assert sorted(hashed) == sorted({h.bits for h in [*trace.packets, *victims]})
+
+
+def test_run_classifies_every_attacks_emissions_each_tick():
+    """With two attacks, a tick classifies what both schedules emitted in it."""
+    acl, trace, victims = reference_setup(UseCase.DP)
+    scheds = [AttackSchedule(rate=1000.0, start=0.5),
+              AttackSchedule(rate=300.0, t_attack=1.0, t_sleep=0.5, clone=3, start=1.0)]
+    res = run(SimConfig(duration=3.0, build_cache_map=False), acl,
+              [(trace, s) for s in scheds], victims)
+    tick = 0.1
+    for step, r in enumerate(res.ticks):
+        t0, t1 = step * tick, (step + 1) * tick
+        assert r.batch.packets == sum(s.emission_count(t1) - s.emission_count(t0) for s in scheds)
+    assert sum(r.batch.packets for r in res.ticks) > 0
 
 
 def test_config_validation():

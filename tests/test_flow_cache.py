@@ -70,6 +70,11 @@ def rand_five(rng):
 # -- EMC ---------------------------------------------------------------------
 
 
+def probe_cost(cache, *headers):
+    """`cache.probe_cost` of one run `(h, flow_id(h), 1)` per header."""
+    return cache.probe_cost([(h, cache.flow_id(h), 1) for h in headers])
+
+
 def emc_hits(cache, h, now=0.0):
     """EMC hits of one packet h classified by `classify_batch`: 1 or 0."""
     return cache.classify_batch([(h, cache.flow_id(h), 1)], now).emc_hits
@@ -356,7 +361,7 @@ def test_batch_hit_cost_matches_linear_scan_position():
                 scan_pos = pos
                 break
         assert scan_pos == search_index(cache, mask)
-        assert cache.probe_cost(h) == (scan_pos + 1) * cache.costs.c_sub
+        assert probe_cost(cache, h) == (scan_pos + 1) * cache.costs.c_sub
 
 
 def test_batch_duplicate_miss_within_tick_spawns_once():
@@ -477,6 +482,22 @@ def test_check_invariants_detects_corruption():
     cache.check_invariants()
     st.interval_hits = 3
     with pytest.raises(AssertionError, match="out of storage with size 0 and 3 hits"):
+        cache.check_invariants()
+    cache = FlowCache(hyp_acl())
+    for v in (0b001, 0b010):
+        emc_hits(cache, hv(v))  # two misses fill two slots
+    cache.check_invariants()
+    cache.emc.resident.add(hv(0b100).bits)  # a stale entry: bits no slot holds
+    with pytest.raises(AssertionError, match="resident set holds bits that no slot holds"):
+        cache.check_invariants()
+    cache.emc.resident -= {hv(0b100).bits, hv(0b001).bits}  # a missing entry
+    with pytest.raises(AssertionError, match="resident set lacks bits that a slot holds"):
+        cache.check_invariants()
+    cache.emc.resident.add(hv(0b001).bits)
+    cache.check_invariants()
+    slot, bits = cache.emc.slots.popitem()  # move the bits to a free slot not their own
+    cache.emc.slots[min(set(range(3)) - set(cache.emc.slots) - {slot})] = bits
+    with pytest.raises(AssertionError, match="holds bits that hash to another slot"):
         cache.check_invariants()
 
 
@@ -618,7 +639,7 @@ def test_probe_cost_of_absent_entry_is_what_classify_batch_charges(emc):
     while synthesize(cache, h)[:2] in live:
         h = rand_five(rng)
     miss = (1 if emc else 0) * cache.costs.c_emc + cache.subtable_count * cache.costs.c_sub
-    cost = cache.probe_cost(h)
+    cost = probe_cost(cache, h)
     assert cost == miss + cache.costs.c_slow
     assert cache.classify_batch([(h, cache.flow_id(h), 1)], now=1.0).total_cost == cost
     if not emc:  # with the EMC on, h would now hit the EMC
@@ -627,7 +648,7 @@ def test_probe_cost_of_absent_entry_is_what_classify_batch_charges(emc):
         cache.classify_batch([(g, cache.flow_id(g), 1) for g in others], now=8.0)
         cache.expire(11.0)  # h's entry, installed at 1.0, expires; the others stay
         assert synthesize(cache, h)[:2] not in last_hits(cache) and cache.subtable_count > 0
-        cost = cache.probe_cost(h)
+        cost = probe_cost(cache, h)
         assert cost == cache.subtable_count * cache.costs.c_sub + cache.costs.c_slow
         assert cache.classify_batch([(h, cache.flow_id(h), 1)], now=11.0).total_cost == cost
 
@@ -754,7 +775,7 @@ def test_probe_cost_is_read_only():
     st = cache.subtables()[0]
     hits_before = st.interval_hits
     stamps = last_hits(cache)
-    cost = cache.probe_cost(h)
+    cost = probe_cost(cache, h)
     assert cost == cache.costs.c_sub
     assert st.interval_hits == hits_before
     assert last_hits(cache) == stamps
@@ -776,9 +797,9 @@ def test_probe_cost_is_read_only():
 
     before = state()
     c = cache.costs
-    assert cache.probe_cost(mfc_hit) == c.c_emc + c.c_sub
-    assert cache.probe_cost(miss) == c.c_emc + c.c_sub + c.c_slow
-    assert cache.probe_cost(mfc_hit, miss) == 2 * c.c_emc + 2 * c.c_sub + c.c_slow
+    assert probe_cost(cache, mfc_hit) == c.c_emc + c.c_sub
+    assert probe_cost(cache, miss) == c.c_emc + c.c_sub + c.c_slow
+    assert probe_cost(cache, mfc_hit, miss) == 2 * c.c_emc + 2 * c.c_sub + c.c_slow
     assert state() == before and cache.subtable_count == 1
     cache.check_invariants()
 
@@ -948,7 +969,7 @@ class RankingMachine(stateful.RuleBasedStateMachine):
                 want = 1.0
             else:
                 want = (1.0 if cache.emc.enabled else 0.0) + position[self._mask(fid)]
-            assert cache.probe_cost(h) == want
+            assert cache.probe_cost([(h, fid, 1)]) == want
         live = list(entries(cache))
         for i, (k1, m1, _) in enumerate(live):
             for k2, m2, _ in live[i + 1 :]:

@@ -154,6 +154,38 @@ def test_hash_values_are_pinned():
         assert header_hash64(h) == expected
 
 
+def fnv1a_per_field(h):
+    """64-bit FNV-1a, masked per byte, over each field as (width + 7) // 8 big-endian bytes."""
+    acc = 0xCBF29CE484222325
+    for f in h.layout.fields:
+        value = h.get(f.name)
+        for i in reversed(range((f.width + 7) // 8)):
+            acc = ((acc ^ (value >> 8 * i & 0xFF)) * 0x100000001B3) % 2**64
+    return acc
+
+
+_widths = st.one_of(st.integers(1, 20), st.sampled_from([8, 16, 24, 32]))
+_layouts = st.one_of(
+    st.sampled_from([FIVE_TUPLE, HYP, ODD]),
+    st.lists(_widths, min_size=1, max_size=4).map(
+        lambda ws: HeaderLayout(tuple(FieldSpec(f"f{i}", w) for i, w in enumerate(ws)))
+    ),
+)
+
+
+@st.composite
+def headers_of(draw):
+    layout = draw(_layouts)
+    return header(layout, **{f.name: draw(st.integers(0, f.full_mask)) for f in layout.fields})
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=headers_of())
+def test_hash_matches_per_field_fnv1a_oracle(h):
+    """One loop over the packed bytes, masked once, is FNV-1a over the padded fields."""
+    assert header_hash64(h) == fnv1a_per_field(h)
+
+
 def test_ip_helpers_roundtrip():
     for dotted in ("0.0.0.0", "10.0.0.1", "192.0.2.1", "255.255.255.255"):
         assert int_to_ip(ip_to_int(dotted)) == dotted
