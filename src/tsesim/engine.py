@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .attack import AttackSchedule, Trace, simple_acl, use_case_acl, UseCase
@@ -299,9 +299,9 @@ class _Emitter:
 
     A run is `(header, flow_id, count)`: consecutive emissions of one trace
     position.  Tick boundaries come from the schedule's `emission_count`, and
-    a tick's runs are zipped from slices of the trace (whole copies of it for
-    full passes), every run a whole clone group but the two ends, so a tick
-    costs O(runs), not O(packets).
+    a tick's runs are zipped lazily from slices of the trace (whole copies of
+    it for full passes) and their counts, every run a whole clone group but
+    the two ends, so a tick costs O(runs) and allocates no tuple per run.
     """
 
     def __init__(self, compiled: MaskBatches, schedule: AttackSchedule, horizon: float):
@@ -312,12 +312,12 @@ class _Emitter:
         self._end = schedule.emission_count(horizon)
         self.last_pos: Optional[int] = None
 
-    def due(self, until: float) -> list[Run]:
-        """Runs of the emissions before `until` not yet returned, in order."""
+    def due(self, until: float) -> Iterator[Run]:
+        """Runs of the emissions before `until` not yet returned, in order, read once."""
         k0 = self._k
         k1 = min(self.schedule.emission_count(until), self._end)
         if k1 <= k0:
-            return []
+            return iter(())
         self._k = k1
         n = self.schedule.clone
         headers, fids = self.headers, self.flow_ids
@@ -330,33 +330,34 @@ class _Emitter:
         else:
             hs = headers[q0:] + headers * cycles + headers[: q1 + 1]
             fs = fids[q0:] + fids * cycles + fids[: q1 + 1]
-        runs = list(zip(hs, fs, repeat(n)))
+        counts = [n] * len(fs)
         # Cut the end runs at k1, then at k0; with p0 == p1 both cuts fall
         # on the one run, leaving k1 - k0.
-        runs[-1] = runs[-1][:2] + (k1 - p1 * n,)
-        runs[0] = runs[0][:2] + (runs[0][2] - (k0 - p0 * n),)
+        counts[-1] = k1 - p1 * n
+        counts[0] -= k0 - p0 * n
         self.last_pos = q1
-        return runs
+        return zip(hs, fs, counts)
 
 
 def _ticks(config: SimConfig, cache: FlowCache, emitters: Sequence[_Emitter],
            victims: Sequence[Run]) -> Iterator[TickRecord]:
-    """Step the classifier through the run, yielding one record per tick; `victims` are runs."""
-    ticks_per_second = config.ticks_per_second
-    budget_tick = config.cores * config.budget_per_core * config.tick
+    """Step the classifier through the run, one record per tick; victims are credited by flow id."""
+    tick, offered, ticks_per_second = config.tick, config.victim_offered, config.ticks_per_second
+    budget_tick = config.cores * config.budget_per_core * tick
     first = emitters[0] if emitters else None
     lone = first if len(emitters) == 1 else None
-    for step in range(int(round(config.duration / config.tick))):
-        t1 = (step + 1) * config.tick
-        due = lone.due(t1) if lone else [r for em in emitters for r in em.due(t1)]
+    victim_ids = [fid for _, fid, _ in victims]
+    for step in range(int(round(config.duration / tick))):
+        t1 = (step + 1) * tick
+        # Every emitter advances (and sets `last_pos`) here; its runs are read in classify_batch.
+        due = lone.due(t1) if lone else chain.from_iterable([em.due(t1) for em in emitters])
         batch = cache.classify_batch(due, now=t1)
 
         victim_cost = victim_cost_probe(cache, victims)
-        victim_demand = config.victim_offered * config.tick * victim_cost
+        victim_demand = offered * tick * victim_cost
         fraction = compute_goodput_fraction(budget_tick, batch.total_cost, victim_demand)
-        share = fraction * config.victim_offered * config.tick / len(victims) if victims else 0.0
-        for h, _, _ in victims:
-            cache.credit_hits(h, int(round(share)), now=t1)
+        share = fraction * offered * tick / len(victims) if victims else 0.0
+        cache.credit_hits(victim_ids, int(round(share)), now=t1)
 
         _, removed_masks = cache.expire(t1)
         if (step + 1) % ticks_per_second == 0:

@@ -341,15 +341,15 @@ class FlowCache:
     def classify_batch(self, runs: Iterable[Run], now: float) -> BatchResult:
         """Price runs `(header, flow_id(header), count)` of back-to-back identical packets.
 
-        A run costs O(1).  With the EMC on, its first packet is classified
-        like a lone packet, which leaves the header in the EMC, so the other
-        count - 1 are EMC hits.  With the EMC off, every packet of the run
-        sees what the first saw: an MFC hit repeats count times (count
-        interval hits), and a miss repeats count times (the install is not
-        visible within the batch) with one install.  A run is charged
-        count x its per-packet price; with integer-valued cost knobs, as the
-        defaults and every calibration in use are, that equals the
-        per-packet sum exactly.
+        `runs` is read once, so a one-shot iterator does, and a run costs
+        O(1).  With the EMC on, its first packet is classified like a lone
+        packet, which leaves the header in the EMC, so the other count - 1
+        are EMC hits.  With the EMC off, every packet of the run sees what
+        the first saw: an MFC hit repeats count times (count interval hits),
+        and a miss repeats count times (the install is not visible within the
+        batch) with one install.  A run is charged count x its per-packet
+        price; with integer-valued cost knobs, as the defaults and every
+        calibration in use are, that equals the per-packet sum exactly.
         """
         self._advance(now)
         return self._price_runs(runs, now)
@@ -395,7 +395,6 @@ class FlowCache:
         batch_new: set[int] = set()  # flow ids installed by this batch
         for h, fid, count in runs:
             packets += count
-            rest = 0
             if emc_on:
                 if (bits := h.bits) in resident:
                     emc_hits += count
@@ -439,22 +438,22 @@ class FlowCache:
                 if rest:
                     emc_hits += rest
                     cost += rest * c_emc
-        return BatchResult(packets=packets, total_cost=cost, slow_path=slow_path,
-                           mfc_hits=mfc_hits, emc_hits=emc_hits, created_masks=created)
+        return BatchResult(packets, cost, slow_path, mfc_hits, emc_hits, created)
 
-    def credit_hits(self, h: HeaderValue, packets: int, now: float) -> None:
-        """Bulk interval-hit increment and idle refresh for h's megaflow."""
+    def credit_hits(self, flow_ids: Iterable[int], packets: int, now: float) -> None:
+        """Credit `packets` hits to each live flow, in order, and refresh it; skip dead ids."""
         self._advance(now)
         if packets <= 0:
             return
-        idle = self._idle
-        if (fid := self.table.flow_id(h)) in idle:
-            st = self._sub[self.table.mask_of[fid]]
-            if not st.interval_hits:
-                self._hits.append(st)
-            st.interval_hits += packets
-            idle[fid] = now
-            idle.move_to_end(fid)
+        idle, sub, mask_of, list_hit = self._idle, self._sub, self.table.mask_of, self._hits.append
+        for fid in flow_ids:
+            if fid in idle:
+                st = sub[mask_of[fid]]
+                if not st.interval_hits:
+                    list_hit(st)
+                st.interval_hits += packets
+                idle[fid] = now
+                idle.move_to_end(fid)
 
     # -- introspection ---------------------------------------------------------
 

@@ -165,7 +165,8 @@ def test_emitter_runs_expand_to_schedule_emissions(duty, clone, rate, tick):
     i = 0
     for step in range(int(horizon / tick) + 2):
         t1 = (step + 1) * tick
-        runs = em.due(t1)
+        runs = list(em.due(t1))
+        assert list(em.due(t1)) == []  # a second call at the same `until` yields nothing
         assert all(count >= 1 for _, _, count in runs)
         assert all(count == clone for _, _, count in runs[1:-1])  # only the ends are cut
         assert [fid for _, fid, _ in runs] == FlowTable.of(acl).flow_ids(h for h, _, _ in runs)
@@ -178,7 +179,7 @@ def test_emitter_runs_expand_to_schedule_emissions(duty, clone, rate, tick):
             assert em.last_pos == want[j - 1][1]
         i = j
     assert i == len(want)
-    assert em.due(horizon + 10.0) == []
+    assert list(em.due(horizon + 10.0)) == []
 
 
 # -- scenario construction --------------------------------------------------------
@@ -709,6 +710,36 @@ def test_emc_run_hashes_each_distinct_header_once(monkeypatch):
     res = run(scenario.sim_config(), acl, [(trace, scenario.schedule())], victims)
     assert sum(r.batch.emc_hits for r in res.ticks) > 10 * len(trace)
     assert sorted(hashed) == sorted({h.bits for h in [*trace.packets, *victims]})
+
+
+def test_run_credits_victims_once_a_tick_by_flow_id(monkeypatch):
+    """Each tick makes one `credit_hits` call, and no flow id is resolved after the first tick.
+
+    The scenario is `emc_small`'s, cut at 4 s, as in the hash-count test
+    above; the victims' flow ids are taken from their runs once.
+    """
+    scenario = Scenario(use_case="sp_dp", tse="2.1", rate=12000.0, t_attack=10.0, t_sleep=2.0,
+                        cores=4, emc=True, attack_start=1.0, duration=4.0)
+    acl, trace, victims = reference_setup(UseCase.SP_DP)
+    calls = []
+
+    def counting(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls.append(name)
+            return method(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for cls, name in ((FlowCache, "classify_batch"), (FlowCache, "credit_hits"),
+                      (FlowTable, "flow_id")):
+        counting(cls, name)
+    res = run(scenario.sim_config(), acl, [(trace, scenario.schedule())], victims)
+    first_tick = calls.index("classify_batch")
+    assert calls[:first_tick] and set(calls[:first_tick]) == {"flow_id"}
+    assert calls[first_tick:] == ["classify_batch", "credit_hits"] * len(res.ticks)
+    assert sum(r.batch.packets for r in res.ticks) > 0
 
 
 def test_run_classifies_every_attacks_emissions_each_tick():

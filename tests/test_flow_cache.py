@@ -241,7 +241,7 @@ def test_rebalance_orders_by_hits_and_resets():
     a, b, c = cache.subtables()  # current search order
     by_subtable = {cache.table.mask_of[cache.flow_id(h)]: h for h in headers}
     for st, hits in ((a, 5), (b, 100), (c, 1)):
-        cache.credit_hits(by_subtable[st.mask_id], hits, now=0.5)
+        cache.credit_hits([cache.flow_id(by_subtable[st.mask_id])], hits, now=0.5)
     assert [st.interval_hits for st in (a, b, c)] == [5, 100, 1]
     cache.rebalance(1.0)
     assert cache.subtables() == [b, a, c]
@@ -656,7 +656,7 @@ def test_probe_cost_of_absent_entry_is_what_classify_batch_charges(emc):
 STAMPING = {
     "classify_batch": lambda cache, h, now: cache.classify_batch([(h, cache.flow_id(h), 1)], now),
     "warm": lambda cache, h, now: cache.warm([h], now),
-    "credit_hits": lambda cache, h, now: cache.credit_hits(h, 1, now),
+    "credit_hits": lambda cache, h, now: cache.credit_hits([cache.flow_id(h)], 1, now),
     "expire": lambda cache, h, now: cache.expire(now),
     "rebalance": lambda cache, h, now: cache.rebalance(now),
 }
@@ -728,7 +728,7 @@ def test_expire_removes_exactly_the_idle_entries(pool, emc_enabled, steps):
             runs = [(pool[i % len(pool)], n) for i, n in step[1]]
             cache.classify_batch([(h, cache.flow_id(h), n) for h, n in runs], now)
         elif step[0] == "credit":
-            cache.credit_hits(pool[step[1] % len(pool)], step[2], now)
+            cache.credit_hits([cache.flow_id(pool[step[1] % len(pool)])], step[2], now)
         elif step[0] == "rebalance":
             cache.rebalance(now)
         else:
@@ -808,10 +808,93 @@ def test_credit_hits_bulk():
     cache = FlowCache(five_acl(), emc_enabled=False)
     h = header(FIVE_TUPLE, ip_src=9, ip_dst=2, proto=6, sport=3, dport=81)
     cache.classify_batch([(h, cache.flow_id(h), 1)], now=0.0)
-    cache.credit_hits(h, 500, now=3.0)
+    cache.credit_hits([cache.flow_id(h)], 500, now=3.0)
     st = cache.subtables()[0]
     assert st.interval_hits == 500
     assert list(last_hits(cache).values()) == [3.0]
+
+
+def _credit_state(cache):
+    """What crediting can change: interval hits, the hit list, and the idle list with stamps."""
+    return (cache_state(cache), [st.mask_id for st in cache._hits], list(cache._idle.items()))
+
+
+def _three_masks():
+    """Three headers of `five_acl`, one megaflow each, under three different masks."""
+    return [
+        header(FIVE_TUPLE, ip_src=1, ip_dst=2, proto=6, sport=3, dport=80),
+        header(FIVE_TUPLE, ip_src=0x0A000001, ip_dst=2, proto=6, sport=3, dport=81),
+        header(FIVE_TUPLE, ip_src=1, ip_dst=2, proto=6, sport=12345, dport=81),
+    ]
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (1, 2, 0)])
+def test_credit_hits_over_flow_ids_is_one_call_per_id(order):
+    """One call over `[f0, f1, dead]`, in any order, does what one call per id does.
+
+    Interval hits, the hit list's order and the idle list's order and stamps
+    agree; the live flows move to the idle list's end in the order given.
+    """
+    acl = five_acl()
+    bulk, single = (FlowCache(acl, emc_enabled=False) for _ in range(2))
+    h0, h1, dead = _three_masks()
+    for cache in (bulk, single):
+        cache.classify_batch([(h, cache.flow_id(h), 1) for h in (h0, h1)], now=0.0)
+    fids = [[bulk.flow_id(h) for h in (h0, h1, dead)][i] for i in order]
+    bulk.credit_hits(fids, 7, now=2.0)
+    for fid in fids:
+        single.credit_hits([fid], 7, now=2.0)
+    assert _credit_state(bulk) == _credit_state(single)
+    live = [fid for fid in fids if fid != bulk.flow_id(dead)]
+    assert list(bulk._idle.items()) == [(fid, 2.0) for fid in live]
+    assert [st.mask_id for st in bulk._hits] == [bulk.table.mask_of[fid] for fid in live]
+    assert sorted(st.interval_hits for st in bulk.subtables()) == [7, 7]
+    bulk.check_invariants()
+
+
+def test_credit_hits_changes_nothing_for_dead_ids_or_no_packets():
+    """A dead id, or `packets <= 0`, changes nothing; a time going backwards still raises."""
+    cache = FlowCache(five_acl(), emc_enabled=False)
+    h0, h1, dead = _three_masks()
+    cache.classify_batch([(h, cache.flow_id(h), 1) for h in (h0, h1)], now=0.0)
+    cache.expire(10.0)  # h0 and h1 expire: their ids are dead too
+    cache.classify_batch([(h0, cache.flow_id(h0), 1)], now=10.0)
+    before = _credit_state(cache)
+    cache.credit_hits([cache.flow_id(dead), cache.flow_id(h1)], 5, now=11.0)
+    assert _credit_state(cache) == before
+    for packets in (0, -3):
+        cache.credit_hits([cache.flow_id(h0)], packets, now=12.0)
+        assert _credit_state(cache) == before
+    with pytest.raises(ValueError, match="backwards"):
+        cache.credit_hits([cache.flow_id(h0)], 0, now=11.5)
+    assert _credit_state(cache) == before
+    cache.check_invariants()
+
+
+@pytest.mark.parametrize("emc_enabled, capacity", [(False, 8192), (True, 1), (True, 8192)])
+def test_classify_batch_reads_a_one_shot_iterator_as_a_list(emc_enabled, capacity):
+    """Runs from a generator price and fill exactly as the same runs in a list.
+
+    The batches install, hit the MFC (and the EMC, when on) and repeat a
+    flow within a batch; at capacity 1 the EMC's one slot changes hands.
+    """
+    rng = random.Random(41)
+    acl = five_acl()
+    listed, lazy = (FlowCache(acl, emc_enabled=emc_enabled, emc_capacity=capacity)
+                    for _ in range(2))
+    pool = [rand_five(rng) for _ in range(12)]
+    results, repeated = [], False
+    for step in range(8):
+        runs = [(h, listed.flow_id(h), rng.randint(1, 4)) for h in rng.choices(pool, k=10)]
+        want = listed.classify_batch(runs, now=step * 0.5)
+        got = lazy.classify_batch((run for run in runs), now=step * 0.5)
+        assert got == want
+        assert cache_state(lazy) == cache_state(listed)
+        lazy.check_invariants()
+        results.append(got)
+        repeated |= len({fid for _, fid, _ in runs}) < len(runs)
+    assert repeated and all(sum(getattr(r, k) for r in results) for k in ("slow_path", "mfc_hits"))
+    assert (sum(r.emc_hits for r in results) > 0) == emc_enabled
 
 
 # -- pipeline properties ------------------------------------------------------
@@ -952,7 +1035,7 @@ class RankingMachine(stateful.RuleBasedStateMachine):
         if packets > 0 and fid in self.last:
             self.hits[self._mask(fid)] += packets
             self.last[fid] = self.now
-        self.cache.credit_hits(h, packets, self.now)
+        self.cache.credit_hits([fid], packets, self.now)
 
     @stateful.invariant()
     def agrees_with_model(self):
