@@ -84,8 +84,12 @@ class AttackSchedule:
             raise ValueError("t_attack must be positive when given")
         if self.clone < 1:
             raise ValueError("clone factor must be >= 1")
-        if self.t_attack is not None and self.rate > 0 and self.per_phase < 1:
-            raise ValueError("attack phase shorter than one packet interval")
+        if self.t_attack is not None and self.rate > 0:
+            if not math.isfinite(self.t_attack * self.rate):  # per_phase rounds it to an int
+                raise ValueError(f"attack phase of {self.t_attack:g} s at {self.rate:g} pps "
+                                 "holds too many packets to count")
+            if self.per_phase < 1:
+                raise ValueError("attack phase shorter than one packet interval")
 
     @property
     def is_low_rate(self) -> bool:

@@ -68,6 +68,8 @@ class SimConfig:
             raise ValueError("cores must be >= 1")
         if self.tick <= 0 or self.duration < 0:
             raise ValueError("tick must be positive and duration non-negative")
+        if not math.isfinite(1.0 / self.tick):  # round() below cannot take an infinite rate
+            raise ValueError(f"tick {self.tick:g} s is too short: 1 / tick is not finite")
         if abs(1.0 / self.tick - self.ticks_per_second) > 1e-9:
             raise ValueError("tick must divide 1.0 exactly")
         if not float(self.duration).is_integer():  # the series has a row per whole second

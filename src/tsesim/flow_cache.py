@@ -9,9 +9,10 @@ ACL's megaflows are interned as ints in a `FlowTable`, and a packet arrives
 with its megaflow's id.  The one record of a live megaflow is its id in a
 list kept in last-hit order: an install appends, a hit moves the id to the
 end, and expiry takes entries idle for the timeout from the front.  Key,
-mask and action are read from the table; a subtable keeps its mask id and a
-count.  Results are ids: new subtables' mask ids from `classify_batch`,
-expired flow ids and removed mask ids from `expire`.
+mask and action are read from the table, and a subtable's state from the
+cache's columns indexed by mask id.  Results are ids: new subtables' mask
+ids from `classify_batch`, expired flow ids and removed mask ids from
+`expire`.
 
 Each rule is written once: the synthesis walk in `FlowTable.flow_ids`, and
 the EMC probe, the EMC fill and the megaflow install in the one pricing
@@ -20,18 +21,20 @@ slot holds a header's bits, and an EMC hit is one lookup in the set of
 them.  `expire` deletes the idle list's front up to the first entry still
 young.
 
-A cache keeps one subtable per mask id it has installed.  A subtable is live
-while it holds a megaflow; `expire` takes an emptied one out of the search
-order, and the next install of its mask revives it first in the order, as
-a brand-new subtable enters.  Subtables are re-ranked by per-interval hit
-counts at each `rebalance`.  A subtable goes on the cache's hit list when
-its count leaves 0, so a rebalance costs O(hit subtables + subtables
+A subtable is no Python object: the cache keeps its state in columns keyed
+by the table's dense mask ids, one each for the stored order, the position,
+the live megaflow count and the hits since the last rebalance.  A subtable
+is live while it holds a megaflow; `expire` takes an emptied one out of the
+search order and drops its hits, and the next install of its mask puts it
+first in the order, as a brand-new subtable enters.  Subtables are
+re-ranked by per-interval hit counts at each `rebalance`.  Only masks hit
+since the last rebalance have a hit count, so those counts' keys are the
+hit subtables and a rebalance costs O(hit subtables + subtables
 renumbered): the unhit ones keep their relative order and only move down.
 """
 
 from __future__ import annotations
 
-import operator
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -151,17 +154,17 @@ def synthesize_megaflow(h: HeaderValue, acl: Acl) -> tuple[int, int, Action]:
     return table.key_of[fid], table.mask_bits[table.mask_of[fid]], table.action_of[fid]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, slots=True)
 class Subtable:
+    """A read-only view of one live subtable, as `FlowCache.subtables` builds it.
+
+    The cache holds no such object; it keeps these values in columns keyed
+    by mask id, and a view does not follow later changes.
+    """
+
     mask_id: int
-    size: int = 0  # live megaflows with this mask
-    interval_hits: int = 0
-    # While live: index in FlowCache._rev plus the cache's position offset.
-    pos: int = 0
-
-
-_by_pos = operator.attrgetter("pos")
-_by_hits = operator.attrgetter("interval_hits")
+    size: int  # live megaflows with this mask
+    interval_hits: int  # hits since the last rebalance
 
 
 @dataclass(slots=True)
@@ -198,20 +201,23 @@ class FlowCache:
         self.table = FlowTable.of(acl)
         self.emc = EmcCache(emc_capacity, emc_enabled)
         self.costs = costs
-        # Search order is reversed in storage: the last element of _rev is
-        # probed first, so creating a subtable is an O(1) append that leaves
-        # every existing position untouched.  A subtable's storage index is
-        # `st.pos - _pos_offset`: expire removes subtables and renumbers only
+        # Subtable state, in columns keyed by mask id.  _rev holds the live
+        # masks in search order reversed: its last mask is probed first, so
+        # creating a subtable is an O(1) append that leaves every existing
+        # position untouched.  A stored mask's storage index is
+        # `_pos[mid] - _pos_offset`: expire removes masks and renumbers only
         # the storage prefix up to the highest one removed, and raises the
-        # offset to shift everything above it.
-        self._rev: list[Subtable] = []
+        # offset to shift everything above it.  A mask out of storage may
+        # keep a stale _pos entry, which nothing reads.
+        self._rev: list[int] = []
+        self._pos: dict[int, int] = {}
         self._pos_offset = 0
-        # Every subtable ever installed, by mask id; the dead ones (size 0)
-        # are out of storage and have no hits, and an install revives them.
-        self._sub: dict[int, Subtable] = {}
-        # Subtables whose interval hits left 0 since the last rebalance; one
-        # that expired and came back after its hits may be listed twice.
-        self._hits: list[Subtable] = []
+        # Live megaflows by mask id, 0 out of storage; an install of a mask
+        # id past its end grows it to the table's mask count.
+        self._size: list[int] = []
+        # Hits since the last rebalance, by mask id, of stored masks only:
+        # its keys are the hit subtables.  expire pops a mask it empties.
+        self._hits: dict[int, int] = {}
         # Flow id -> last hit of each live megaflow, in last-hit order, oldest
         # first: a `now` below `_clock`, the latest one, is rejected.
         self._idle: OrderedDict[int, float] = OrderedDict()
@@ -220,8 +226,9 @@ class FlowCache:
     # -- views -------------------------------------------------------------
 
     def subtables(self) -> list[Subtable]:
-        """Subtables in search order (index 0 probed first)."""
-        return self._rev[::-1]
+        """Views of the live subtables in search order (index 0 probed first)."""
+        size, hits = self._size, self._hits
+        return [Subtable(mid, size[mid], hits.get(mid, 0)) for mid in reversed(self._rev)]
 
     @property
     def subtable_count(self) -> int:
@@ -247,66 +254,62 @@ class FlowCache:
         """Remove entries idle for >= idle_timeout; take emptied subtables out of the order.
 
         Returns (expired flow ids in last-hit order, mask ids of the removed
-        subtables).  An emptied subtable leaves storage with its interval
-        hits zeroed and stays in the mask-id index for an install to revive.
+        subtables).  An emptied subtable's mask leaves storage and the hit
+        counts, with size 0 for an install to revive.
         Costs O(expired + 1): the idle list is in last-hit order, so expiry
         reads it from the front up to the first entry still young, then
         deletes the entries before it.  Only the storage prefix up to the
-        highest removed subtable is renumbered; expired subtables have gone
+        highest removed mask is renumbered; expired subtables have gone
         unhit, so they rank last and sit low in storage.
         """
         self._advance(now)
         removed_entries: list[int] = []
         removed_masks: list[int] = []
-        idle, sub = self._idle, self._sub
+        idle, size, hits = self._idle, self._size, self._hits
         mask_of, timeout = self.table.mask_of, self.idle_timeout
-        offset = self._pos_offset
-        top = -1  # highest storage index of a removed subtable
         for fid, last_hit in idle.items():
             # Not `last_hit <= now - timeout`: the two round differently.
             if not (last_hit + timeout <= now):
                 break
-            st = sub[mask_of[fid]]
-            st.size -= 1
             removed_entries.append(fid)
-            if not st.size:
-                st.interval_hits = 0
-                removed_masks.append(st.mask_id)
-                top = max(top, st.pos - offset)
+            size[mid := mask_of[fid]] -= 1
+            if not size[mid]:
+                hits.pop(mid, None)
+                removed_masks.append(mid)
         for fid in removed_entries:
             del idle[fid]
         if removed_masks:
-            kept = [st for st in self._rev[: top + 1] if st.size]
-            self._rev[: top + 1] = kept
-            self._pos_offset = offset = offset + top + 1 - len(kept)
-            for i, st in enumerate(kept, start=offset):
-                st.pos = i
+            rev, pos, offset = self._rev, self._pos, self._pos_offset
+            top = max(map(pos.__getitem__, removed_masks)) - offset + 1  # prefix to renumber
+            kept = list(filter(size.__getitem__, rev[:top]))
+            rev[:top] = kept
+            self._pos_offset = offset = offset + top - len(kept)
+            pos.update(zip(kept, range(offset, offset + len(kept))))
         return removed_entries, removed_masks
 
     def rebalance(self, now: float) -> None:
         """Reorder subtables by interval hits (descending, stable) and reset counts.
 
         Storage is the search order reversed, so the result is storage
-        stably sorted by hits, ascending: the unhit subtables in their
-        storage order, then the hit ones by hits, ties in storage order.
-        Only the hit list is sorted.  The hit subtables cut storage into
-        unhit runs, and run j moves down by exactly j, so raising the
-        position offset by j for the longest run leaves its positions as
-        they are; only the other runs and the hit subtables are renumbered.
-        Costs O(hit subtables + subtables renumbered).
+        stably sorted by hits, ascending: the unhit masks in their storage
+        order, then the hit ones by hits, ties in storage order.  Only the
+        hit masks are sorted.  They cut storage into unhit runs, and run j
+        moves down by exactly j, so raising the position offset by j for
+        the longest run leaves its positions as they are; only the other
+        runs and the hit masks are renumbered, each run in one
+        `dict.update`.  Costs O(hit subtables + subtables renumbered).
         """
         self._advance(now)
-        hit = [st for st in dict.fromkeys(self._hits) if st.interval_hits]
-        self._hits.clear()
-        if not hit:
+        hits = self._hits
+        if not hits:
             return
-        rev, offset = self._rev, self._pos_offset
-        hit.sort(key=_by_pos)
-        new: list[Subtable] = []
+        rev, pos, offset = self._rev, self._pos, self._pos_offset
+        hit = sorted(hits, key=pos.__getitem__)
+        new: list[int] = []
         runs = []  # (length, start, j): unhit run j is rev[start:start + length], if not empty
         start = 0
-        for j, st in enumerate(hit):
-            end = st.pos - offset
+        for j, mid in enumerate(hit):
+            end = pos[mid] - offset
             if start < end:
                 new += rev[start:end]
                 runs.append((end - start, start, j))
@@ -318,14 +321,13 @@ class FlowCache:
         self._pos_offset = offset = offset + keep
         for length, start, j in runs:
             if j != keep:
-                for i, st in enumerate(rev[start:start + length], start - j + offset):
-                    st.pos = i
-        hit.sort(key=_by_hits)
-        for i, st in enumerate(hit, len(new) + offset):
-            st.pos = i
-            st.interval_hits = 0
+                first = start - j + offset
+                pos.update(zip(rev[start:start + length], range(first, first + length)))
+        hit.sort(key=hits.__getitem__)
+        pos.update(zip(hit, range(len(new) + offset, len(rev) + offset)))
         new += hit
         self._rev = new
+        hits.clear()
 
     # -- engine fast paths ---------------------------------------------------
     #
@@ -379,14 +381,13 @@ class FlowCache:
         emc = self.emc
         emc_on = emc.enabled
         slots, resident, slot_of, capacity = emc.slots, emc.resident, emc._slot_of, emc.capacity
-        idle, sub, rev = self._idle, self._sub, self._rev
-        mask_of = self.table.mask_of
-        move_to_end = idle.move_to_end
-        list_hit = self._hits.append
+        idle, rev, pos, size, hits = self._idle, self._rev, self._pos, self._size, self._hits
+        mask_of, mask_bits = self.table.mask_of, self.table.mask_bits
+        move_to_end, hits_of = idle.move_to_end, hits.get
         c_emc, c_sub = c.c_emc, c.c_sub
         emc_probe = (1 if emc_on else 0) * c_emc
         miss_cost = emc_probe + len(rev) * c_sub + c.c_slow
-        # A subtable's 1-based search position at batch start is base - st.pos.
+        # A stored mask's 1-based search position at batch start is base - pos[mid].
         offset = self._pos_offset
         base = len(rev) + offset
         packets = emc_hits = mfc_hits = slow_path = 0
@@ -402,14 +403,12 @@ class FlowCache:
                     continue
                 rest, count = count - 1, 1
             if fid in idle and fid not in batch_new:
-                st = sub[mask_of[fid]]
+                mid = mask_of[fid]
                 mfc_hits += count
-                cost += count * (emc_probe + (base - st.pos) * c_sub)
+                cost += count * (emc_probe + (base - pos[mid]) * c_sub)
                 if probe:
                     continue
-                if not st.interval_hits:
-                    list_hit(st)
-                st.interval_hits += count
+                hits[mid] = hits_of(mid, 0) + count
                 idle[fid] = now
                 move_to_end(fid)
             else:
@@ -419,14 +418,13 @@ class FlowCache:
                     continue
                 if fid not in batch_new:  # then it is not live either
                     batch_new.add(fid)
-                    st = sub.get(mid := mask_of[fid])
-                    if st is None:
-                        st = sub[mid] = Subtable(mid)
-                    if not st.size:
-                        st.pos = len(rev) + offset
-                        rev.append(st)
+                    if (mid := mask_of[fid]) >= len(size):
+                        size.extend([0] * (len(mask_bits) - len(size)))
+                    if not size[mid]:
+                        pos[mid] = len(rev) + offset
+                        rev.append(mid)
                         created.append(mid)
-                    st.size += 1
+                    size[mid] += 1
                     idle[fid] = now
             if emc_on:
                 slot = slot_of.get(bits)
@@ -445,13 +443,12 @@ class FlowCache:
         self._advance(now)
         if packets <= 0:
             return
-        idle, sub, mask_of, list_hit = self._idle, self._sub, self.table.mask_of, self._hits.append
+        idle, mask_of, hits = self._idle, self.table.mask_of, self._hits
+        hits_of = hits.get
         for fid in flow_ids:
             if fid in idle:
-                st = sub[mask_of[fid]]
-                if not st.interval_hits:
-                    list_hit(st)
-                st.interval_hits += packets
+                mid = mask_of[fid]
+                hits[mid] = hits_of(mid, 0) + packets
                 idle[fid] = now
                 idle.move_to_end(fid)
 
@@ -460,13 +457,13 @@ class FlowCache:
     def check_invariants(self) -> None:
         """Raise AssertionError if the cache's bookkeeping disagrees with its contents.
 
-        Checks that stored positions match storage, the mask-id index holds
-        every subtable in storage, each stored subtable's size is the count
-        of its live flows in the idle list (and not 0), an indexed subtable
-        out of storage is dead (size 0, no hits), every stored subtable with
-        hits is on the hit list, last hits are non-decreasing along the idle
-        list, the EMC's `resident` is the set of bits its slots hold, and
-        each slot's bits hash to that slot.
+        Checks that no mask id is stored twice, every stored mask has a
+        position and its position matches storage, each stored mask's size
+        is the count of its live flows in the idle list (and not 0), a mask
+        out of storage has size 0 and no hits, the hit counts hold only
+        stored masks with a count above 0, last hits are non-decreasing
+        along the idle list, the EMC's `resident` is the set of bits its
+        slots hold, and each slot's bits hash to that slot.
         """
 
         def require(ok: bool, what: str) -> None:
@@ -474,23 +471,25 @@ class FlowCache:
                 raise AssertionError(what)
 
         sizes = Counter(self.table.mask_of[fid] for fid in self._idle)  # by mask id
-        listed = set(self._hits)
-        for i, st in enumerate(self._rev):
-            require(st.pos - self._pos_offset == i, f"subtable at storage {i} has pos {st.pos}")
-            require(self._sub.get(st.mask_id) is st, f"subtable {i} not indexed by its mask id")
-            n = sizes[st.mask_id]
-            require(st.size == n > 0, f"subtable {i} has size {st.size} for {n} live flows")
-            require(not st.interval_hits or st in listed,
-                    f"subtable {i} has hits but is not on the hit list")
-        stored = set(self._rev)
-        for st in self._sub.values():
-            require(st in stored or st.size == st.interval_hits == 0,
-                    f"subtable of mask {st.mask_id} is out of storage with size {st.size}"
-                    f" and {st.interval_hits} hits")
-        require(sizes.keys() <= {st.mask_id for st in stored},
-                "idle list holds a flow whose subtable is absent")
-        hits = list(self._idle.values())
-        require(all(a <= b for a, b in zip(hits, hits[1:])), "idle list is out of last-hit order")
+        rev, pos, size, hits = self._rev, self._pos, self._size, self._hits
+        stored = set(rev)
+        for mid, n in Counter(rev).items():
+            require(n == 1, f"mask {mid} is stored {n} times")
+        for i, mid in enumerate(rev):
+            require(mid in pos, f"stored mask {mid} has no position")
+            require(pos[mid] - self._pos_offset == i, f"subtable at storage {i} has pos {pos[mid]}")
+            n, s = sizes[mid], size[mid] if mid < len(size) else 0
+            require(s == n > 0, f"subtable {i} has size {s} for {n} live flows")
+        for mid, s in enumerate(size):
+            require(mid in stored or s == 0 and mid not in hits,
+                    f"subtable of mask {mid} is out of storage with size {s}"
+                    f" and {hits.get(mid, 0)} hits")
+        for mid, n in hits.items():
+            require(mid in stored and n > 0, f"hit counts hold mask {mid} with {n} hits,"
+                    f" {'stored' if mid in stored else 'out of storage'}")
+        require(sizes.keys() <= stored, "idle list holds a flow whose subtable is absent")
+        last = list(self._idle.values())
+        require(all(a <= b for a, b in zip(last, last[1:])), "idle list is out of last-hit order")
         emc, layout, held = self.emc, self.table.acl.layout, set(self.emc.slots.values())
         require(not emc.resident - held, "EMC resident set holds bits that no slot holds")
         require(not held - emc.resident, "EMC resident set lacks bits that a slot holds")

@@ -5,12 +5,13 @@ does: probe the EMC, then every subtable in search order with the header
 masked by that subtable's mask, then the slow path.  `FlowCache` finds the
 matching entry through synthesis instead and charges the probe count this
 scan would have; the differential tests compare the two.  The scan shares
-the cache's storage, expiry and ranking, which other tests check.  It
-probes and fills the EMC's slots itself, hashing each header afresh rather
-than through the cache's slot memo.  It finds the entry at each subtable
-by looking the masked header up in the table's interned keys and testing
-whether that flow has the subtable's mask and is live, never by the
-header's own flow id.  Its inserts go through `intern` and
+the cache's per-mask columns, expiry and ranking, which other tests check,
+and walks the stored mask ids in search order.  It probes and fills the
+EMC's slots itself, hashing each header afresh rather than through the
+cache's slot memo.  It finds the entry at each subtable by looking the
+masked header up in the table's interned keys and testing whether that
+flow has the subtable's mask and is live, never by the header's own flow
+id.  Its inserts go through `intern` and
 `SequentialCache._install`, which add any (mask, key) pair the way the
 cache's pricing loop adds a synthesized one inline.
 
@@ -30,7 +31,7 @@ from typing import Iterator, Optional
 
 from oracle_synth import o_synthesize
 
-from tsesim.flow_cache import BatchResult, FlowCache, FlowTable, Subtable
+from tsesim.flow_cache import BatchResult, FlowCache, FlowTable
 from tsesim.headers import HeaderLayout, HeaderValue, header_hash64
 from tsesim.slowpath import Acl, Action
 
@@ -84,14 +85,13 @@ class SequentialCache(FlowCache):
     def _install(self, fid: int, now: float) -> bool:
         """Make flow fid live; return whether that created (or revived) its subtable."""
         mid = self.table.mask_of[fid]
-        st = self._sub.get(mid)
-        if st is None:
-            st = self._sub[mid] = Subtable(mid)
-        created = not st.size
+        if mid >= len(self._size):
+            self._size += [0] * (mid + 1 - len(self._size))
+        created = not self._size[mid]
         if created:
-            st.pos = len(self._rev) + self._pos_offset
-            self._rev.append(st)
-        st.size += 1
+            self._pos[mid] = len(self._rev) + self._pos_offset
+            self._rev.append(mid)
+        self._size[mid] += 1
         self._idle[fid] = now
         return created
 
@@ -99,13 +99,10 @@ class SequentialCache(FlowCache):
         """Probe subtables sequentially; on a hit, count it and refresh the entry."""
         self._advance(now)
         interned, mask_bits = self.table._flow_ids, self.table.mask_bits
-        for probed, st in enumerate(self.subtables(), start=1):
-            m = mask_bits[st.mask_id]
-            fid = interned.get(h.bits & m)
-            if fid is not None and self.table.mask_of[fid] == st.mask_id and fid in self._idle:
-                if not st.interval_hits:
-                    self._hits.append(st)
-                st.interval_hits += 1
+        for probed, mid in enumerate(reversed(self._rev), start=1):
+            fid = interned.get(h.bits & mask_bits[mid])
+            if fid is not None and self.table.mask_of[fid] == mid and fid in self._idle:
+                self._hits[mid] = self._hits.get(mid, 0) + 1
                 self._refresh(fid, now)
                 return self.table.action_of[fid], probed
         return None
@@ -193,8 +190,8 @@ def entries(cache: FlowCache) -> Iterator[tuple[int, int, Action]]:
 
 def search_index(cache: FlowCache, mask: int) -> int:
     """Search position (0 probed first) of the live subtable with these mask bits."""
-    st = cache._sub[cache.table.mask_ids[mask]]
-    return cache.subtable_count - 1 - (st.pos - cache._pos_offset)
+    pos = cache._pos[cache.table.mask_ids[mask]]
+    return cache.subtable_count - 1 - (pos - cache._pos_offset)
 
 
 def expire(cache: FlowCache, now: float) -> tuple[list[tuple[int, int]], list[int]]:

@@ -180,9 +180,9 @@ def test_criterion_04_ranking_properties_fuzz():
         elif roll < 0.95:
             cache.expire(now)
         else:
-            pre = {id(st): st.interval_hits for st in cache.subtables()}
+            pre = {st.mask_id: st.interval_hits for st in cache.subtables()}
             cache.rebalance(now)
-            seq = [pre[id(st)] for st in cache.subtables()]
+            seq = [pre[st.mask_id] for st in cache.subtables()]
             assert all(a >= b for a, b in zip(seq, seq[1:]))
             rebalances += 1
     elapsed = time.monotonic() - started

@@ -705,6 +705,28 @@ def test_guarded_input_exits_2_with_one_line(args, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param(["run", "--tick", "1e-320", "--duration", "1", "--attack-start", "0"],
+                     "tick 9.99989e-321 s is too short: 1 / tick is not finite",
+                     id="subnormal-tick"),
+        pytest.param(["gen-trace", "--tse", "2.0", "--rate", "1e308"],
+                     "attack phase of 10 s at 1e+308 pps holds too many packets to count",
+                     id="huge-rate"),
+        pytest.param(["run", "--tse", "2.0", "--t-attack", "1e308"],
+                     "attack phase of 1e+308 s at 1000 pps holds too many packets to count",
+                     id="huge-t-attack"),
+    ],
+)
+def test_input_that_overflows_an_int_exits_2_with_one_line(args, message, tmp_path, capsys):
+    """Finite values whose tick or phase count would round from infinity are range errors."""
+    out = tmp_path / "out"
+    assert main([*args, "--use-case", "dp", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "values, message",
     [
         ({"tse": "9"}, "tse must be one of ('1.0', '2.0', '2.1')"),

@@ -1,6 +1,6 @@
+import gc
 import random
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,8 +28,8 @@ from oracle_cache import (  # noqa: E402
     synthesize,
 )
 
-from tsesim.attack import simple_acl  # noqa: E402
-from tsesim.flow_cache import CostModel, FlowCache, FlowTable  # noqa: E402
+from tsesim.attack import UseCase, build_trace, simple_acl, use_case_acl  # noqa: E402
+from tsesim.flow_cache import CostModel, FlowCache, FlowTable, Subtable  # noqa: E402
 from tsesim.headers import FIVE_TUPLE, HYP, HeaderValue, header, header_hash64, ip_to_int  # noqa: E402
 from tsesim.slowpath import Acl, Action, parse_acl_text, rule  # noqa: E402
 
@@ -238,13 +238,13 @@ def test_rebalance_orders_by_hits_and_resets():
         header(FIVE_TUPLE, ip_src=1, ip_dst=2, proto=6, sport=12345, dport=81),
     ]
     cache.classify_batch([(h, cache.flow_id(h), 1) for h in headers], now=0.0)
-    a, b, c = cache.subtables()  # current search order
+    a, b, c = (st.mask_id for st in cache.subtables())  # current search order
     by_subtable = {cache.table.mask_of[cache.flow_id(h)]: h for h in headers}
-    for st, hits in ((a, 5), (b, 100), (c, 1)):
-        cache.credit_hits([cache.flow_id(by_subtable[st.mask_id])], hits, now=0.5)
-    assert [st.interval_hits for st in (a, b, c)] == [5, 100, 1]
+    for mid, hits in ((a, 5), (b, 100), (c, 1)):
+        cache.credit_hits([cache.flow_id(by_subtable[mid])], hits, now=0.5)
+    assert [st.interval_hits for st in cache.subtables()] == [5, 100, 1]
     cache.rebalance(1.0)
-    assert cache.subtables() == [b, a, c]
+    assert [st.mask_id for st in cache.subtables()] == [b, a, c]
     assert all(st.interval_hits == 0 for st in cache.subtables())
 
 
@@ -436,11 +436,11 @@ def test_runs_price_like_runs_of_one(table, emc_enabled, emc_capacity, costs, st
             want = single.classify_batch([(h, single.flow_id(h), n) for h, n in ones], now)
             assert batch_masks(grouped, got) == batch_masks(single, want)
         elif step[0] == "expire":
-            before = list(zip(masks(grouped), grouped.subtables()))
+            before = masks(grouped)
             expired = expire(grouped, now)
             assert expired == expire(single, now)
             removed = set(expired[1])
-            assert grouped.subtables() == [s for m, s in before if m not in removed]
+            assert masks(grouped) == [m for m in before if m not in removed]
         else:
             grouped.rebalance(now)
             single.rebalance(now)
@@ -455,7 +455,7 @@ def test_runs_price_like_runs_of_one(table, emc_enabled, emc_capacity, costs, st
 def test_check_invariants_detects_corruption():
     cache = table_b_cache()
     cache.check_invariants()
-    cache.subtables()[0].pos += 1
+    cache._pos[cache._rev[-1]] += 1
     with pytest.raises(AssertionError, match="pos"):
         cache.check_invariants()
     cache = table_b_cache()
@@ -463,7 +463,7 @@ def test_check_invariants_detects_corruption():
     with pytest.raises(AssertionError, match="has size 2 for 1 live flows"):
         cache.check_invariants()
     cache = table_b_cache()
-    cache.subtables()[0].size += 1
+    cache._size[cache._rev[-1]] += 1
     with pytest.raises(AssertionError, match="has size 3 for 2 live flows"):
         cache.check_invariants()
     cache = table_b_cache()
@@ -473,15 +473,19 @@ def test_check_invariants_detects_corruption():
     with pytest.raises(AssertionError, match="out of last-hit order"):
         cache.check_invariants()
     cache = table_b_cache()
-    cache.subtables()[0].interval_hits += 1  # hits that skipped the hit list
-    with pytest.raises(AssertionError, match="subtable 2 has hits but is not on the hit list"):
+    cache._hits[cache._rev[-1]] = 0  # a hit mask with no hits
+    with pytest.raises(AssertionError, match="hit counts hold mask .* with 0 hits, stored"):
         cache.check_invariants()
     cache = table_b_cache()
-    st = cache.subtables()[0]
+    mid = cache._rev[-1]
     cache.expire(10.0)  # every entry was installed at 0.0
     cache.check_invariants()
-    st.interval_hits = 3
+    cache._hits[mid] = 3
     with pytest.raises(AssertionError, match="out of storage with size 0 and 3 hits"):
+        cache.check_invariants()
+    cache._hits[len(cache._size)] = 1  # a mask id past the size column
+    del cache._hits[mid]
+    with pytest.raises(AssertionError, match="with 1 hits, out of storage"):
         cache.check_invariants()
     cache = FlowCache(hyp_acl())
     for v in (0b001, 0b010):
@@ -503,28 +507,32 @@ def test_check_invariants_detects_corruption():
 
 def test_check_invariants_detects_stale_id_lists():
     cache = table_b_cache()
-    del cache._sub[cache.subtables()[0].mask_id]
-    with pytest.raises(AssertionError, match="not indexed by its mask id"):
+    del cache._pos[cache._rev[0]]
+    with pytest.raises(AssertionError, match="stored mask .* has no position"):
         cache.check_invariants()
     cache = table_b_cache()
-    st, fid = cache.subtables()[0], next(iter(cache._idle))
+    cache._rev.append(cache._rev[0])  # one mask stored twice
+    with pytest.raises(AssertionError, match="mask .* is stored 2 times"):
+        cache.check_invariants()
+    cache = table_b_cache()
+    mid, fid = cache._rev[-1], next(iter(cache._idle))
     cache.expire(10.0)  # every entry was installed at 0.0
     cache.check_invariants()
-    assert cache.subtable_count == 0 and cache._sub[st.mask_id] is st  # kept dead for revival
-    st.size = 1  # counted live, but out of storage
+    assert cache.subtable_count == 0 and cache._size[mid] == 0  # kept dead for revival
+    cache._size[mid] = 1  # counted live, but out of storage
     with pytest.raises(AssertionError, match="out of storage with size 1 and 0 hits"):
         cache.check_invariants()
-    st.size = 0
+    cache._size[mid] = 0
     cache._idle[fid] = 10.0
     with pytest.raises(AssertionError, match="idle list holds a flow whose subtable is absent"):
         cache.check_invariants()
     del cache._idle[fid]
     cache.mfc_lookup(hv(0b000), now=10.0)  # nothing live: a miss
-    cache.classify(hv(0b000), now=10.0)  # revives st, first in the search order
-    assert cache.subtables() == [st] and st.size == 1
+    cache.classify(hv(0b000), now=10.0)  # revives mid's subtable, first in the search order
+    assert cache.subtables() == [Subtable(mid, 1, 0)]
     cache.check_invariants()
-    cache._sub[st.mask_id] = replace(st)  # a stale copy in the index
-    with pytest.raises(AssertionError, match="subtable 0 not indexed by its mask id"):
+    cache._pos[cache._rev[0]] -= 1  # a stale position
+    with pytest.raises(AssertionError, match="subtable at storage 0 has pos"):
         cache.check_invariants()
 
 
@@ -772,12 +780,11 @@ def test_probe_cost_is_read_only():
     cache = FlowCache(five_acl(), emc_enabled=False)
     h = header(FIVE_TUPLE, ip_src=9, ip_dst=2, proto=6, sport=3, dport=81)
     cache.classify_batch([(h, cache.flow_id(h), 1)], now=0.0)
-    st = cache.subtables()[0]
-    hits_before = st.interval_hits
+    before = cache.subtables()
     stamps = last_hits(cache)
     cost = probe_cost(cache, h)
     assert cost == cache.costs.c_sub
-    assert st.interval_hits == hits_before
+    assert cache.subtables() == before
     assert last_hits(cache) == stamps
 
     # EMC on: an MFC hit (h's megaflow, a header not in the EMC) and a miss.
@@ -786,14 +793,15 @@ def test_probe_cost_is_read_only():
                  for src in (7, 8)]
     cache.classify_batch([(h, cache.flow_id(h), 1)], now=0.0)
     cache.classify_batch([(same_flow[0], cache.flow_id(h), 1)], now=1.0)  # an MFC hit
-    assert cache._hits == cache.subtables() and last_hits(cache) == {synthesize(cache, h)[:2]: 1.0}
+    assert list(cache._hits) == [st.mask_id for st in cache.subtables()]
+    assert last_hits(cache) == {synthesize(cache, h)[:2]: 1.0}
     mfc_hit = same_flow[1]
     miss = header(FIVE_TUPLE, ip_src=9, ip_dst=2, proto=6, sport=3, dport=80)
     assert cache.flow_id(mfc_hit) == cache.flow_id(h) and cache.flow_id(miss) not in cache._idle
 
     def state():
-        hits = [s.interval_hits for s in cache.subtables()]
-        return dict(cache.emc.slots), hits, list(cache._hits), last_hits(cache), dict(cache._sub)
+        columns = list(cache._rev), dict(cache._pos), list(cache._size), dict(cache._hits)
+        return dict(cache.emc.slots), columns, last_hits(cache)
 
     before = state()
     c = cache.costs
@@ -815,8 +823,8 @@ def test_credit_hits_bulk():
 
 
 def _credit_state(cache):
-    """What crediting can change: interval hits, the hit list, and the idle list with stamps."""
-    return (cache_state(cache), [st.mask_id for st in cache._hits], list(cache._idle.items()))
+    """What crediting can change: hit counts in hit order, and the idle list with stamps."""
+    return (cache_state(cache), list(cache._hits.items()), list(cache._idle.items()))
 
 
 def _three_masks():
@@ -847,7 +855,7 @@ def test_credit_hits_over_flow_ids_is_one_call_per_id(order):
     assert _credit_state(bulk) == _credit_state(single)
     live = [fid for fid in fids if fid != bulk.flow_id(dead)]
     assert list(bulk._idle.items()) == [(fid, 2.0) for fid in live]
-    assert [st.mask_id for st in bulk._hits] == [bulk.table.mask_of[fid] for fid in live]
+    assert list(bulk._hits) == [bulk.table.mask_of[fid] for fid in live]
     assert sorted(st.interval_hits for st in bulk.subtables()) == [7, 7]
     bulk.check_invariants()
 
@@ -897,6 +905,27 @@ def test_classify_batch_reads_a_one_shot_iterator_as_a_list(emc_enabled, capacit
     assert (sum(r.emc_hits for r in results) > 0) == emc_enabled
 
 
+def test_installing_subtables_makes_no_object_per_subtable():
+    """One batch installing all 257 `sp_dp` masks adds a bounded number of GC-tracked objects.
+
+    Subtable state lives in per-mask columns, so the batch adds its result
+    and its list of created masks, not an object per subtable.
+    """
+    acl = use_case_acl(UseCase.SP_DP)
+    cache = FlowCache(acl, emc_enabled=False)
+    runs = [(h, cache.flow_id(h), 1) for h in build_trace(UseCase.SP_DP, acl).packets]
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        res = cache.classify_batch(runs, now=0.0)
+        grown = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert len(res.created_masks) == cache.subtable_count == 257
+    assert grown < 20
+
+
 # -- pipeline properties ------------------------------------------------------
 
 
@@ -917,9 +946,9 @@ def test_fuzz_disjointness_and_ranking_properties():
         elif op < 0.9:
             cache.expire(now)
         else:
-            pre = {id(st): st.interval_hits for st in cache.subtables()}
+            pre = {st.mask_id: st.interval_hits for st in cache.subtables()}
             cache.rebalance(now)
-            seq = [pre[id(st)] for st in cache.subtables()]
+            seq = [pre[st.mask_id] for st in cache.subtables()]
             assert all(a >= b for a, b in zip(seq, seq[1:]))
     live = list(entries(cache))
     for i, (k1, m1, _) in enumerate(live):
@@ -1067,7 +1096,8 @@ def test_ranking_of_a_subtable_revived_between_rebalances():
     """Hit, expired, re-created and hit again, all in one interval: only the last hits count.
 
     The engine never does this (10 s idle timeout, 1 s between rebalances),
-    but the API allows it, and the subtable goes on the hit list twice.
+    but the API allows it.  `expire` drops the emptied subtable's hits, so
+    its hits after revival count from 0, after the other subtables' hits.
     """
     machine = RankingMachine()
     acl = hyp_acl()
@@ -1087,7 +1117,7 @@ def test_ranking_of_a_subtable_revived_between_rebalances():
         machine.agrees_with_model()
     cache = machine.cache
     masks = [cache.table.mask_of[cache.flow_id(h)] for h in pool]
-    assert [st.mask_id for st in cache._hits].count(masks[0]) == 2
+    assert list(cache._hits.items()) == [(masks[1], 2), (masks[2], 1), (masks[0], 1)]
     machine.rebalance(dt=0.0)
     machine.agrees_with_model()
     assert [st.mask_id for st in cache.subtables()] == [masks[1], masks[0], masks[2]]
