@@ -84,12 +84,19 @@ class AttackSchedule:
             raise ValueError("t_attack must be positive when given")
         if self.clone < 1:
             raise ValueError("clone factor must be >= 1")
+        if self.t_attack is not None and not math.isfinite(cycle := self.t_attack + self.t_sleep):
+            raise ValueError(f"duty cycle of {self.t_attack:g} s attack and {self.t_sleep:g} s "
+                             "sleep is too long to time")  # emission_time steps by the cycle
         if self.t_attack is not None and self.rate > 0:
             if not math.isfinite(self.t_attack * self.rate):  # per_phase rounds it to an int
                 raise ValueError(f"attack phase of {self.t_attack:g} s at {self.rate:g} pps "
                                  "holds too many packets to count")
             if self.per_phase < 1:
                 raise ValueError("attack phase shorter than one packet interval")
+            # Else rounding per_phase up could space packets closer than 1 / rate.
+            if self.per_phase / self.rate > cycle:
+                raise ValueError(f"attack phase of {self.per_phase} packets at {self.rate:g} pps "
+                                 f"overruns its {cycle:g} s duty cycle")
 
     @property
     def is_low_rate(self) -> bool:

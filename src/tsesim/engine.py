@@ -31,6 +31,17 @@ from .slowpath import Acl, Action, rule
 
 MAX_TICKS = 1_000_000  # per run; 60 s at the default 0.1 s tick is 600
 
+# A tick replays an attack's emissions as runs, one list entry per distinct
+# emission (a clone group), each priced in Python: a tick's memory and time
+# grow with its distinct emissions, rate * tick / clone.  At the cap a
+# `dp` run peaks near 80 MB and takes about half a host second a tick; the
+# reference run replays 100 a tick, and TSE 1.0 at 12000 pps 1200.
+MAX_DISTINCT_PER_TICK = 1_000_000
+# Emission indices are counted in floats (`AttackSchedule.emission_count`),
+# which stop counting whole numbers exactly past 2**53 and cannot round an
+# infinite count at all.  A run's count is at most rate * duration.
+MAX_RUN_EMISSIONS = 2**53
+
 # One core's processing budget in cost units per second.  Calibrated so that a
 # single saturated core ends the constant-rate reference attack at roughly one
 # fifth of the victim's baseline, with collapse below 1% six seconds in while
@@ -159,6 +170,24 @@ def compute_goodput_fraction(
         return 1.0
     fraction = (budget_units - attacker_demand_units) / victim_demand_units
     return min(1.0, max(GOODPUT_FLOOR, fraction))
+
+
+def check_replay(config: SimConfig, schedule: AttackSchedule) -> None:
+    """Raise ValueError unless `run` can replay the schedule in bounded memory.
+
+    `run` calls it for each attack before any tick.  A run's emission count,
+    at most rate * duration, must be at most MAX_RUN_EMISSIONS, so it is
+    finite, and a tick's distinct emissions, rate * tick / clone, at most
+    MAX_DISTINCT_PER_TICK.
+    """
+    rate = schedule.rate
+    if rate * config.duration > MAX_RUN_EMISSIONS:
+        raise ValueError(f"attack at {rate:g} pps over {config.duration:g} s "
+                         "holds too many packets to count")
+    if (distinct := rate * config.tick / schedule.clone) > MAX_DISTINCT_PER_TICK:
+        raise ValueError(f"attack at {rate:.10g} pps with clone factor {schedule.clone} replays "
+                         f"{distinct:.10g} distinct packets a {config.tick:g} s tick, "
+                         f"more than {MAX_DISTINCT_PER_TICK}")
 
 
 def victim_cost_probe(cache: FlowCache, victim_runs: Sequence[Run]) -> float:
@@ -424,8 +453,11 @@ def run(
     the `FlowTable` that all runs on one ACL object share; `build_cache_map`
     adds one frame of the first one's batches per second.  Multi-core scaling
     is modeled as one classifier with `cores` times the budget.  A run is
-    single-threaded and deterministic; sweeps are independent runs.
+    single-threaded and deterministic; sweeps are independent runs.  An
+    attack that `check_replay` rejects raises ValueError before any tick.
     """
+    for _, schedule in attacks:
+        check_replay(config, schedule)
     victims = list(victim_headers)
     cache = FlowCache(acl, emc_enabled=config.emc_enabled)
     cache.warm(victims, now=0.0)

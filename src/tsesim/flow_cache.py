@@ -16,10 +16,13 @@ ids from `classify_batch`, expired flow ids and removed mask ids from
 
 Each rule is written once: the synthesis walk in `FlowTable.flow_ids`, and
 the EMC probe, the EMC fill and the megaflow install in the one pricing
-loop, `FlowCache._price_runs`, which makes no Python call per run.  An EMC
-slot holds a header's bits, and an EMC hit is one lookup in the set of
-them.  `expire` deletes the idle list's front up to the first entry still
-young.
+loop, `FlowCache._price_runs`, which makes no Python call per run.  A batch
+is counted, then priced: the loop tallies the counters of OVS's
+`pmd-stats-show` (emc hits, megaflow hits, subtable lookups of the megaflow
+hits, miss with success upcall), and the price is one linear function of
+them.  An EMC slot holds a header's bits, and an EMC hit is one lookup in
+the set of them.  `expire` deletes the idle list's front up to the first
+entry still young.
 
 A subtable is no Python object: the cache keeps its state in columns keyed
 by the table's dense mask ids, one each for the stored order, the position,
@@ -349,9 +352,18 @@ class FlowCache:
         are EMC hits.  With the EMC off, every packet of the run sees what
         the first saw: an MFC hit repeats count times (count interval hits),
         and a miss repeats count times (the install is not visible within the
-        batch) with one install.  A run is charged count x its per-packet
-        price; with integer-valued cost knobs, as the defaults and every
-        calibration in use are, that equals the per-packet sum exactly.
+        batch) with one install.  The batch is counted, then priced: with n0
+        the subtables at batch start, and subtable lookups the sum of the
+        megaflow hits' 1-based search positions,
+
+            total_cost = c_emc * (emc hits + [EMC on] * (megaflow hits + misses))
+                       + c_sub * (subtable lookups + misses * n0)
+                       + c_slow * misses
+
+        which is the per-packet sum.  With whole-number cost knobs, as the
+        defaults and every calibration in use are, each term is a whole
+        number, exact in a float below 2**53, so the price does not depend
+        on the order of summing.
         """
         self._advance(now)
         return self._price_runs(runs, now)
@@ -373,39 +385,36 @@ class FlowCache:
     def _price_runs(self, runs: Iterable[Run], now: float, probe: bool = False) -> BatchResult:
         """The one pricing path, one loop with no call per run; with `probe`, change nothing.
 
-        An EMC hit is `bits in resident`; a fill finds the slot (memo, then
+        The loop only counts, in ints: EMC hits, megaflow hits, misses and
+        subtable lookups (count x the search position at batch start, over
+        the megaflow hits); `classify_batch` gives the price they make.  An
+        EMC hit is `bits in resident`; a fill finds the slot (memo, then
         `header_hash64`) and swaps the slot's old occupant out of `resident`.
         An install revives or creates the flow's subtable first in the order.
         """
-        c = self.costs
         emc = self.emc
         emc_on = emc.enabled
         slots, resident, slot_of, capacity = emc.slots, emc.resident, emc._slot_of, emc.capacity
         idle, rev, pos, size, hits = self._idle, self._rev, self._pos, self._size, self._hits
         mask_of, mask_bits = self.table.mask_of, self.table.mask_bits
         move_to_end, hits_of = idle.move_to_end, hits.get
-        c_emc, c_sub = c.c_emc, c.c_sub
-        emc_probe = (1 if emc_on else 0) * c_emc
-        miss_cost = emc_probe + len(rev) * c_sub + c.c_slow
         # A stored mask's 1-based search position at batch start is base - pos[mid].
-        offset = self._pos_offset
-        base = len(rev) + offset
-        packets = emc_hits = mfc_hits = slow_path = 0
-        cost = 0.0
+        n0, offset = len(rev), self._pos_offset
+        base = n0 + offset
+        emc_hits = mfc_hits = slow_path = lookups = 0
         created: list[int] = []
         batch_new: set[int] = set()  # flow ids installed by this batch
         for h, fid, count in runs:
-            packets += count
             if emc_on:
                 if (bits := h.bits) in resident:
                     emc_hits += count
-                    cost += count * c_emc
                     continue
-                rest, count = count - 1, 1
+                emc_hits += count - 1  # the first packet fills the EMC for the rest
+                count = 1
             if fid in idle and fid not in batch_new:
                 mid = mask_of[fid]
                 mfc_hits += count
-                cost += count * (emc_probe + (base - pos[mid]) * c_sub)
+                lookups += count * (base - pos[mid])
                 if probe:
                     continue
                 hits[mid] = hits_of(mid, 0) + count
@@ -413,7 +422,6 @@ class FlowCache:
                 move_to_end(fid)
             else:
                 slow_path += count
-                cost += count * miss_cost
                 if probe:
                     continue
                 if fid not in batch_new:  # then it is not live either
@@ -433,9 +441,9 @@ class FlowCache:
                 resident.discard(slots.get(slot))
                 resident.add(bits)
                 slots[slot] = bits
-                if rest:
-                    emc_hits += rest
-                    cost += rest * c_emc
+        packets, c = emc_hits + mfc_hits + slow_path, self.costs
+        cost = (c.c_emc * (packets if emc_on else 0) + c.c_sub * (lookups + slow_path * n0)
+                + c.c_slow * slow_path)
         return BatchResult(packets, cost, slow_path, mfc_hits, emc_hits, created)
 
     def credit_hits(self, flow_ids: Iterable[int], packets: int, now: float) -> None:

@@ -1,14 +1,25 @@
 import argparse
 import hashlib
 import json
+import resource
 import runpy
+import subprocess
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tsesim
 from tsesim.cli import ConfigError, Scenario, main, parse_config, render_cache_map
-from tsesim.engine import SERIES_CSV_HEADER
+from tsesim.engine import (
+    MAX_DISTINCT_PER_TICK,
+    MAX_RUN_EMISSIONS,
+    SERIES_CSV_HEADER,
+    check_replay,
+)
 
 
 def test_parse_config_defaults():
@@ -716,14 +727,114 @@ def test_guarded_input_exits_2_with_one_line(args, message, tmp_path, capsys):
         pytest.param(["run", "--tse", "2.0", "--t-attack", "1e308"],
                      "attack phase of 1e+308 s at 1000 pps holds too many packets to count",
                      id="huge-t-attack"),
+        pytest.param(["run", "--rate", "1e308", "--duration", "2", "--attack-start", "0"],
+                     "attack at 1e+308 pps over 2 s holds too many packets to count",
+                     id="huge-rate-run"),
     ],
 )
 def test_input_that_overflows_an_int_exits_2_with_one_line(args, message, tmp_path, capsys):
-    """Finite values whose tick or phase count would round from infinity are range errors."""
+    """Finite values whose tick, phase or run count would round from infinity are range errors."""
     out = tmp_path / "out"
     assert main([*args, "--use-case", "dp", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_gen_trace_takes_a_rate_no_run_could_replay(tmp_path, capsys):
+    """The replay bounds are `run`'s: a trace file only stamps packets at the rate."""
+    out = tmp_path / "dp.trace"
+    assert main(["gen-trace", "--use-case", "dp", "--rate", "1e308", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 17
+
+
+def _limit_child():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_CPU, (20, 20))
+
+
+def test_rate_past_the_per_tick_cap_exits_2_with_one_line(tmp_path):
+    """`--rate 1e11` asks for 1e10 distinct emissions a tick; a child with 1 GiB and 20 s of CPU."""
+    out = tmp_path / "out"
+    src = str(Path(tsesim.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "tsesim.cli", "run", "--use-case", "dp", "--rate", "1e11",
+         "--duration", "2", "--attack-start", "0", "--out", str(out)],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_child,
+        env={"PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: attack at 1e+11 pps with clone factor 1 replays 1e+10 distinct packets "
+        f"a 0.1 s tick, more than {MAX_DISTINCT_PER_TICK}\n"
+    )
+    assert not out.exists()
+
+
+def _past_tick_cap(rate, tick, distinct):
+    return (f"attack at {rate} pps with clone factor 1 replays {distinct} distinct packets "
+            f"a {tick} s tick, more than {MAX_DISTINCT_PER_TICK}")
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        pytest.param({"rate": 1e7}, None, id="at-tick-cap"),
+        pytest.param({"rate": 9999999.0}, None, id="under-tick-cap"),
+        pytest.param({"rate": 10000001.0}, _past_tick_cap(10000001, 0.1, 1000000.1),
+                     id="past-tick-cap"),
+        pytest.param({"rate": 1e6, "tick": 1.0}, None, id="at-tick-cap-1s-tick"),
+        pytest.param({"rate": 1000001.0, "tick": 1.0}, _past_tick_cap(1000001, 1, 1000001),
+                     id="past-tick-cap-1s-tick"),
+        pytest.param({"rate": 1e8, "tse": "2.1"}, None, id="clones-under-tick-cap"),
+        pytest.param({"rate": 2.0**53, "tse": "2.1"}, None, id="at-run-count-cap"),
+        pytest.param({"rate": 2.0**53 + 2, "tse": "2.1"},
+                     "attack at 9.0072e+15 pps over 1 s holds too many packets to count",
+                     id="past-run-count-cap"),
+        pytest.param({"rate": 1e308, "tse": "2.1", "t_attack": 1e-300},
+                     "attack at 1e+308 pps over 1 s holds too many packets to count",
+                     id="infinite-run-count"),
+    ],
+)
+def test_replay_bounds_of_a_scenario(values, message):
+    """`check_replay` near and at its bounds, on built scenarios; nothing runs."""
+    scenario = Scenario(use_case="dp", attack_start=0.0, duration=1.0, **values)
+    config, schedule = scenario.sim_config(), scenario.schedule()
+    if message is None:
+        check_replay(config, schedule)
+        assert schedule.emission_count(config.duration) <= schedule.rate * config.duration + 1
+    else:
+        with pytest.raises(ValueError) as rejected:
+            check_replay(config, schedule)
+        assert str(rejected.value) == message
+
+
+_extreme = st.sampled_from([0.0, 5e-324, 1e-300, 1e-9, 0.1, 0.5, 1.0, 2.0, 1e3, 1e6, 1e7,
+                            1e7 + 2, 2.0**53, 1e11, 1e300, 1e308, 1.7976931348623157e308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tse=st.sampled_from(["1.0", "2.0", "2.1"]),
+    rate=_extreme | st.floats(0, 1e12),
+    tick=_extreme | st.sampled_from([0.001, 0.01, 0.2, 0.25]),
+    duration=_extreme | st.integers(1, 10**6).map(float),
+    t_attack=_extreme,
+    t_sleep=_extreme,
+    attack_start=_extreme,
+)
+def test_extreme_scenarios_build_or_are_rejected(tse, rate, tick, duration, t_attack, t_sleep,
+                                                 attack_start):
+    """Every draw is built and counted within the bounds, or rejected with a ValueError."""
+    try:
+        scenario = Scenario(use_case="dp", tse=tse, rate=rate, tick=tick, duration=duration,
+                            t_attack=t_attack, t_sleep=t_sleep, attack_start=attack_start)
+        config, schedule = scenario.sim_config(), scenario.schedule()
+        check_replay(config, schedule)
+    except ValueError:
+        return
+    assert rate * tick / schedule.clone <= MAX_DISTINCT_PER_TICK
+    assert rate * duration <= MAX_RUN_EMISSIONS
+    assert 0 <= schedule.emission_count(duration) <= rate * duration + 1
 
 
 @pytest.mark.parametrize(
@@ -735,6 +846,10 @@ def test_input_that_overflows_an_int_exits_2_with_one_line(args, message, tmp_pa
         ({"victim_flows": 901}, "victim_flows must be <= 900, got 901"),
         ({"tick": 0.3}, "tick must divide 1.0 exactly"),
         ({"attack_start": -1}, "attack start must be >= 0, got -1"),
+        ({"tse": "2.0", "rate": 1, "t_attack": 1e308, "t_sleep": 1e308},
+         "duty cycle of 1e+308 s attack and 1e+308 s sleep is too long to time"),
+        ({"tse": "2.0", "t_attack": 0.0015, "t_sleep": 0.0},
+         "attack phase of 2 packets at 1000 pps overruns its 0.0015 s duty cycle"),
     ],
 )
 def test_a_scenario_is_checked_when_built(values, message, tmp_path, monkeypatch, capsys):

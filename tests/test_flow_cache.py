@@ -302,6 +302,31 @@ def test_classify_cost_formula():
     res = cache.classify_batch([(h0, cache.flow_id(h0), 1)], now=0.1)  # EMC hit
     assert res.total_cost == 2.0
 
+    # A batch of several runs, each count at its own weight.  It holds an EMC
+    # hit and a megaflow hit of several packets, a miss that creates a
+    # subtable, and a second miss, which still scans the two subtables the
+    # batch started with.
+    c_emc, c_sub, c_slow = costs.c_emc, costs.c_sub, costs.c_slow
+    h001, h100, h101, h010, h000 = (hv(v) for v in (0b001, 0b100, 0b101, 0b010, 0b000))
+    miss = 2 * c_sub + c_slow  # n0 = 2, not the 3 subtables after h010's install
+    for emc_enabled in (True, False):
+        cache = FlowCache(hyp_acl(), emc_enabled=emc_enabled, costs=costs)
+        cache.classify_batch([(h, cache.flow_id(h), 1) for h in (h001, h100)], now=0.0)
+        assert masks(cache) == [0b100, 0b111]  # h100's subtable first, then h001's
+        assert cache.flow_id(h101) == cache.flow_id(h100)  # an MFC hit in subtable 1
+        runs = [(h001, 3), (h101, 2), (h010, 1), (h000, 2)]
+        res = cache.classify_batch([(h, cache.flow_id(h), n) for h, n in runs], now=1.0)
+        assert [cache.table.mask_bits[m] for m in res.created_masks] == [0b110]
+        if emc_enabled:
+            # h001: 3 EMC hits; h101: one MFC hit at position 1, then 1 EMC hit;
+            # h010: one miss; h000: one miss, then 1 EMC hit.  Every packet probes the EMC.
+            assert (res.packets, res.emc_hits, res.mfc_hits, res.slow_path) == (8, 5, 1, 2)
+            assert res.total_cost == 8 * c_emc + 1 * c_sub + 2 * miss
+        else:
+            # h001: 3 MFC hits at position 2; h101: 2 at position 1; 3 misses.
+            assert (res.packets, res.emc_hits, res.mfc_hits, res.slow_path) == (8, 0, 5, 3)
+            assert res.total_cost == 3 * 2 * c_sub + 2 * 1 * c_sub + 3 * miss
+
 
 # -- batch path vs sequential oracle -------------------------------------------
 
@@ -661,6 +686,25 @@ def test_probe_cost_of_absent_entry_is_what_classify_batch_charges(emc):
         assert cache.classify_batch([(h, cache.flow_id(h), 1)], now=11.0).total_cost == cost
 
 
+@pytest.mark.parametrize("emc", [True, False])
+def test_probe_cost_of_a_run_is_what_classify_batch_charges(emc):
+    """A run of 3 packets missing the EMC: probed, then classified, at c_emc != c_sub.
+
+    With the EMC on, its first packet goes on to the MFC and the other two
+    hit the EMC, for the probe as for the batch.
+    """
+    cache = FlowCache(hyp_acl(), emc_enabled=emc, costs=CostModel(2.0, 3.0, 40.0))
+    h101 = hv(0b101)
+    cache.classify_batch([(h, cache.flow_id(h), 1) for h in (hv(0b100), hv(0b010))], now=0.0)
+    # An MFC hit at position 2, then a miss past both subtables; each packet's
+    # price past the EMC.
+    for h, price in ((h101, 2 * 3.0), (hv(0b000), 2 * 3.0 + 40.0)):
+        runs = [(h, cache.flow_id(h), 3)]
+        cost = cache.probe_cost(runs)
+        assert cost == (3 * 2.0 + price if emc else 3 * price)
+        assert cache.classify_batch(runs, now=1.0).total_cost == cost
+
+
 STAMPING = {
     "classify_batch": lambda cache, h, now: cache.classify_batch([(h, cache.flow_id(h), 1)], now),
     "warm": lambda cache, h, now: cache.warm([h], now),
@@ -976,15 +1020,17 @@ class RankingMachine(stateful.RuleBasedStateMachine):
     each subtable's hits in the current interval, the live flows' last
     hits and the EMC's slots.  A new subtable goes first, `expire` drops
     the emptied ones, and `rebalance` stable-sorts by the model's hits,
-    descending.  A batch is priced against the state at its start.
+    descending.  A batch is priced packet by packet against the state at
+    its start, under the default costs or ones with c_emc != c_sub.
     """
 
     @stateful.initialize(
-        case=acl_and_headers(), emc_enabled=st.booleans(), emc_capacity=st.sampled_from([1, 8192])
+        case=acl_and_headers(), emc_enabled=st.booleans(), emc_capacity=st.sampled_from([1, 8192]),
+        costs=st.sampled_from([CostModel(), CostModel(c_emc=2.0, c_sub=3.0, c_slow=40.0)]),
     )
-    def setup(self, case, emc_enabled, emc_capacity):
+    def setup(self, case, emc_enabled, emc_capacity, costs=CostModel()):
         acl, headers = case
-        self.cache = FlowCache(acl, emc_enabled=emc_enabled, emc_capacity=emc_capacity)
+        self.cache = FlowCache(acl, emc_enabled=emc_enabled, emc_capacity=emc_capacity, costs=costs)
         self.pool = headers
         self.now = 0.0
         self.order: list[int] = []
@@ -1007,22 +1053,22 @@ class RankingMachine(stateful.RuleBasedStateMachine):
         cache, emc_on = self.cache, self.cache.emc.enabled
         runs = [(self.pool[i % len(self.pool)], n) for i, n in picks]
         position = {mid: i + 1 for i, mid in enumerate(self.order)}  # at batch start
-        created, cost, new = [], 0.0, set()  # default costs: 1 a probe, 50 the slow path
+        c = cache.costs
+        created, cost, new = [], 0.0, set()
         for h, count in runs:
             fid = cache.flow_id(h)
             self.header_of.setdefault(fid, h)
             if emc_on:
-                cost += 1.0
                 if self.emc.get(self._slot(h)) == h.bits:
-                    cost += count - 1
+                    cost += count * c.c_emc
                     continue
-                cost, count = cost + count - 1, 1
+                cost, count = cost + count * c.c_emc, 1  # count - 1 EMC hits after the fill
             if fid in self.last and fid not in new:
                 self.hits[self._mask(fid)] += count
                 self.last[fid] = self.now
-                cost += count * position[self._mask(fid)]
+                cost += count * position[self._mask(fid)] * c.c_sub
             else:
-                cost += count * (len(position) + 50.0)
+                cost += count * (len(position) * c.c_sub + c.c_slow)
                 if fid not in new:
                     new.add(fid)
                     mid = self._mask(fid)
@@ -1075,12 +1121,12 @@ class RankingMachine(stateful.RuleBasedStateMachine):
         assert hits == [self.hits[mid] for mid in self.order]
         assert set(cache._idle) == set(self.last)
         position = {mid: i + 1 for i, mid in enumerate(self.order)}
+        c = cache.costs
         for fid in self.last:
             h = self.header_of[fid]
-            if cache.emc.enabled and self.emc.get(self._slot(h)) == h.bits:
-                want = 1.0
-            else:
-                want = (1.0 if cache.emc.enabled else 0.0) + position[self._mask(fid)]
+            want = c.c_emc if cache.emc.enabled else 0.0
+            if not (cache.emc.enabled and self.emc.get(self._slot(h)) == h.bits):
+                want += position[self._mask(fid)] * c.c_sub
             assert cache.probe_cost([(h, fid, 1)]) == want
         live = list(entries(cache))
         for i, (k1, m1, _) in enumerate(live):
