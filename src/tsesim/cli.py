@@ -30,6 +30,7 @@ from .engine import (
     MaskBatches,
     SimConfig,
     cachemap_to_csv,
+    check_replay,
     metrics_to_lines,
     run,
     scenario_acl,
@@ -245,9 +246,11 @@ def cmd_sweep(scenario: Scenario, cores_list: list[int], rates_list: list[float]
     schedules = []
     for rate in rates_list:
         try:
-            schedules.append(replace(scenario, rate=rate).schedule())
+            sched = replace(scenario, rate=rate).schedule()
+            check_replay(base, sched)  # before any cell runs and prints its row
         except ValueError as e:
             raise ConfigError(f"--rates-list {rate:g}: {e}") from None
+        schedules.append(sched)
     # Attack-phase seconds after the first full cycle and a 2 s margin; the
     # phase pattern is the same at every rate.
     steady_start = scenario.attack_start + scenario.t_attack + scenario.t_sleep + 2

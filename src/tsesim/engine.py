@@ -303,17 +303,18 @@ BATCH_MASKS = 1000
 class MaskBatches:
     """One trace compiled against its ACL's `FlowTable`.
 
-    `flow_ids` holds the megaflow id of each trace position.  The distinct
-    masks, in first-spawn order (the order of the first position at which
-    each mask id appears), are chunked into 1000-mask batches.
+    `flow_ids` holds the megaflow id of each trace position, read-only: the
+    ACL's table compiles a trace once and hands every compile of it the same
+    list (`FlowTable.trace_ids`).  The distinct masks, in first-spawn order
+    (the order of the first position at which each mask id appears), are
+    chunked into 1000-mask batches.
     """
 
     def __init__(self, trace: Trace, acl: Acl):
         table = FlowTable.of(acl)
         self.headers = trace.packets
-        self.flow_ids = table.flow_ids(trace.packets)
-        mask_of = table.mask_of
-        self._spawn_order = list(dict.fromkeys(mask_of[fid] for fid in self.flow_ids))
+        self.flow_ids = table.trace_ids(trace.packets)
+        self._spawn_order = list(dict.fromkeys(map(table.mask_of.__getitem__, self.flow_ids)))
         self.mask_count = len(self._spawn_order)
         self.count = (self.mask_count + BATCH_MASKS - 1) // BATCH_MASKS
 

@@ -24,6 +24,13 @@ them.  An EMC slot holds a header's bits, and an EMC hit is one lookup in
 the set of them.  `expire` deletes the idle list's front up to the first
 entry still young.
 
+A trace compiles to flow ids in one pass of `FlowTable.flow_ids`, whose
+walk splits at the layout's last field.  Probe traces vary that field
+fastest, so 94.1% of positions in the `dp`, `sp_dp` and `sip_sp_dp` traces
+repeat the previous header in every field above it; a run of such headers
+walks those fields once, and then tests only the rules still open on the
+last field.  The table memoizes whole compiled traces, not headers.
+
 A subtable is no Python object: the cache keeps its state in columns keyed
 by the table's dense mask ids, one each for the stored order, the position,
 the live megaflow count and the hits since the last rebalance.  A subtable
@@ -43,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .headers import HeaderValue, header_hash64
-from .slowpath import Acl, Action
+from .slowpath import Acl, Action, FlowRule
 
 Run = tuple[HeaderValue, int, int]  # (header, flow_id(header), count) of back-to-back packets
 
@@ -85,7 +92,9 @@ class FlowTable:
     the key's bits lies in every flow with that key, and synthesized flows
     are disjoint or identical.
     Synthesis depends only on the ACL and the header, so all caches and runs
-    on one ACL object share its table (`of`) and synthesize a header once.
+    on one ACL object share its table (`of`).  The table memoizes whole
+    compiled traces (`trace_ids`), not headers: sweep cells share one trace
+    object, so a sweep compiles its trace once, and a lone `flow_id` walks.
     No output depends on the ids, so none depends on what was interned before.
     """
 
@@ -97,7 +106,10 @@ class FlowTable:
         self.mask_bits: list[int] = []  # by mask id
         self.mask_ids: dict[int, int] = {}  # mask bits -> mask id
         self._flow_ids: dict[int, int] = {}  # key bits -> flow id
-        self._of_header: dict[int, int] = {}  # header bits (of the ACL's layout) -> flow id
+        self._last = acl.layout.fields[-1].full_mask  # the last field's bits, the lowest
+        # id of a trace's packet tuple -> (that tuple, its flow ids); holding
+        # the tuple keeps its id from naming another object.
+        self._traces: dict[int, tuple[tuple[HeaderValue, ...], list[int]]] = {}
 
     @staticmethod
     def of(acl: Acl) -> FlowTable:
@@ -108,11 +120,17 @@ class FlowTable:
         return table
 
     def flow_id(self, h: HeaderValue) -> int:
-        fid = self._of_header.get(h.bits)
-        return self.flow_ids((h,))[0] if fid is None else fid
+        return self.flow_ids((h,))[0]
+
+    def trace_ids(self, packets: tuple[HeaderValue, ...]) -> list[int]:
+        """`flow_ids(packets)`, compiled once per packet tuple; callers must not mutate it."""
+        compiled = self._traces.get(id(packets))
+        if compiled is None:
+            compiled = self._traces[id(packets)] = packets, self.flow_ids(packets)
+        return compiled[1]
 
     def flow_ids(self, headers: Iterable[HeaderValue]) -> list[int]:
-        """Each header's megaflow id, by the synthesis walk on first sight only.
+        """Each header's megaflow id, by the synthesis walk.
 
         The walk takes rules in descending priority and a rule's constrained
         fields in layout order: a matching field is un-wildcarded whole; a
@@ -123,31 +141,71 @@ class FlowTable:
         is `bits & mask`.  Fields are packed first field highest, so a rule's
         walk is one lookup: the highest bit of `diff` is the first mismatch,
         and the walk examined the rule's mask bits at or above it,
-        `prefix[diff.bit_length()]`.
+        `prefix[diff.bit_length()]`.  A walk that ends at a rule ORs the
+        rule's `decided` into the prefixes it took; for a rule of the ACL,
+        that is the rule's mask.
+
+        The walk splits at the layout's last field.  The fields above it
+        decide most of the walk, and a probe trace varies its last field
+        fastest: in the `dp`, `sp_dp` and `sip_sp_dp` traces, 94.1% of
+        positions repeat the previous header in every upper field.  The
+        first header of such a run walks the ACL's rules; the second reduces
+        them, once for the run, to the few whose last field is still to test
+        (`_open_rules`), and it and the rest of the run walk only those.  A
+        trace whose consecutive headers differ above the last field walks
+        the ACL's rules at every position.
         """
-        known, flow_ids, packed = self._of_header, self._flow_ids, self.acl.packed
+        flow_ids, whole, last = self._flow_ids, self.acl.packed, self._last
+        shift = last.bit_length()
         mask_ids, mask_bits, mask_of = self.mask_ids, self.mask_bits, self.mask_of
         key_of, action_of, ids = self.key_of, self.action_of, []
+        flows, masks = len(key_of), len(mask_bits)
+        upper, rules = -1, whole
         for h in headers:
-            fid = known.get(bits := h.bits)
-            if fid is None:
-                acc = 0
-                for m, value, r, prefix in packed:
-                    diff = (bits ^ value) & m
-                    if not diff:
-                        break
-                    acc |= prefix[diff.bit_length()]
-                fid = flow_ids.get(key := bits & (m := acc | m))
-                if fid is None:
-                    fid = flow_ids[key] = len(key_of)
-                    if (mid := mask_ids.setdefault(m, len(mask_bits))) == len(mask_bits):
-                        mask_bits.append(m)
-                    mask_of.append(mid)
-                    key_of.append(key)
-                    action_of.append(r.action)
-                known[bits] = fid
+            if (bits := h.bits) >> shift != upper:
+                upper, rules = bits >> shift, whole
+            elif rules is whole:
+                rules = self._open_rules(bits)
+            acc = 0
+            for m, value, r, prefix, decided in rules:
+                diff = (bits ^ value) & m
+                if not diff:
+                    break
+                acc |= prefix[diff.bit_length()]
+            if (fid := flow_ids.setdefault(key := bits & (m := acc | decided), flows)) == flows:
+                flows += 1
+                if (mid := mask_ids.setdefault(m, masks)) == masks:
+                    masks += 1
+                    mask_bits.append(m)
+                mask_of.append(mid)
+                key_of.append(key)
+                action_of.append(r.action)
             ids.append(fid)
         return ids
+
+    def _open_rules(self, bits: int) -> list[tuple[int, int, FlowRule, tuple[int, ...], int]]:
+        """The ACL's rules as a header with these upper fields walks them, on its last field alone.
+
+        A rule abandoned above the last field leaves only its prefix.  A rule
+        whose upper fields all match is open: it is kept as its last-field
+        mask and value, rule, prefix and `decided`, which holds the prefixes
+        of the rules abandoned before it, the upper masks of the open rules
+        up to it and its own last-field mask.  The list ends at the first
+        open rule without a last-field constraint, which every such header
+        matches.
+        """
+        last, acc, rules = self._last, 0, []
+        for m, value, r, prefix, _ in self.acl.packed:
+            diff = (bits ^ value) & m
+            if diff > last:
+                acc |= prefix[diff.bit_length()]
+                continue
+            low = m & last
+            acc |= m ^ low
+            rules.append((low, value & last, r, prefix, acc | low))
+            if not low:
+                break
+        return rules
 
 
 def synthesize_megaflow(h: HeaderValue, acl: Acl) -> tuple[int, int, Action]:

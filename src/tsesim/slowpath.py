@@ -68,13 +68,15 @@ class Acl:
         return Acl(layout, ordered)
 
     @cached_property
-    def packed(self) -> tuple[tuple[int, int, FlowRule, tuple[int, ...]], ...]:
-        """(mask, value, rule, prefix) per rule: h matches the rule iff h.bits & mask == value.
+    def packed(self) -> tuple[tuple[int, int, FlowRule, tuple[int, ...], int], ...]:
+        """(mask, value, rule, prefix, mask) per rule: h matches it iff h.bits & mask == value.
 
         The mask examines the rule's constrained fields whole; the value holds
         their constraints and 0 elsewhere; `prefix[n]` holds the mask's bits
-        at or above bit n - 1, one tuple per distinct mask.  The last rule is
-        a catch-all, so a walk over these always stops at a rule.
+        at or above bit n - 1, one tuple per distinct mask.  The mask again
+        is the walk's `decided`, the mask a walk ending at the rule adds.
+        The last rule is a catch-all, so a walk over these always stops at a
+        rule.
         """
         packed, prefixes, width = [], {}, self.layout.width  # type: ignore[attr-defined]
         for r in self.rules:
@@ -85,7 +87,7 @@ class Acl:
                 value |= v << shift
             if m not in prefixes:
                 prefixes[m] = (0, *(m >> n << n for n in range(width)))
-            packed.append((m, value, r, prefixes[m]))
+            packed.append((m, value, r, prefixes[m], m))
         return tuple(packed)
 
 

@@ -25,20 +25,21 @@ def o_prefix(width: int, length: int) -> int:
     return 0 if length == 0 else ((1 << length) - 1) << (width - length)
 
 
-def o_synthesize(hdr: dict, rules: list) -> tuple:
+def o_synthesize(hdr: dict, rules: list, fields: tuple = FIVE) -> tuple:
     """Reference walk.
 
     rules: list of (matches: dict field->value, action: str), descending
-    priority, last one the catch-all.  Returns (key tuple, mask tuple, action)
-    over ORDER.
+    priority, last one the catch-all.  fields: (name, width) in walk order.
+    Returns (key tuple, mask tuple, action) over the fields' names.
     """
-    acc = {name: 0 for name in ORDER}
+    order, width = [name for name, _ in fields], dict(fields)
+    acc = {name: 0 for name in order}
     for matches, action in rules:
         matched = True
-        for name in ORDER:
+        for name in order:
             if name not in matches:
                 continue
-            w = WIDTH[name]
+            w = width[name]
             want = matches[name]
             have = hdr[name]
             if have == want:
@@ -49,8 +50,8 @@ def o_synthesize(hdr: dict, rules: list) -> tuple:
                 matched = False
                 break
         if matched:
-            key = tuple(hdr[n] & acc[n] for n in ORDER)
-            msk = tuple(acc[n] for n in ORDER)
+            key = tuple(hdr[n] & acc[n] for n in order)
+            msk = tuple(acc[n] for n in order)
             return key, msk, action
     raise AssertionError("no catch-all rule")
 

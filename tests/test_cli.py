@@ -448,6 +448,19 @@ def test_sweep_without_steady_state_exits_2(tmp_path, capsys):
         assert len(err.splitlines()) == 1
 
 
+def test_sweep_checks_replay_bounds_before_any_cell_runs(capsys):
+    """A rate past the per-tick cap late in `--rates-list` exits 2 before the first row prints."""
+    rc = main(["sweep", "--use-case", "dp", "--tse", "1.0", "--rates-list", "1000,1e11",
+               "--cores-list", "1", "--duration", "20", "--attack-start", "1"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: --rates-list 1e+11: attack at 1e+11 pps with clone factor 1 replays 1e+10 "
+        f"distinct packets a 0.1 s tick, more than {MAX_DISTINCT_PER_TICK}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "flags, config, tse, duration",
     [
@@ -760,7 +773,7 @@ def test_rate_past_the_per_tick_cap_exits_2_with_one_line(tmp_path):
         [sys.executable, "-m", "tsesim.cli", "run", "--use-case", "dp", "--rate", "1e11",
          "--duration", "2", "--attack-start", "0", "--out", str(out)],
         capture_output=True, text=True, timeout=60, preexec_fn=_limit_child,
-        env={"PYTHONPATH": src},
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},  # leave no bytecode in src/
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (

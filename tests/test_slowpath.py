@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from oracle_acl import format_acl_text, slowpath_lookup  # noqa: E402
+from oracle_cache import flow  # noqa: E402
 from oracle_synth import ORDER, WIDTH, o_synthesize  # noqa: E402
 
-from tsesim.flow_cache import synthesize_megaflow  # noqa: E402
+from tsesim.flow_cache import FlowTable, synthesize_megaflow  # noqa: E402
 from tsesim.headers import FIVE_TUPLE, HYP, HeaderValue, header, ip_to_int  # noqa: E402
 from tsesim.slowpath import (  # noqa: E402
     Acl,
@@ -174,9 +175,20 @@ def test_decision_consistency_sampled_five_tuple():
             assert slowpath_lookup(h2, acl).action is action
 
 
+def _near(draw, rules, name):
+    """A value of field `name`: random, or a rule's value, possibly with one bit flipped."""
+    near = [m[name] for _, m, _ in rules if name in m]
+    value = draw(st.sampled_from(near)) if near and draw(st.booleans()) else None
+    if value is None:
+        return draw(st.integers(0, (1 << WIDTH[name]) - 1))
+    if draw(st.booleans()):
+        value ^= 1 << draw(st.integers(0, WIDTH[name] - 1))
+    return value
+
+
 @st.composite
-def _acl_and_headers(draw):
-    """Rules on 1-3 fields with random priorities, and headers near their values."""
+def _rules(draw):
+    """1-6 rules on 1-3 fields each, as (priority, matches, action), with random priorities."""
     count = draw(st.integers(1, 6))
     priorities = draw(st.lists(st.integers(1, 1000), min_size=count, max_size=count, unique=True))
     rules = []
@@ -184,18 +196,27 @@ def _acl_and_headers(draw):
         names = draw(st.lists(st.sampled_from(ORDER), min_size=1, max_size=3, unique=True))
         matches = {n: draw(st.integers(0, (1 << WIDTH[n]) - 1)) for n in names}
         rules.append((priority, matches, draw(st.sampled_from(Action))))
+    return rules
+
+
+def _acl(rules):
+    """The ACL of drawn rules over a catch-all deny, and the same rules in the oracle's form."""
+    acl = Acl.from_rules(
+        FIVE_TUPLE,
+        [rule(FIVE_TUPLE, p, action, **matches) for p, matches, action in rules]
+        + [rule(FIVE_TUPLE, 0, Action.DENY)],
+    )
+    by_priority = sorted(rules, key=lambda r: -r[0])
+    return acl, [(matches, action.value) for _, matches, action in by_priority] + [({}, "deny")]
+
+
+@st.composite
+def _acl_and_headers(draw):
+    """Rules on 1-3 fields with random priorities, and headers near their values."""
+    rules = draw(_rules())
     headers = []
     for _ in range(draw(st.integers(1, 8))):
-        fields = {}
-        for n in ORDER:
-            near = [m[n] for _, m, _ in rules if n in m]
-            value = draw(st.sampled_from(near)) if near and draw(st.booleans()) else None
-            if value is None:
-                value = draw(st.integers(0, (1 << WIDTH[n]) - 1))
-            elif draw(st.booleans()):
-                value ^= 1 << draw(st.integers(0, WIDTH[n] - 1))
-            fields[n] = value
-        headers.append(fields)
+        headers.append({n: _near(draw, rules, n) for n in ORDER})
     return rules, headers
 
 
@@ -204,19 +225,78 @@ def _acl_and_headers(draw):
 def test_synthesis_matches_independent_oracle(case):
     """The packed walk equals the per-field reference walk on random multi-field ACLs."""
     rules, headers = case
-    acl = Acl.from_rules(
-        FIVE_TUPLE,
-        [rule(FIVE_TUPLE, p, action, **matches) for p, matches, action in rules]
-        + [rule(FIVE_TUPLE, 0, Action.DENY)],
-    )
-    by_priority = sorted(rules, key=lambda r: -r[0])
-    oracle_rules = [(matches, action.value) for _, matches, action in by_priority] + [({}, "deny")]
+    acl, oracle_rules = _acl(rules)
     for fields in headers:
         key, mask, action = synthesize_megaflow(header(FIVE_TUPLE, **fields), acl)
         o_key, o_mask, o_action = o_synthesize(fields, oracle_rules)
         want = FIVE_TUPLE.pack(o_key), FIVE_TUPLE.pack(o_mask), o_action
         assert (key, mask, action.value) == want
         assert slowpath_lookup(header(FIVE_TUPLE, **fields), acl).action is action
+
+
+UPPER = ORDER[:-1]  # the fields above the last one, dport
+
+
+@st.composite
+def _acl_and_runs(draw):
+    """Rules on 1-3 fields, and a trace of runs of headers that share every field above dport.
+
+    The runs' upper fields are a base or the base with one field changed, so
+    two runs may differ in a single field.  Runs break after any length,
+    resume upper fields an earlier run had, and repeat headers, back to back
+    and after a break.
+    """
+    rules = draw(_rules())
+    base = {n: _near(draw, rules, n) for n in UPPER}
+    uppers = [base]
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(UPPER))
+        uppers.append({**base, name: _near(draw, rules, name)})
+    trace = []
+    for i in draw(st.lists(st.integers(0, len(uppers) - 1), min_size=2, max_size=8)):
+        for j in range(draw(st.integers(1, 6))):
+            if j and draw(st.booleans()):
+                trace.append(trace[-1])
+            else:
+                trace.append({**uppers[i], "dport": _near(draw, rules, "dport")})
+    return rules, trace + [trace[0]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_acl_and_runs())
+def test_bulk_compile_of_runs_matches_independent_oracle(case):
+    """One compile of runs that share their upper fields equals the reference walk everywhere.
+
+    A header that repeats the previous one above dport reuses that header's
+    walk of those fields; a lone `flow_id` walks all of it, and agrees.
+    """
+    rules, trace = case
+    acl, oracle_rules = _acl(rules)
+    headers = [header(FIVE_TUPLE, **fields) for fields in trace]
+    table = FlowTable(acl)
+    ids = table.flow_ids(headers)
+    for fields, h, fid in zip(trace, headers, ids):
+        o_key, o_mask, o_action = o_synthesize(fields, oracle_rules)
+        want = FIVE_TUPLE.pack(o_key), FIVE_TUPLE.pack(o_mask), o_action
+        key, mask, action = flow(table, fid)
+        assert (key, mask, action.value) == want
+        assert table.flow_id(h) == fid
+
+
+def test_bulk_compile_on_the_one_field_layout_matches_the_oracle():
+    """On HYP the last field is the whole header, so every header shares its (no) upper fields."""
+    matches = [(3, 0b101, Action.ALLOW), (2, 0b100, Action.DENY), (1, 0b001, Action.ALLOW)]
+    acl = Acl.from_rules(HYP, [rule(HYP, p, a, hyp=v) for p, v, a in matches]
+                         + [rule(HYP, 0, Action.DENY)])
+    oracle_rules = [({"hyp": v}, a.value) for _, v, a in matches] + [({}, "deny")]
+    values = [0b101, 0b100, 0b100, 0b000, 0b111, 0b001, 0b101, 0b011, 0b010, 0b110, 0b001]
+    table = FlowTable(acl)
+    ids = table.flow_ids([hv(v) for v in values])
+    for v, fid in zip(values, ids):
+        (o_key,), (o_mask,), o_action = o_synthesize({"hyp": v}, oracle_rules, (("hyp", 3),))
+        key, mask, action = flow(table, fid)
+        assert (key, mask, action.value) == (o_key, o_mask, o_action)
+        assert table.flow_id(hv(v)) == fid
 
 
 def test_synthesized_entries_same_acl_disjoint_or_identical():
