@@ -37,7 +37,7 @@ from .engine import (
     series_to_csv,
     victim_flow_headers,
 )
-from .headers import FIVE_TUPLE
+from .headers import FIVE_TUPLE, decimal_int
 from .slowpath import load_acl
 
 
@@ -219,6 +219,10 @@ def render_cache_map(csv_text: str) -> str:
         cols = ln.split(",")
         if len(cols) != 2 + nbatches:
             raise ValueError(f"bad cache map CSV row: {ln!r}")
+        try:
+            decimal_int(cols[0])  # `cachemap_to_csv` writes whole seconds
+        except ValueError:
+            raise ValueError(f"bad second in cache map CSV row: {ln!r}") from None
         seconds.append(cols[0])
         attack.append(cols[1])
         for b in range(nbatches):

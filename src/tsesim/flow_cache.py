@@ -31,21 +31,25 @@ repeat the previous header in every field above it; a run of such headers
 walks those fields once, and then tests only the rules still open on the
 last field.  The table memoizes whole compiled traces, not headers.
 
-A subtable is no Python object: the cache keeps its state in columns keyed
-by the table's dense mask ids, one each for the stored order, the position,
-the live megaflow count and the hits since the last rebalance.  A subtable
-is live while it holds a megaflow; `expire` takes an emptied one out of the
-search order and drops its hits, and the next install of its mask puts it
-first in the order, as a brand-new subtable enters.  Subtables are
-re-ranked by per-interval hit counts at each `rebalance`.  Only masks hit
-since the last rebalance have a hit count, so those counts' keys are the
-hit subtables and a rebalance costs O(hit subtables + subtables
-renumbered): the unhit ones keep their relative order and only move down.
+Neither a subtable nor the EMC is a Python object of its own.  The cache
+keeps subtable state in columns keyed by the table's dense mask ids, one
+each for the stored order, the position, the live megaflow count and the
+hits since the last rebalance, and the EMC as its slots, the set of bits
+they hold and a slot memo.  The cache has no views of this state; the
+tests' oracle (`tests/oracle_cache.py`) reads it and checks its invariants.
+A subtable is live while it holds a megaflow; `expire` takes an emptied one
+out of the search order and drops its hits, and the next install of its
+mask puts it first in the order, as a brand-new subtable enters.
+Subtables are re-ranked by per-interval hit counts at each `rebalance`.
+Only masks hit since the last rebalance have a hit count, so those counts'
+keys are the hit subtables and a rebalance costs O(hit subtables +
+subtables renumbered): the unhit ones keep their relative order and only
+move down.
 """
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -62,26 +66,6 @@ class CostModel:
     c_emc: float = 1.0
     c_sub: float = 1.0
     c_slow: float = 50.0
-
-
-class EmcCache:
-    """Fixed-size direct-mapped exact-match cache; a slot holds a header's bits.
-
-    A header hits when its slot holds its own bits: when its bits are in
-    `resident`, the set of bits the slots hold.  Only a fill needs the slot,
-    `header_hash64(h) % capacity`, computed once per distinct header and
-    kept in `_slot_of` under its bits, as a datapath carries one hash per
-    packet.  The memo is per instance, as the slot depends on `capacity`.
-    """
-
-    def __init__(self, capacity: int = 8192, enabled: bool = True):
-        if capacity < 1:
-            raise ValueError("EMC capacity must be >= 1")
-        self.capacity = capacity
-        self.enabled = enabled
-        self.slots: dict[int, int] = {}  # slot -> header bits
-        self.resident: set[int] = set()  # the header bits the slots hold
-        self._slot_of: dict[int, int] = {}  # header bits (of the ACL's layout) -> slot
 
 
 class FlowTable:
@@ -215,19 +199,6 @@ def synthesize_megaflow(h: HeaderValue, acl: Acl) -> tuple[int, int, Action]:
     return table.key_of[fid], table.mask_bits[table.mask_of[fid]], table.action_of[fid]
 
 
-@dataclass(frozen=True, slots=True)
-class Subtable:
-    """A read-only view of one live subtable, as `FlowCache.subtables` builds it.
-
-    The cache holds no such object; it keeps these values in columns keyed
-    by mask id, and a view does not follow later changes.
-    """
-
-    mask_id: int
-    size: int  # live megaflows with this mask
-    interval_hits: int  # hits since the last rebalance
-
-
 @dataclass(slots=True)
 class BatchResult:
     """Aggregate of one batch of classifications (engine fast path)."""
@@ -259,9 +230,20 @@ class FlowCache:
         emc_capacity: int = 8192,
         costs: CostModel = CostModel(),
     ):
+        if emc_capacity < 1:
+            raise ValueError("EMC capacity must be >= 1")
         self.table = FlowTable.of(acl)
-        self.emc = EmcCache(emc_capacity, emc_enabled)
         self.costs = costs
+        # The EMC, direct-mapped: a header hits when its slot holds its own
+        # bits, that is when its bits are in _resident, the set of bits the
+        # slots hold.  Only a fill needs the slot, `header_hash64(h) %
+        # emc_capacity`, computed once per distinct header and kept in
+        # _slot_of under its bits, as a datapath carries one hash per packet.
+        self.emc_enabled = emc_enabled
+        self.emc_capacity = emc_capacity
+        self._emc_slots: dict[int, int] = {}  # slot -> header bits
+        self._resident: set[int] = set()  # the header bits the slots hold
+        self._slot_of: dict[int, int] = {}  # header bits -> slot
         # Subtable state, in columns keyed by mask id.  _rev holds the live
         # masks in search order reversed: its last mask is probed first, so
         # creating a subtable is an O(1) append that leaves every existing
@@ -283,13 +265,6 @@ class FlowCache:
         # first: a `now` below `_clock`, the latest one, is rejected.
         self._idle: OrderedDict[int, float] = OrderedDict()
         self._clock = float("-inf")
-
-    # -- views -------------------------------------------------------------
-
-    def subtables(self) -> list[Subtable]:
-        """Views of the live subtables in search order (index 0 probed first)."""
-        size, hits = self._size, self._hits
-        return [Subtable(mid, size[mid], hits.get(mid, 0)) for mid in reversed(self._rev)]
 
     @property
     def subtable_count(self) -> int:
@@ -437,7 +412,15 @@ class FlowCache:
             self._price_runs(((h, self.flow_id(h), 1),), now)
 
     def probe_cost(self, runs: Iterable[Run]) -> float:
-        """Total cost of classifying the runs right now, without mutating any state."""
+        """What classifying each run alone right now would cost, summed; changes no state.
+
+        Each run is priced on its own, against the cache as it stands at the
+        call.  Within a run, the first packet fills the EMC for the rest, as
+        in `classify_batch`; an EMC fill by an earlier run of the same probe
+        is not seen.  So a probe of a header's run twice costs twice the
+        probe of one, where `classify_batch` would price the second run as
+        EMC hits.  The engine probes one run per victim flow.
+        """
         return self._price_runs(runs, self._clock, probe=True).total_cost
 
     def _price_runs(self, runs: Iterable[Run], now: float, probe: bool = False) -> BatchResult:
@@ -450,9 +433,8 @@ class FlowCache:
         `header_hash64`) and swaps the slot's old occupant out of `resident`.
         An install revives or creates the flow's subtable first in the order.
         """
-        emc = self.emc
-        emc_on = emc.enabled
-        slots, resident, slot_of, capacity = emc.slots, emc.resident, emc._slot_of, emc.capacity
+        emc_on, capacity = self.emc_enabled, self.emc_capacity
+        slots, resident, slot_of = self._emc_slots, self._resident, self._slot_of
         idle, rev, pos, size, hits = self._idle, self._rev, self._pos, self._size, self._hits
         mask_of, mask_bits = self.table.mask_of, self.table.mask_bits
         move_to_end, hits_of = idle.move_to_end, hits.get
@@ -517,61 +499,3 @@ class FlowCache:
                 hits[mid] = hits_of(mid, 0) + packets
                 idle[fid] = now
                 idle.move_to_end(fid)
-
-    # -- introspection ---------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        """Raise AssertionError if the cache's bookkeeping disagrees with its contents.
-
-        Checks that no mask id is stored twice, every stored mask has a
-        position and its position matches storage, each stored mask's size
-        is the count of its live flows in the idle list (and not 0), a mask
-        out of storage has size 0 and no hits, the hit counts hold only
-        stored masks with a count above 0, last hits are non-decreasing
-        along the idle list, the EMC's `resident` is the set of bits its
-        slots hold, and each slot's bits hash to that slot.
-        """
-
-        def require(ok: bool, what: str) -> None:
-            if not ok:
-                raise AssertionError(what)
-
-        sizes = Counter(self.table.mask_of[fid] for fid in self._idle)  # by mask id
-        rev, pos, size, hits = self._rev, self._pos, self._size, self._hits
-        stored = set(rev)
-        for mid, n in Counter(rev).items():
-            require(n == 1, f"mask {mid} is stored {n} times")
-        for i, mid in enumerate(rev):
-            require(mid in pos, f"stored mask {mid} has no position")
-            require(pos[mid] - self._pos_offset == i, f"subtable at storage {i} has pos {pos[mid]}")
-            n, s = sizes[mid], size[mid] if mid < len(size) else 0
-            require(s == n > 0, f"subtable {i} has size {s} for {n} live flows")
-        for mid, s in enumerate(size):
-            require(mid in stored or s == 0 and mid not in hits,
-                    f"subtable of mask {mid} is out of storage with size {s}"
-                    f" and {hits.get(mid, 0)} hits")
-        for mid, n in hits.items():
-            require(mid in stored and n > 0, f"hit counts hold mask {mid} with {n} hits,"
-                    f" {'stored' if mid in stored else 'out of storage'}")
-        require(sizes.keys() <= stored, "idle list holds a flow whose subtable is absent")
-        last = list(self._idle.values())
-        require(all(a <= b for a, b in zip(last, last[1:])), "idle list is out of last-hit order")
-        emc, layout, held = self.emc, self.table.acl.layout, set(self.emc.slots.values())
-        require(not emc.resident - held, "EMC resident set holds bits that no slot holds")
-        require(not held - emc.resident, "EMC resident set lacks bits that a slot holds")
-        require(all(header_hash64(HeaderValue(layout, b)) % emc.capacity == s
-                    for s, b in emc.slots.items()), "EMC slot holds bits that hash to another slot")
-
-    def snapshot_lines(self) -> list[str]:
-        """Search-order dump: one line per subtable with mask, size and hits.
-
-        The mask prints per field in layout order, each as hex of its width.
-        """
-        layout = self.table.acl.layout
-        columns = [(layout.slot(f.name), f"0{(f.width + 3) // 4}x") for f in layout.fields]
-        lines = []
-        for i, st in enumerate(self.subtables()):
-            bits = self.table.mask_bits[st.mask_id]
-            hexmask = "/".join(format(bits >> shift & full, fmt) for (shift, full), fmt in columns)
-            lines.append(f"#{i} mask={hexmask} entries={st.size} hits={st.interval_hits}")
-        return lines

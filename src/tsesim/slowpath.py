@@ -6,8 +6,9 @@ returns the highest-priority matching rule.  Synthesis turns one lookup into
 a cached (key, mask, action) entry that covers the triggering header, stays
 disjoint from every other entry the same table can produce, and wildcards as
 many bits as the rule set allows.  `Acl.packed` precomputes each rule for it
-as a packed (mask, value) pair and a prefix table of its mask; the walk
-itself is `flow_cache.FlowTable.flow_ids`.
+as a tuple `(mask, value, rule, prefix, decided)`: the packed mask and
+value, the rule, a prefix table of the mask, and the mask a walk ending at
+the rule adds; the walk itself is `flow_cache.FlowTable.flow_ids`.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ from .headers import HeaderLayout, decimal_int, ip_to_int, IP_FIELDS
 class Action(enum.Enum):
     ALLOW = "allow"
     DENY = "deny"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 @dataclass(frozen=True)

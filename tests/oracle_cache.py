@@ -15,6 +15,13 @@ id.  Its inserts go through `intern` and
 `SequentialCache._install`, which add any (mask, key) pair the way the
 cache's pricing loop adds a synthesized one inline.
 
+The cache keeps its state in plain columns and has no views of it; this
+module holds them.  `subtables` lists the live subtables in search order as
+`Subtable` tuples, and `check_invariants` checks the cache's bookkeeping
+against its contents: subtable storage and positions, sizes against the
+live megaflows, hit counts, the idle list's order, and the EMC's slots
+against its resident set and slot hashes.
+
 The cache and its `FlowTable` hold megaflows as ints and report ids; the
 helpers below map ids back to key and mask bits through the table, so tests
 can state expectations as (key bits, mask bits) pairs, the one form of a
@@ -26,8 +33,9 @@ table's own walk.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from oracle_synth import o_synthesize
 
@@ -39,6 +47,64 @@ from tsesim.slowpath import Acl, Action
 def packed_mask(layout: HeaderLayout, **fields: int) -> int:
     """Mask bits by field name; absent fields are fully wildcarded (0)."""
     return layout.pack(fields.get(name, 0) for name in layout.names)
+
+
+class Subtable(NamedTuple):
+    """One live subtable as `subtables` reads it; it does not follow later changes."""
+
+    mask_id: int
+    size: int  # live megaflows with this mask
+    interval_hits: int  # hits since the last rebalance
+
+
+def subtables(cache: FlowCache) -> list[Subtable]:
+    """The live subtables in search order (index 0 probed first)."""
+    size, hits = cache._size, cache._hits
+    return [Subtable(mid, size[mid], hits.get(mid, 0)) for mid in reversed(cache._rev)]
+
+
+def check_invariants(cache: FlowCache) -> None:
+    """Raise AssertionError if the cache's bookkeeping disagrees with its contents.
+
+    Checks that no mask id is stored twice, every stored mask has a
+    position and its position matches storage, each stored mask's size
+    is the count of its live flows in the idle list (and not 0), a mask
+    out of storage has size 0 and no hits, the hit counts hold only
+    stored masks with a count above 0, last hits are non-decreasing
+    along the idle list, the EMC's resident set is the set of bits its
+    slots hold, and each slot's bits hash to that slot.
+    """
+
+    def require(ok: bool, what: str) -> None:
+        if not ok:
+            raise AssertionError(what)
+
+    sizes = Counter(cache.table.mask_of[fid] for fid in cache._idle)  # by mask id
+    rev, pos, size, hits = cache._rev, cache._pos, cache._size, cache._hits
+    stored = set(rev)
+    for mid, n in Counter(rev).items():
+        require(n == 1, f"mask {mid} is stored {n} times")
+    for i, mid in enumerate(rev):
+        require(mid in pos, f"stored mask {mid} has no position")
+        require(pos[mid] - cache._pos_offset == i, f"subtable at storage {i} has pos {pos[mid]}")
+        n, s = sizes[mid], size[mid] if mid < len(size) else 0
+        require(s == n > 0, f"subtable {i} has size {s} for {n} live flows")
+    for mid, s in enumerate(size):
+        require(mid in stored or s == 0 and mid not in hits,
+                f"subtable of mask {mid} is out of storage with size {s}"
+                f" and {hits.get(mid, 0)} hits")
+    for mid, n in hits.items():
+        require(mid in stored and n > 0, f"hit counts hold mask {mid} with {n} hits,"
+                f" {'stored' if mid in stored else 'out of storage'}")
+    require(sizes.keys() <= stored, "idle list holds a flow whose subtable is absent")
+    last = list(cache._idle.values())
+    require(all(a <= b for a, b in zip(last, last[1:])), "idle list is out of last-hit order")
+    slots, resident, layout = cache._emc_slots, cache._resident, cache.table.acl.layout
+    held = set(slots.values())
+    require(not resident - held, "EMC resident set holds bits that no slot holds")
+    require(not held - resident, "EMC resident set lacks bits that a slot holds")
+    require(all(header_hash64(HeaderValue(layout, b)) % cache.emc_capacity == s
+                for s, b in slots.items()), "EMC slot holds bits that hash to another slot")
 
 
 class HitPath(enum.Enum):
@@ -73,7 +139,7 @@ def intern(table: FlowTable, mask_bits: int, key_bits: int, action: Action) -> i
     elif (had := table.mask_bits[table.mask_of[fid]]) != mask_bits:
         raise ValueError(f"megaflow key {key_bits:#x} already has mask {had:#x}")
     elif (had := table.action_of[fid]) is not action:
-        raise ValueError(f"megaflow {key_bits:#x}/{mask_bits:#x} already has action {had}")
+        raise ValueError(f"megaflow {key_bits:#x}/{mask_bits:#x} already has action {had.value}")
     return fid
 
 
@@ -129,9 +195,9 @@ class SequentialCache(FlowCache):
         reads, so that the cache's own invariants hold.
         """
         c = self.costs
-        emc_probes = 1 if self.emc.enabled else 0
-        slot = header_hash64(h) % self.emc.capacity
-        if emc_probes and self.emc.slots.get(slot) == h.bits:
+        emc_probes = 1 if self.emc_enabled else 0
+        slot = header_hash64(h) % self.emc_capacity
+        if emc_probes and self._emc_slots.get(slot) == h.bits:
             action = synthesize(self, h)[2]
             return ClassifyResult(action, HitPath.EMC, 1, 0, c.c_emc)
         hit = self.mfc_lookup(h, now)
@@ -144,9 +210,9 @@ class SequentialCache(FlowCache):
             self.mfc_insert(key, mask, action, now)
             path, cost = HitPath.SLOW, emc_probes * c.c_emc + probed * c.c_sub + c.c_slow
         if emc_probes:
-            self.emc.resident.discard(self.emc.slots.get(slot))
-            self.emc.resident.add(h.bits)
-            self.emc.slots[slot] = h.bits
+            self._resident.discard(self._emc_slots.get(slot))
+            self._resident.add(h.bits)
+            self._emc_slots[slot] = h.bits
         return ClassifyResult(action, path, emc_probes, probed, cost)
 
 
@@ -179,7 +245,7 @@ def oracle_synthesize(h: HeaderValue, acl: Acl) -> tuple[int, int, Action]:
 
 def masks(cache: FlowCache) -> list[int]:
     """Mask bits of the subtables in search order."""
-    return [cache.table.mask_bits[st.mask_id] for st in cache.subtables()]
+    return [cache.table.mask_bits[st.mask_id] for st in subtables(cache)]
 
 
 def entries(cache: FlowCache) -> Iterator[tuple[int, int, Action]]:
@@ -215,7 +281,7 @@ def cache_state(cache: FlowCache):
     """Everything classification can change: subtables in order, EMC, live entries by last hit."""
     actions = {(k, m): a for k, m, a in entries(cache)}
     return (
-        [(m, s.size, s.interval_hits) for m, s in zip(masks(cache), cache.subtables())],
-        dict(cache.emc.slots),
+        [(m, s.size, s.interval_hits) for m, s in zip(masks(cache), subtables(cache))],
+        dict(cache._emc_slots),
         [(k, m, actions[k, m], t) for (k, m), t in last_hits(cache).items()],
     )

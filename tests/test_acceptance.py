@@ -14,7 +14,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracle_cache import entries, expire, last_hits, masks, search_index, synthesize  # noqa: E402
+from oracle_cache import (  # noqa: E402
+    entries,
+    expire,
+    last_hits,
+    masks,
+    search_index,
+    subtables,
+    synthesize,
+)
 from oracle_synth import o_counts  # noqa: E402
 from oracle_trace import mask_generation_rate  # noqa: E402
 
@@ -180,9 +188,9 @@ def test_criterion_04_ranking_properties_fuzz():
         elif roll < 0.95:
             cache.expire(now)
         else:
-            pre = {st.mask_id: st.interval_hits for st in cache.subtables()}
+            pre = {st.mask_id: st.interval_hits for st in subtables(cache)}
             cache.rebalance(now)
-            seq = [pre[st.mask_id] for st in cache.subtables()]
+            seq = [pre[st.mask_id] for st in subtables(cache)]
             assert all(a >= b for a, b in zip(seq, seq[1:]))
             rebalances += 1
     elapsed = time.monotonic() - started

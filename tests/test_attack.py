@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from oracle_cache import masks  # noqa: E402
 from oracle_synth import o_first_diff  # noqa: E402
 from oracle_trace import mask_generation_rate, o_trace  # noqa: E402
 
@@ -234,7 +235,7 @@ def test_clone_invariance_of_mask_production():
         sched = AttackSchedule(rate=rate, clone=clone, start=0.0)
         for t, _, p in schedule_emissions(trace, sched, horizon):
             cache.classify_batch([(p, cache.flow_id(p), 1)], t)
-        return {cache.table.mask_bits[st.mask_id] for st in cache.subtables()}
+        return set(masks(cache))
 
     base = masks_after(rate=1000, clone=1, horizon=0.4)
     cloned = masks_after(rate=3000, clone=3, horizon=0.4)

@@ -381,6 +381,24 @@ def test_render_map_rejects_malformed():
         render_cache_map("bogus,header\n1,2\n")
     with pytest.raises(ValueError):
         render_cache_map("second,attack,b1\n0,X\n")
+    for second in ("", "x1", "+1", " 1", "1.5"):
+        with pytest.raises(ValueError, match="bad second in cache map CSV row"):
+            render_cache_map(f"second,attack\n{second},X\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    batches=st.integers(0, 3),
+    rows=st.lists(st.lists(st.text(max_size=4), min_size=1, max_size=6), max_size=4),
+)
+def test_render_map_returns_or_raises_value_error(batches, rows):
+    """Any cells under a well-formed header render or raise ValueError, never crash."""
+    header = ",".join(["second", "attack"] + [f"b{i + 1}" for i in range(batches)])
+    text = "\n".join([header] + [",".join(cells) for cells in rows]) + "\n"
+    try:
+        render_cache_map(text)
+    except ValueError:
+        pass
 
 
 def test_render_map_missing_file_exit_1(capsys):
@@ -714,11 +732,14 @@ def test_sweep_cells_match_runs_on_a_fresh_acl(monkeypatch):
                      id="empty-rates-list"),
         pytest.param(["render-map", "{tmp}/empty.csv"], "empty cache map CSV",
                      id="empty-cache-map"),
+        pytest.param(["render-map", "{tmp}/blank-second.csv"],
+                     "bad second in cache map CSV row: ',X'", id="blank-second"),
     ],
 )
 def test_guarded_input_exits_2_with_one_line(args, message, tmp_path, capsys):
     (tmp_path / "empty.trace").write_text("# no packets\n")
     (tmp_path / "empty.csv").write_text("\n")
+    (tmp_path / "blank-second.csv").write_text("second,attack\n,X\n")
     args = [a.format(tmp=tmp_path) for a in args]
     if args[0] != "render-map":
         args += ["--use-case", "dp", "--duration", "3", "--attack-start", "1",

@@ -12,6 +12,7 @@ from oracle_cache import (  # noqa: E402
     last_hits,
     oracle_synthesize,
     search_index,
+    subtables,
     synthesize,
 )
 
@@ -262,7 +263,7 @@ def test_victim_warm_up_matches_sequential_classify(emc):
     for h in victims:
         oracle.classify(h, now=0.0)
     assert cache_state(res.cache) == cache_state(oracle)
-    assert res.cache.subtables()[0].interval_hits == (1 if emc else 3)
+    assert subtables(res.cache)[0].interval_hits == (1 if emc else 3)
 
 
 # -- the run loop ------------------------------------------------------------------
@@ -625,23 +626,6 @@ def test_series_csv_format():
     lines = csv.strip().split("\n")
     assert lines[0] == SERIES_CSV_HEADER
     assert lines[1] == "0,1.000000,1.000,0,1,2"
-
-
-def test_snapshot_lines_of_a_five_tuple_cache():
-    """Each field's mask prints as zero-padded hex of the field's width, fields in layout order."""
-    victims = victim_flow_headers()
-    acl = scenario_acl(UseCase.DP, victim_flows=victims)
-    trace = build_trace(UseCase.DP, acl)
-    cfg = SimConfig(duration=25.0, build_cache_map=False)
-    res = run(cfg, acl, [(trace, AttackSchedule(rate=1000.0, start=1.0))], victims)
-    dport = [0xFFF0 << k & 0xFFFF for k in range(12)] + [0xFFFE, 0xFFFC, 0xFFF8]
-    assert res.cache.snapshot_lines() == [
-        "#0 mask=00000000/ffffffff/ff/ffff/ffff entries=2 hits=0",
-        "#1 mask=00000000/ffffffff/f0/0000/ffff entries=2 hits=0",
-    ] + [
-        f"#{i} mask=00000000/ffffffff/f0/0000/{m:04x} entries=1 hits=0"
-        for i, m in enumerate(dport, start=2)
-    ]
 
 
 def test_metrics_lines_format():

@@ -13,8 +13,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracle_cache import (  # noqa: E402
     HitPath,
     SequentialCache,
+    Subtable,
     batch_masks,
     cache_state,
+    check_invariants,
     entries,
     expire,
     flow,
@@ -25,11 +27,12 @@ from oracle_cache import (  # noqa: E402
     oracle_synthesize,
     packed_mask,
     search_index,
+    subtables,
     synthesize,
 )
 
 from tsesim.attack import UseCase, build_trace, simple_acl, use_case_acl  # noqa: E402
-from tsesim.flow_cache import CostModel, FlowCache, FlowTable, Subtable  # noqa: E402
+from tsesim.flow_cache import CostModel, FlowCache, FlowTable  # noqa: E402
 from tsesim.headers import FIVE_TUPLE, HYP, HeaderValue, header, header_hash64, ip_to_int  # noqa: E402
 from tsesim.slowpath import Acl, Action, parse_acl_text, rule  # noqa: E402
 
@@ -91,7 +94,7 @@ def test_emc_disabled_always_misses():
     cache = FlowCache(hyp_acl(), emc_enabled=False)
     assert emc_hits(cache, hv(0b001)) == 0
     assert emc_hits(cache, hv(0b001)) == 0
-    assert cache.emc.slots == {}
+    assert cache._emc_slots == {}
 
 
 def test_emc_capacity_must_be_positive():
@@ -102,11 +105,11 @@ def test_emc_capacity_must_be_positive():
 def test_emc_collision_eviction_capacity_one():
     cache = FlowCache(hyp_acl(), emc_capacity=1)
     assert emc_hits(cache, hv(0b001)) == emc_hits(cache, hv(0b010)) == 0
-    assert cache.emc.slots == {0: hv(0b010).bits}  # 010 evicted 001
+    assert cache._emc_slots == {0: hv(0b010).bits}  # 010 evicted 001
     assert emc_hits(cache, hv(0b010)) == 1
     assert emc_hits(cache, hv(0b001)) == 0  # the slot is full, but not with 001
-    assert cache.emc.slots == {0: hv(0b001).bits}
-    assert len(cache.emc.slots) <= 1
+    assert cache._emc_slots == {0: hv(0b001).bits}
+    assert len(cache._emc_slots) <= 1
 
 
 # -- MFC lookup / insert (the sequential reference) ----------------------------
@@ -238,14 +241,14 @@ def test_rebalance_orders_by_hits_and_resets():
         header(FIVE_TUPLE, ip_src=1, ip_dst=2, proto=6, sport=12345, dport=81),
     ]
     cache.classify_batch([(h, cache.flow_id(h), 1) for h in headers], now=0.0)
-    a, b, c = (st.mask_id for st in cache.subtables())  # current search order
+    a, b, c = (st.mask_id for st in subtables(cache))  # current search order
     by_subtable = {cache.table.mask_of[cache.flow_id(h)]: h for h in headers}
     for mid, hits in ((a, 5), (b, 100), (c, 1)):
         cache.credit_hits([cache.flow_id(by_subtable[mid])], hits, now=0.5)
-    assert [st.interval_hits for st in cache.subtables()] == [5, 100, 1]
+    assert [st.interval_hits for st in subtables(cache)] == [5, 100, 1]
     cache.rebalance(1.0)
-    assert [st.mask_id for st in cache.subtables()] == [b, a, c]
-    assert all(st.interval_hits == 0 for st in cache.subtables())
+    assert [st.mask_id for st in subtables(cache)] == [b, a, c]
+    assert all(st.interval_hits == 0 for st in subtables(cache))
 
 
 def test_rebalance_all_zero_is_stable():
@@ -253,9 +256,9 @@ def test_rebalance_all_zero_is_stable():
     h = header(FIVE_TUPLE, ip_src=1, ip_dst=2, proto=6, sport=3, dport=80)
     for m in [packed_mask(FIVE_TUPLE, dport=0xFFFF), packed_mask(FIVE_TUPLE, sport=0xFFFF)]:
         cache.mfc_insert(h.bits & m, m, Action.DENY, now=0.0)
-    before = cache.subtables()
+    before = subtables(cache)
     cache.rebalance(1.0)
-    assert cache.subtables() == before
+    assert subtables(cache) == before
 
 
 # -- classify -------------------------------------------------------------------
@@ -470,95 +473,95 @@ def test_runs_price_like_runs_of_one(table, emc_enabled, emc_capacity, costs, st
             grouped.rebalance(now)
             single.rebalance(now)
         for cache in caches:
-            cache.check_invariants()
+            check_invariants(cache)
             layout = cache.table.acl.layout
-            for slot, bits in cache.emc.slots.items():
-                assert slot == header_hash64(HeaderValue(layout, bits)) % cache.emc.capacity
+            for slot, bits in cache._emc_slots.items():
+                assert slot == header_hash64(HeaderValue(layout, bits)) % cache.emc_capacity
         assert cache_state(grouped) == cache_state(single)
 
 
 def test_check_invariants_detects_corruption():
     cache = table_b_cache()
-    cache.check_invariants()
+    check_invariants(cache)
     cache._pos[cache._rev[-1]] += 1
     with pytest.raises(AssertionError, match="pos"):
-        cache.check_invariants()
+        check_invariants(cache)
     cache = table_b_cache()
     cache._idle.popitem()
     with pytest.raises(AssertionError, match="has size 2 for 1 live flows"):
-        cache.check_invariants()
+        check_invariants(cache)
     cache = table_b_cache()
     cache._size[cache._rev[-1]] += 1
     with pytest.raises(AssertionError, match="has size 3 for 2 live flows"):
-        cache.check_invariants()
+        check_invariants(cache)
     cache = table_b_cache()
     cache.mfc_lookup(hv(0b000), now=5.0)
-    cache.check_invariants()
+    check_invariants(cache)
     cache._idle.move_to_end(next(reversed(cache._idle)), last=False)
     with pytest.raises(AssertionError, match="out of last-hit order"):
-        cache.check_invariants()
+        check_invariants(cache)
     cache = table_b_cache()
     cache._hits[cache._rev[-1]] = 0  # a hit mask with no hits
     with pytest.raises(AssertionError, match="hit counts hold mask .* with 0 hits, stored"):
-        cache.check_invariants()
+        check_invariants(cache)
     cache = table_b_cache()
     mid = cache._rev[-1]
     cache.expire(10.0)  # every entry was installed at 0.0
-    cache.check_invariants()
+    check_invariants(cache)
     cache._hits[mid] = 3
     with pytest.raises(AssertionError, match="out of storage with size 0 and 3 hits"):
-        cache.check_invariants()
+        check_invariants(cache)
     cache._hits[len(cache._size)] = 1  # a mask id past the size column
     del cache._hits[mid]
     with pytest.raises(AssertionError, match="with 1 hits, out of storage"):
-        cache.check_invariants()
+        check_invariants(cache)
     cache = FlowCache(hyp_acl())
     for v in (0b001, 0b010):
         emc_hits(cache, hv(v))  # two misses fill two slots
-    cache.check_invariants()
-    cache.emc.resident.add(hv(0b100).bits)  # a stale entry: bits no slot holds
+    check_invariants(cache)
+    cache._resident.add(hv(0b100).bits)  # a stale entry: bits no slot holds
     with pytest.raises(AssertionError, match="resident set holds bits that no slot holds"):
-        cache.check_invariants()
-    cache.emc.resident -= {hv(0b100).bits, hv(0b001).bits}  # a missing entry
+        check_invariants(cache)
+    cache._resident -= {hv(0b100).bits, hv(0b001).bits}  # a missing entry
     with pytest.raises(AssertionError, match="resident set lacks bits that a slot holds"):
-        cache.check_invariants()
-    cache.emc.resident.add(hv(0b001).bits)
-    cache.check_invariants()
-    slot, bits = cache.emc.slots.popitem()  # move the bits to a free slot not their own
-    cache.emc.slots[min(set(range(3)) - set(cache.emc.slots) - {slot})] = bits
+        check_invariants(cache)
+    cache._resident.add(hv(0b001).bits)
+    check_invariants(cache)
+    slot, bits = cache._emc_slots.popitem()  # move the bits to a free slot not their own
+    cache._emc_slots[min(set(range(3)) - set(cache._emc_slots) - {slot})] = bits
     with pytest.raises(AssertionError, match="holds bits that hash to another slot"):
-        cache.check_invariants()
+        check_invariants(cache)
 
 
 def test_check_invariants_detects_stale_id_lists():
     cache = table_b_cache()
     del cache._pos[cache._rev[0]]
     with pytest.raises(AssertionError, match="stored mask .* has no position"):
-        cache.check_invariants()
+        check_invariants(cache)
     cache = table_b_cache()
     cache._rev.append(cache._rev[0])  # one mask stored twice
     with pytest.raises(AssertionError, match="mask .* is stored 2 times"):
-        cache.check_invariants()
+        check_invariants(cache)
     cache = table_b_cache()
     mid, fid = cache._rev[-1], next(iter(cache._idle))
     cache.expire(10.0)  # every entry was installed at 0.0
-    cache.check_invariants()
+    check_invariants(cache)
     assert cache.subtable_count == 0 and cache._size[mid] == 0  # kept dead for revival
     cache._size[mid] = 1  # counted live, but out of storage
     with pytest.raises(AssertionError, match="out of storage with size 1 and 0 hits"):
-        cache.check_invariants()
+        check_invariants(cache)
     cache._size[mid] = 0
     cache._idle[fid] = 10.0
     with pytest.raises(AssertionError, match="idle list holds a flow whose subtable is absent"):
-        cache.check_invariants()
+        check_invariants(cache)
     del cache._idle[fid]
     cache.mfc_lookup(hv(0b000), now=10.0)  # nothing live: a miss
     cache.classify(hv(0b000), now=10.0)  # revives mid's subtable, first in the search order
-    assert cache.subtables() == [Subtable(mid, 1, 0)]
-    cache.check_invariants()
+    assert subtables(cache) == [Subtable(mid, 1, 0)]
+    check_invariants(cache)
     cache._pos[cache._rev[0]] -= 1  # a stale position
     with pytest.raises(AssertionError, match="subtable at storage 0 has pos"):
-        cache.check_invariants()
+        check_invariants(cache)
 
 
 def test_flow_table_is_one_per_acl_object():
@@ -705,6 +708,21 @@ def test_probe_cost_of_a_run_is_what_classify_batch_charges(emc):
         assert cache.classify_batch(runs, now=1.0).total_cost == cost
 
 
+def test_probe_cost_prices_each_run_alone():
+    """A probe does not see its own EMC fills: a header's run twice costs twice one run.
+
+    `classify_batch` prices the second run as an EMC hit; the engine probes
+    one run per distinct victim header, so the two never differ there.
+    """
+    acl = use_case_acl(UseCase.DP)
+    h = build_trace(UseCase.DP, acl).packets[0]
+    cache = FlowCache(acl, emc_enabled=True)
+    runs = [(h, cache.flow_id(h), 1)] * 2
+    assert cache.probe_cost(runs[:1]) == 51.0  # EMC miss, no subtable yet, slow path
+    assert cache.probe_cost(runs) == 102.0
+    assert cache.classify_batch(runs, now=0.0).total_cost == 52.0
+
+
 STAMPING = {
     "classify_batch": lambda cache, h, now: cache.classify_batch([(h, cache.flow_id(h), 1)], now),
     "warm": lambda cache, h, now: cache.warm([h], now),
@@ -727,7 +745,7 @@ def test_time_going_backwards_raises(first, second):
     with pytest.raises(ValueError, match="backwards"):
         STAMPING[second](cache, h, 2.5)
     assert cache_state(cache) == before
-    cache.check_invariants()
+    check_invariants(cache)
 
 
 def five_header():
@@ -793,7 +811,7 @@ def test_expire_removes_exactly_the_idle_entries(pool, emc_enabled, steps):
             hits = [stamps[e] for e in expired]
             assert hits == sorted(hits)  # returned in last-hit order
             assert all(m not in emptied for m in masks(cache))
-        cache.check_invariants()
+        check_invariants(cache)
 
 
 def test_expire_compares_last_hit_plus_timeout_with_now():
@@ -817,18 +835,18 @@ def test_expire_compares_last_hit_plus_timeout_with_now():
     expired, removed = cache.expire(162 * tick)
     assert expired == fids[:1] and removed == [cache.table.mask_of[fids[0]]]
     assert list(cache._idle.items()) == [(fids[1], 63 * tick), (fids[2], 64 * tick)]
-    cache.check_invariants()
+    check_invariants(cache)
 
 
 def test_probe_cost_is_read_only():
     cache = FlowCache(five_acl(), emc_enabled=False)
     h = header(FIVE_TUPLE, ip_src=9, ip_dst=2, proto=6, sport=3, dport=81)
     cache.classify_batch([(h, cache.flow_id(h), 1)], now=0.0)
-    before = cache.subtables()
+    before = subtables(cache)
     stamps = last_hits(cache)
     cost = probe_cost(cache, h)
     assert cost == cache.costs.c_sub
-    assert cache.subtables() == before
+    assert subtables(cache) == before
     assert last_hits(cache) == stamps
 
     # EMC on: an MFC hit (h's megaflow, a header not in the EMC) and a miss.
@@ -837,7 +855,7 @@ def test_probe_cost_is_read_only():
                  for src in (7, 8)]
     cache.classify_batch([(h, cache.flow_id(h), 1)], now=0.0)
     cache.classify_batch([(same_flow[0], cache.flow_id(h), 1)], now=1.0)  # an MFC hit
-    assert list(cache._hits) == [st.mask_id for st in cache.subtables()]
+    assert list(cache._hits) == [st.mask_id for st in subtables(cache)]
     assert last_hits(cache) == {synthesize(cache, h)[:2]: 1.0}
     mfc_hit = same_flow[1]
     miss = header(FIVE_TUPLE, ip_src=9, ip_dst=2, proto=6, sport=3, dport=80)
@@ -845,7 +863,7 @@ def test_probe_cost_is_read_only():
 
     def state():
         columns = list(cache._rev), dict(cache._pos), list(cache._size), dict(cache._hits)
-        return dict(cache.emc.slots), columns, last_hits(cache)
+        return dict(cache._emc_slots), columns, last_hits(cache)
 
     before = state()
     c = cache.costs
@@ -853,7 +871,7 @@ def test_probe_cost_is_read_only():
     assert probe_cost(cache, miss) == c.c_emc + c.c_sub + c.c_slow
     assert probe_cost(cache, mfc_hit, miss) == 2 * c.c_emc + 2 * c.c_sub + c.c_slow
     assert state() == before and cache.subtable_count == 1
-    cache.check_invariants()
+    check_invariants(cache)
 
 
 def test_credit_hits_bulk():
@@ -861,7 +879,7 @@ def test_credit_hits_bulk():
     h = header(FIVE_TUPLE, ip_src=9, ip_dst=2, proto=6, sport=3, dport=81)
     cache.classify_batch([(h, cache.flow_id(h), 1)], now=0.0)
     cache.credit_hits([cache.flow_id(h)], 500, now=3.0)
-    st = cache.subtables()[0]
+    st = subtables(cache)[0]
     assert st.interval_hits == 500
     assert list(last_hits(cache).values()) == [3.0]
 
@@ -900,8 +918,8 @@ def test_credit_hits_over_flow_ids_is_one_call_per_id(order):
     live = [fid for fid in fids if fid != bulk.flow_id(dead)]
     assert list(bulk._idle.items()) == [(fid, 2.0) for fid in live]
     assert list(bulk._hits) == [bulk.table.mask_of[fid] for fid in live]
-    assert sorted(st.interval_hits for st in bulk.subtables()) == [7, 7]
-    bulk.check_invariants()
+    assert sorted(st.interval_hits for st in subtables(bulk)) == [7, 7]
+    check_invariants(bulk)
 
 
 def test_credit_hits_changes_nothing_for_dead_ids_or_no_packets():
@@ -920,7 +938,7 @@ def test_credit_hits_changes_nothing_for_dead_ids_or_no_packets():
     with pytest.raises(ValueError, match="backwards"):
         cache.credit_hits([cache.flow_id(h0)], 0, now=11.5)
     assert _credit_state(cache) == before
-    cache.check_invariants()
+    check_invariants(cache)
 
 
 @pytest.mark.parametrize("emc_enabled, capacity", [(False, 8192), (True, 1), (True, 8192)])
@@ -942,7 +960,7 @@ def test_classify_batch_reads_a_one_shot_iterator_as_a_list(emc_enabled, capacit
         got = lazy.classify_batch((run for run in runs), now=step * 0.5)
         assert got == want
         assert cache_state(lazy) == cache_state(listed)
-        lazy.check_invariants()
+        check_invariants(lazy)
         results.append(got)
         repeated |= len({fid for _, fid, _ in runs}) < len(runs)
     assert repeated and all(sum(getattr(r, k) for r in results) for k in ("slow_path", "mfc_hits"))
@@ -990,22 +1008,14 @@ def test_fuzz_disjointness_and_ranking_properties():
         elif op < 0.9:
             cache.expire(now)
         else:
-            pre = {st.mask_id: st.interval_hits for st in cache.subtables()}
+            pre = {st.mask_id: st.interval_hits for st in subtables(cache)}
             cache.rebalance(now)
-            seq = [pre[st.mask_id] for st in cache.subtables()]
+            seq = [pre[st.mask_id] for st in subtables(cache)]
             assert all(a >= b for a, b in zip(seq, seq[1:]))
     live = list(entries(cache))
     for i, (k1, m1, _) in enumerate(live):
         for k2, m2, _ in live[i + 1 :]:
             assert not megaflows_overlap((k1, m1), (k2, m2))
-
-
-def test_snapshot_lines_format():
-    cache = table_b_cache()
-    lines = cache.snapshot_lines()
-    assert len(lines) == 3
-    assert lines[0].startswith("#0 mask=7 entries=2")
-    assert "hits=" in lines[0]
 
 
 # -- ranking oracle -------------------------------------------------------------
@@ -1040,7 +1050,7 @@ class RankingMachine(stateful.RuleBasedStateMachine):
         self.emc: dict[int, int] = {}  # slot -> header bits
 
     def _slot(self, h):
-        return header_hash64(h) % self.cache.emc.capacity
+        return header_hash64(h) % self.cache.emc_capacity
 
     def _mask(self, fid):
         return self.cache.table.mask_of[fid]
@@ -1050,7 +1060,7 @@ class RankingMachine(stateful.RuleBasedStateMachine):
     )
     def classify_batch(self, picks, dt):
         self.now += dt
-        cache, emc_on = self.cache, self.cache.emc.enabled
+        cache, emc_on = self.cache, self.cache.emc_enabled
         runs = [(self.pool[i % len(self.pool)], n) for i, n in picks]
         position = {mid: i + 1 for i, mid in enumerate(self.order)}  # at batch start
         c = cache.costs
@@ -1115,17 +1125,17 @@ class RankingMachine(stateful.RuleBasedStateMachine):
     @stateful.invariant()
     def agrees_with_model(self):
         cache = self.cache
-        cache.check_invariants()
-        assert [st.mask_id for st in cache.subtables()] == self.order
-        hits = [st.interval_hits for st in cache.subtables()]
+        check_invariants(cache)
+        assert [st.mask_id for st in subtables(cache)] == self.order
+        hits = [st.interval_hits for st in subtables(cache)]
         assert hits == [self.hits[mid] for mid in self.order]
         assert set(cache._idle) == set(self.last)
         position = {mid: i + 1 for i, mid in enumerate(self.order)}
         c = cache.costs
         for fid in self.last:
             h = self.header_of[fid]
-            want = c.c_emc if cache.emc.enabled else 0.0
-            if not (cache.emc.enabled and self.emc.get(self._slot(h)) == h.bits):
+            want = c.c_emc if cache.emc_enabled else 0.0
+            if not (cache.emc_enabled and self.emc.get(self._slot(h)) == h.bits):
                 want += position[self._mask(fid)] * c.c_sub
             assert cache.probe_cost([(h, fid, 1)]) == want
         live = list(entries(cache))
@@ -1166,4 +1176,4 @@ def test_ranking_of_a_subtable_revived_between_rebalances():
     assert list(cache._hits.items()) == [(masks[1], 2), (masks[2], 1), (masks[0], 1)]
     machine.rebalance(dt=0.0)
     machine.agrees_with_model()
-    assert [st.mask_id for st in cache.subtables()] == [masks[1], masks[0], masks[2]]
+    assert [st.mask_id for st in subtables(cache)] == [masks[1], masks[0], masks[2]]

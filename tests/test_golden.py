@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from oracle_cache import check_invariants
 
 from tsesim.cli import main
 from tsesim.flow_cache import FlowCache
@@ -42,7 +43,7 @@ def test_run_reproduces_golden_artifacts(name, tmp_path, monkeypatch):
 
     def rebalance_then_check(cache, now):
         rebalance(cache, now)
-        cache.check_invariants()
+        check_invariants(cache)
         checked.append(now)
 
     monkeypatch.setattr(FlowCache, "rebalance", rebalance_then_check)

@@ -18,6 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from oracle_cache import subtables  # noqa: E402
 from oracle_synth import o_counts  # noqa: E402
 
 from tsesim.attack import UseCase, build_trace, use_case_acl  # noqa: E402
@@ -52,7 +53,7 @@ def test_cache_replay_matches_oracle_counts_and_mask_sets():
         assert cache.subtable_count == masks
         assert cache.entry_count == entries
         oracle_masks = {FIVE_TUPLE.pack(m) for m in o_counts(uc_name)["spawn_order"]}
-        cache_masks = {cache.table.mask_bits[st.mask_id] for st in cache.subtables()}
+        cache_masks = {cache.table.mask_bits[st.mask_id] for st in subtables(cache)}
         assert cache_masks == oracle_masks
 
 
