@@ -255,9 +255,10 @@ def cmd_sweep(scenario: Scenario, cores_list: list[int], rates_list: list[float]
         except ValueError as e:
             raise ConfigError(f"--rates-list {rate:g}: {e}") from None
         schedules.append(sched)
-    # Attack-phase seconds after the first full cycle and a 2 s margin; the
-    # phase pattern is the same at every rate.
-    steady_start = scenario.attack_start + scenario.t_attack + scenario.t_sleep + 2
+    # Attack-phase seconds after the first full duty cycle, if any, and a 2 s
+    # margin; the phase pattern is the same at every rate.
+    cycle = scenario.t_attack + scenario.t_sleep if schedules[0].t_attack is not None else 0
+    steady_start = scenario.attack_start + cycle + 2
     attack_secs = [
         s
         for s in range(int(steady_start), int(scenario.duration))

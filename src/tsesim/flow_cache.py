@@ -8,9 +8,10 @@ synthesis rather than by scanning, and charged the scan's probe count: each
 ACL's megaflows are interned as ints in a `FlowTable`, and a packet arrives
 with its megaflow's id.  The one record of a live megaflow is its id in a
 list kept in last-hit order: an install appends, a hit moves the id to the
-end, and expiry takes entries idle for the timeout from the front.  Key,
-mask and action are read from the table, and a subtable's state from the
-cache's columns indexed by mask id.  Results are ids: new subtables' mask
+end, and expiry takes entries idle for the timeout from the front.  A
+flow's mask is read from the table, and a subtable's state from the
+cache's columns indexed by mask id.  No flow's action is kept: pricing
+counts probes and never reads one.  Results are ids: new subtables' mask
 ids from `classify_batch`, expired flow ids and removed mask ids from
 `expire`.
 
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .headers import HeaderValue, header_hash64
-from .slowpath import Acl, Action, FlowRule
+from .slowpath import Acl, Action
 
 Run = tuple[HeaderValue, int, int]  # (header, flow_id(header), count) of back-to-back packets
 
@@ -71,10 +72,10 @@ class CostModel:
 class FlowTable:
     """One ACL's megaflows: an int id per distinct key and per mask, in first-sight order.
 
-    The table holds ints only: mask id, key bits and action per flow id, and
-    mask bits per mask id.  A key names one synthesized flow: the header at
-    the key's bits lies in every flow with that key, and synthesized flows
-    are disjoint or identical.
+    The table holds ints only: mask id per flow id, mask bits per mask id,
+    and flow id per key bits, in `_flow_ids`, whose keys are in id order.  A
+    key names one synthesized flow: the header at the key's bits lies in
+    every flow with that key, and synthesized flows are disjoint or identical.
     Synthesis depends only on the ACL and the header, so all caches and runs
     on one ACL object share its table (`of`).  The table memoizes whole
     compiled traces (`trace_ids`), not headers: sweep cells share one trace
@@ -85,8 +86,6 @@ class FlowTable:
     def __init__(self, acl: Acl):
         self.acl = acl
         self.mask_of: list[int] = []  # mask id by flow id
-        self.key_of: list[int] = []  # key bits by flow id
-        self.action_of: list[Action] = []  # by flow id
         self.mask_bits: list[int] = []  # by mask id
         self.mask_ids: dict[int, int] = {}  # mask bits -> mask id
         self._flow_ids: dict[int, int] = {}  # key bits -> flow id
@@ -142,8 +141,7 @@ class FlowTable:
         flow_ids, whole, last = self._flow_ids, self.acl.packed, self._last
         shift = last.bit_length()
         mask_ids, mask_bits, mask_of = self.mask_ids, self.mask_bits, self.mask_of
-        key_of, action_of, ids = self.key_of, self.action_of, []
-        flows, masks = len(key_of), len(mask_bits)
+        ids, flows, masks = [], len(mask_of), len(mask_bits)
         upper, rules = -1, whole
         for h in headers:
             if (bits := h.bits) >> shift != upper:
@@ -151,52 +149,51 @@ class FlowTable:
             elif rules is whole:
                 rules = self._open_rules(bits)
             acc = 0
-            for m, value, r, prefix, decided in rules:
+            for m, value, prefix, decided in rules:
                 diff = (bits ^ value) & m
                 if not diff:
                     break
                 acc |= prefix[diff.bit_length()]
-            if (fid := flow_ids.setdefault(key := bits & (m := acc | decided), flows)) == flows:
+            if (fid := flow_ids.setdefault(bits & (m := acc | decided), flows)) == flows:
                 flows += 1
                 if (mid := mask_ids.setdefault(m, masks)) == masks:
                     masks += 1
                     mask_bits.append(m)
                 mask_of.append(mid)
-                key_of.append(key)
-                action_of.append(r.action)
             ids.append(fid)
         return ids
 
-    def _open_rules(self, bits: int) -> list[tuple[int, int, FlowRule, tuple[int, ...], int]]:
+    def _open_rules(self, bits: int) -> list[tuple[int, int, tuple[int, ...], int]]:
         """The ACL's rules as a header with these upper fields walks them, on its last field alone.
 
         A rule abandoned above the last field leaves only its prefix.  A rule
         whose upper fields all match is open: it is kept as its last-field
-        mask and value, rule, prefix and `decided`, which holds the prefixes
+        mask and value, prefix and `decided`, which holds the prefixes
         of the rules abandoned before it, the upper masks of the open rules
         up to it and its own last-field mask.  The list ends at the first
         open rule without a last-field constraint, which every such header
         matches.
         """
         last, acc, rules = self._last, 0, []
-        for m, value, r, prefix, _ in self.acl.packed:
+        for m, value, prefix, _ in self.acl.packed:
             diff = (bits ^ value) & m
             if diff > last:
                 acc |= prefix[diff.bit_length()]
                 continue
             low = m & last
             acc |= m ^ low
-            rules.append((low, value & last, r, prefix, acc | low))
+            rules.append((low, value & last, prefix, acc | low))
             if not low:
                 break
         return rules
 
 
 def synthesize_megaflow(h: HeaderValue, acl: Acl) -> tuple[int, int, Action]:
-    """The (key bits, mask bits, action) megaflow of a header, read from the ACL's table."""
+    """h's (key bits, mask bits, action): its flow's mask and the first matching rule's action."""
     table = FlowTable.of(acl)
-    fid = table.flow_id(h)
-    return table.key_of[fid], table.mask_bits[table.mask_of[fid]], table.action_of[fid]
+    mask = table.mask_bits[table.mask_of[table.flow_id(h)]]
+    action = next(r.action for r, (m, v, *_) in zip(acl.rules, acl.packed) if h.bits & m == v)
+    return h.bits & mask, mask, action
 
 
 @dataclass(slots=True)

@@ -6,9 +6,9 @@ returns the highest-priority matching rule.  Synthesis turns one lookup into
 a cached (key, mask, action) entry that covers the triggering header, stays
 disjoint from every other entry the same table can produce, and wildcards as
 many bits as the rule set allows.  `Acl.packed` precomputes each rule for it
-as a tuple `(mask, value, rule, prefix, decided)`: the packed mask and
-value, the rule, a prefix table of the mask, and the mask a walk ending at
-the rule adds; the walk itself is `flow_cache.FlowTable.flow_ids`.
+as a tuple `(mask, value, prefix, decided)`, with no rule or action: the
+packed mask and value, a prefix table of the mask, and the mask a walk
+ending at the rule adds; the walk is `flow_cache.FlowTable.flow_ids`.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class Acl:
         return Acl(layout, ordered)
 
     @cached_property
-    def packed(self) -> tuple[tuple[int, int, FlowRule, tuple[int, ...], int], ...]:
-        """(mask, value, rule, prefix, mask) per rule: h matches it iff h.bits & mask == value.
+    def packed(self) -> tuple[tuple[int, int, tuple[int, ...], int], ...]:
+        """(mask, value, prefix, mask) per rule in order: h matches it iff h.bits & mask == value.
 
         The mask examines the rule's constrained fields whole; the value holds
         their constraints and 0 elsewhere; `prefix[n]` holds the mask's bits
@@ -85,7 +85,7 @@ class Acl:
                 value |= v << shift
             if m not in prefixes:
                 prefixes[m] = (0, *(m >> n << n for n in range(width)))
-            packed.append((m, value, r, prefixes[m], m))
+            packed.append((m, value, prefixes[m], m))
         return tuple(packed)
 
 

@@ -11,9 +11,11 @@ EMC's slots itself, hashing each header afresh rather than through the
 cache's slot memo.  It finds the entry at each subtable by looking the
 masked header up in the table's interned keys and testing whether that
 flow has the subtable's mask and is live, never by the header's own flow
-id.  Its inserts go through `intern` and
-`SequentialCache._install`, which add any (mask, key) pair the way the
-cache's pricing loop adds a synthesized one inline.
+id.  Its inserts go through `intern` and `SequentialCache._install`,
+which add any (mask, key) pair the way the cache's pricing loop adds a
+synthesized one inline.  The table keeps no actions, so the scan reads a
+hit's action from `oracle_acl.slowpath_lookup` on the header, a lookup
+that does not read the table.
 
 The cache keeps its state in plain columns and has no views of it; this
 module holds them.  `subtables` lists the live subtables in search order as
@@ -25,9 +27,11 @@ against its resident set and slot hashes.
 The cache and its `FlowTable` hold megaflows as ints and report ids; the
 helpers below map ids back to key and mask bits through the table, so tests
 can state expectations as (key bits, mask bits) pairs, the one form of a
-megaflow.  `oracle_synthesize` gives a five-tuple header's megaflow by the
-independent per-field walk of `oracle_synth`, for tests that check the
-table's own walk.
+megaflow.  A flow's key is its place in the table's `_flow_ids`, which
+interns keys in id order, and its action is the slow path's at the key's
+bits, a header that lies in the flow (`key_action`).  `oracle_synthesize`
+gives a five-tuple header's megaflow by the independent per-field walk of
+`oracle_synth`, for tests that check the table's own walk.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
+from oracle_acl import slowpath_lookup
 from oracle_synth import o_synthesize
 
 from tsesim.flow_cache import BatchResult, FlowCache, FlowTable
@@ -122,23 +127,27 @@ class ClassifyResult:
     cost_units: float
 
 
+def key_action(table: FlowTable, key_bits: int) -> Action:
+    """The action of the flow with this key: the slow path's at the key's bits."""
+    return slowpath_lookup(HeaderValue(table.acl.layout, key_bits), table.acl).action
+
+
 def intern(table: FlowTable, mask_bits: int, key_bits: int, action: Action) -> int:
     """The id of megaflow (mask, key) in table; raise ValueError if key has another mask or action.
 
     `FlowTable.flow_ids` interns synthesized flows inline; this is the entry
-    for any other (mask, key) pair.
+    for any other (mask, key) pair.  A key interned before must come back
+    with its mask, and with the action of its flow, `key_action`.
     """
-    fid = table._flow_ids.setdefault(key_bits, len(table.key_of))
-    if fid == len(table.key_of):
+    fid = table._flow_ids.setdefault(key_bits, len(table.mask_of))
+    if fid == len(table.mask_of):
         mid = table.mask_ids.setdefault(mask_bits, len(table.mask_bits))
         if mid == len(table.mask_bits):
             table.mask_bits.append(mask_bits)
         table.mask_of.append(mid)
-        table.key_of.append(key_bits)
-        table.action_of.append(action)
     elif (had := table.mask_bits[table.mask_of[fid]]) != mask_bits:
         raise ValueError(f"megaflow key {key_bits:#x} already has mask {had:#x}")
-    elif (had := table.action_of[fid]) is not action:
+    elif (had := key_action(table, key_bits)) is not action:
         raise ValueError(f"megaflow {key_bits:#x}/{mask_bits:#x} already has action {had.value}")
     return fid
 
@@ -170,7 +179,7 @@ class SequentialCache(FlowCache):
             if fid is not None and self.table.mask_of[fid] == mid and fid in self._idle:
                 self._hits[mid] = self._hits.get(mid, 0) + 1
                 self._refresh(fid, now)
-                return self.table.action_of[fid], probed
+                return slowpath_lookup(h, self.table.acl).action, probed
         return None
 
     def mfc_insert(self, key: int, mask: int, action: Action, now: float) -> tuple[bool, bool]:
@@ -190,7 +199,7 @@ class SequentialCache(FlowCache):
         """Full pipeline for one packet: EMC, then MFC, then slow path.
 
         The EMC slot is `header_hash64(h) % capacity`, hashed afresh; it hits
-        when it holds h's bits, and a hit reads h's action from the table.
+        when it holds h's bits, and a hit reads h's action from the slow path.
         A fill also keeps the EMC's `resident` set, which this scan never
         reads, so that the cache's own invariants hold.
         """
@@ -198,7 +207,7 @@ class SequentialCache(FlowCache):
         emc_probes = 1 if self.emc_enabled else 0
         slot = header_hash64(h) % self.emc_capacity
         if emc_probes and self._emc_slots.get(slot) == h.bits:
-            action = synthesize(self, h)[2]
+            action = slowpath_lookup(h, self.table.acl).action
             return ClassifyResult(action, HitPath.EMC, 1, 0, c.c_emc)
         hit = self.mfc_lookup(h, now)
         if hit is not None:
@@ -226,14 +235,21 @@ def megaflows_overlap(e1: tuple[int, int], e2: tuple[int, int]) -> bool:
     return not (k1 ^ k2) & m1 & m2
 
 
+def flows(table: FlowTable, fids: Iterable[int]) -> list[tuple[int, int, Action]]:
+    """Each flow id's (key bits, mask bits, action), read back from the table."""
+    keys, mask_bits, mask_of = list(table._flow_ids), table.mask_bits, table.mask_of
+    return [(keys[fid], mask_bits[mask_of[fid]], key_action(table, keys[fid])) for fid in fids]
+
+
 def flow(table: FlowTable, fid: int) -> tuple[int, int, Action]:
     """Flow id fid's (key bits, mask bits, action), read back from the table."""
-    return table.key_of[fid], table.mask_bits[table.mask_of[fid]], table.action_of[fid]
+    return flows(table, (fid,))[0]
 
 
 def synthesize(cache: FlowCache, h: HeaderValue) -> tuple[int, int, Action]:
-    """h's megaflow as (key bits, mask bits, action), through the cache's table."""
-    return flow(cache.table, cache.flow_id(h))
+    """h's megaflow as (key bits, mask bits, action): its mask through the cache's table."""
+    mask = cache.table.mask_bits[cache.table.mask_of[cache.flow_id(h)]]
+    return h.bits & mask, mask, slowpath_lookup(h, cache.table.acl).action
 
 
 def oracle_synthesize(h: HeaderValue, acl: Acl) -> tuple[int, int, Action]:
@@ -250,8 +266,7 @@ def masks(cache: FlowCache) -> list[int]:
 
 def entries(cache: FlowCache) -> Iterator[tuple[int, int, Action]]:
     """Live megaflows as (key bits, mask bits, action), least recently hit first."""
-    for fid in cache._idle:
-        yield flow(cache.table, fid)
+    yield from flows(cache.table, cache._idle)
 
 
 def search_index(cache: FlowCache, mask: int) -> int:
@@ -263,7 +278,7 @@ def search_index(cache: FlowCache, mask: int) -> int:
 def expire(cache: FlowCache, now: float) -> tuple[list[tuple[int, int]], list[int]]:
     """`cache.expire(now)` with its flow ids as (key, mask) pairs and its mask ids as mask bits."""
     fids, mids = cache.expire(now)
-    pairs = [flow(cache.table, fid)[:2] for fid in fids]
+    pairs = [f[:2] for f in flows(cache.table, fids)]
     return pairs, [cache.table.mask_bits[mid] for mid in mids]
 
 
@@ -274,7 +289,8 @@ def batch_masks(cache: FlowCache, res: BatchResult) -> BatchResult:
 
 def last_hits(cache: FlowCache) -> dict[tuple[int, int], float]:
     """Each live entry's (key, mask) and last hit, least recently hit first."""
-    return {flow(cache.table, fid)[:2]: t for fid, t in cache._idle.items()}
+    live = flows(cache.table, cache._idle)
+    return {f[:2]: t for f, t in zip(live, cache._idle.values())}
 
 
 def cache_state(cache: FlowCache):

@@ -466,6 +466,22 @@ def test_sweep_without_steady_state_exits_2(tmp_path, capsys):
         assert len(err.splitlines()) == 1
 
 
+def test_tse_10_sweep_rows_do_not_depend_on_the_duty_cycle(capsys):
+    """A continuous schedule ignores --t-attack and --t-sleep, and so does its steady state.
+
+    Its window starts 2 s after the attack does.  A 1000 s --t-attack once
+    pushed that window past the 12 s run, and the sweep exited 2.
+    """
+    flags = ["sweep", "--use-case", "dp", "--tse", "1.0", "--duration", "12", "--attack-start",
+             "2", "--cores-list", "1,2", "--rates-list", "1000,3000"]
+    printed = []
+    for t_attack, t_sleep in (("10", "2"), ("1000", "0"), ("0.5", "30"), ("3", "0.1")):
+        assert main(flags + ["--t-attack", t_attack, "--t-sleep", t_sleep]) == 0
+        printed.append(capsys.readouterr().out)
+    assert len(printed[0].splitlines()) == 6
+    assert all(out == printed[0] for out in printed)
+
+
 def test_sweep_checks_replay_bounds_before_any_cell_runs(capsys):
     """A rate past the per-tick cap late in `--rates-list` exits 2 before the first row prints."""
     rc = main(["sweep", "--use-case", "dp", "--tse", "1.0", "--rates-list", "1000,1e11",

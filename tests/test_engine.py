@@ -3,6 +3,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -21,6 +23,7 @@ from tsesim.attack import (  # noqa: E402
     Trace,
     UseCase,
     build_trace,
+    clone_factor,
     schedule_emissions,
 )
 from tsesim.engine import (  # noqa: E402
@@ -451,6 +454,70 @@ def test_monotonic_in_rate():
         attack_secs = res.fractions[5:]
         means.append(sum(attack_secs) / len(attack_secs))
     assert means[0] >= means[1] - 1e-9 >= means[2] - 2e-9
+
+
+# -- metamorphic laws ------------------------------------------------------------
+#
+# Relations between runs that the paper's claims rest on, checked over drawn
+# scenarios on the small `dp` and `sp_dp` tables with a 15 s horizon.
+
+
+@functools.cache
+def law_setup(use_case: UseCase):
+    """`reference_setup(use_case)`, built once: runs on one ACL share its `FlowTable`."""
+    return reference_setup(use_case)
+
+
+@st.composite
+def law_schedules(draw):
+    """(start, t_attack, t_sleep) in whole tenths of a second; t_attack None is continuous."""
+    start = draw(st.integers(0, 100)) / 10
+    if draw(st.booleans()):
+        return start, None, 0.0
+    return start, draw(st.integers(1, 100)) / 10, draw(st.integers(0, 30)) / 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(use_case=st.sampled_from([UseCase.DP, UseCase.SP_DP]), emc=st.booleans(),
+       timing=law_schedules(), n=st.sampled_from([3, 12]))
+def test_clone_invariance_law(use_case, emc, timing, n):
+    """Clone n at 1000·n pps fills the cache second by second as clone 1 at 1000 pps does.
+
+    Precondition: the distinct rate, 1000 pps, times the 0.1 s tick is a
+    whole 100 packets, and start, t_attack and t_sleep are whole tenths of a
+    second, so t_attack × 1000 is whole.  Then each distinct packet's clone
+    group starts when clone 1 sends that packet, and falls in one tick.
+    Under it, each second's `subtables`, `entries` and `victim_cost`, and the
+    cache-map frames, are identical.  Goodput is not: clones cost budget.
+    """
+    acl, trace, victims = law_setup(use_case)
+    start, t_attack, t_sleep = timing
+
+    def observed(clone):
+        sched = AttackSchedule(rate=1000 * clone, t_attack=t_attack, t_sleep=t_sleep,
+                               clone=clone, start=start)
+        res = run(SimConfig(duration=15.0, emc_enabled=emc), acl, [(trace, sched)], victims)
+        return [(r.subtables, r.entries, r.victim_cost) for r in res.series], res.frames
+
+    assert observed(n) == observed(1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(use_case=st.sampled_from([UseCase.DP, UseCase.SP_DP]), emc=st.booleans(),
+       rate=st.sampled_from([1000, 3000, 12000]), timing=law_schedules(),
+       cores=st.lists(st.sampled_from([1, 2, 3, 4, 6]), min_size=2, max_size=2, unique=True))
+def test_budget_monotonicity_law(use_case, emc, rate, timing, cores):
+    """More cores never lower any second's goodput fraction."""
+    acl, trace, victims = law_setup(use_case)
+    start, t_attack, t_sleep = timing
+    sched = AttackSchedule(rate=rate, t_attack=t_attack, t_sleep=t_sleep,
+                           clone=clone_factor(rate), start=start)
+    fewer, more = (
+        run(SimConfig(cores=c, duration=15.0, emc_enabled=emc, build_cache_map=False),
+            acl, [(trace, sched)], victims).fractions
+        for c in sorted(cores)
+    )
+    assert all(a <= b for a, b in zip(fewer, more))
 
 
 def test_expiry_soundness_during_run():

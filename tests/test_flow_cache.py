@@ -32,7 +32,7 @@ from oracle_cache import (  # noqa: E402
 )
 
 from tsesim.attack import UseCase, build_trace, simple_acl, use_case_acl  # noqa: E402
-from tsesim.flow_cache import CostModel, FlowCache, FlowTable  # noqa: E402
+from tsesim.flow_cache import CostModel, FlowCache, FlowTable, synthesize_megaflow  # noqa: E402
 from tsesim.headers import FIVE_TUPLE, HYP, HeaderValue, header, header_hash64, ip_to_int  # noqa: E402
 from tsesim.slowpath import Acl, Action, parse_acl_text, rule  # noqa: E402
 
@@ -619,12 +619,12 @@ def acl_and_headers(draw):
 def test_int_compile_matches_synthesize_megaflow(case):
     """The table's int megaflow per header is the independent walk's, and ids follow (mask, key)."""
     acl, headers = case
-    table = FlowTable(acl)
+    table = FlowTable.of(acl)  # the table synthesize_megaflow reads
     fids = table.flow_ids(headers)
     want = [oracle_synthesize(h, acl) for h in headers]
-    for fid, (key, mask, action) in zip(fids, want):
-        got = (table.mask_bits[table.mask_of[fid]], table.key_of[fid], table.action_of[fid])
-        assert got == (mask, key, action)
+    for h, fid, (key, mask, action) in zip(headers, fids, want):
+        assert synthesize_megaflow(h, acl) == (key, mask, action)
+        assert flow(table, fid)[:2] == (key, mask)
         assert table.mask_ids[mask] == table.mask_of[fid]
     for i, (f1, (k1, m1, _)) in enumerate(zip(fids, want)):
         for f2, (k2, m2, _) in zip(fids[i:], want[i:]):
@@ -650,8 +650,8 @@ def test_key_bits_name_one_synthesized_flow(case, data):
         assert by_key.setdefault(key, (mask, action)) == (mask, action)
     table = FlowTable(acl)
     table.flow_ids(headers)
-    assert len(table.key_of) == len(by_key)
-    fid = data.draw(st.sampled_from(range(len(table.key_of))))
+    assert len(table._flow_ids) == len(by_key)
+    fid = data.draw(st.sampled_from(range(len(table._flow_ids))))
     key, mask, action = flow(table, fid)
     other_mask = mask ^ 1 << data.draw(st.integers(0, FIVE_TUPLE.width - 1))
     with pytest.raises(ValueError, match="already has mask"):
@@ -659,7 +659,7 @@ def test_key_bits_name_one_synthesized_flow(case, data):
     other_action = Action.DENY if action is Action.ALLOW else Action.ALLOW
     with pytest.raises(ValueError, match="already has action"):
         intern(table, mask, key, other_action)
-    assert intern(table, mask, key, action) == fid and len(table.key_of) == len(by_key)
+    assert intern(table, mask, key, action) == fid and len(table._flow_ids) == len(by_key)
 
 
 @pytest.mark.parametrize("emc", [False, True])
