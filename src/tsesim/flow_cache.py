@@ -43,9 +43,11 @@ out of the search order and drops its hits, and the next install of its
 mask puts it first in the order, as a brand-new subtable enters.
 Subtables are re-ranked by per-interval hit counts at each `rebalance`.
 Only masks hit since the last rebalance have a hit count, so those counts'
-keys are the hit subtables and a rebalance costs O(hit subtables +
-subtables renumbered): the unhit ones keep their relative order and only
-move down.
+keys are the hit subtables; the unhit ones keep their relative order and
+only move down.  A rebalance costs O(hit subtables) in C calls, O(log hit
+subtables) Python steps per block of hit subtables stored side by side,
+and O(subtables renumbered); it edits storage in place when that moves
+few stored ids.
 """
 
 from __future__ import annotations
@@ -326,11 +328,18 @@ class FlowCache:
         Storage is the search order reversed, so the result is storage
         stably sorted by hits, ascending: the unhit masks in their storage
         order, then the hit ones by hits, ties in storage order.  Only the
-        hit masks are sorted.  They cut storage into unhit runs, and run j
-        moves down by exactly j, so raising the position offset by j for
-        the longest run leaves its positions as they are; only the other
-        runs and the hit masks are renumbered, each run in one
-        `dict.update`.  Costs O(hit subtables + subtables renumbered).
+        hit masks are sorted.  They sit in blocks, maximal runs of hit masks
+        stored side by side, found by galloping along the sorted hits; the
+        blocks cut storage into unhit runs, and a run with j hit masks below
+        it moves down by exactly j, so raising the position offset by j for
+        the longest run leaves its positions as they are.  The unhit
+        masks below that run, and those above it with the hit masks, are
+        renumbered in one `dict.update` each.  Storage is edited in place,
+        deleting blocks top first, when that moves no more stored ids than
+        a rebuild copies (each unhit one twice: into a slice, then into the
+        new list); otherwise it is rebuilt from its unhit runs.  Costs
+        O(hit subtables) in C, O(blocks x log hit subtables) Python steps,
+        and O(subtables renumbered).
         """
         self._advance(now)
         hits = self._hits
@@ -338,28 +347,42 @@ class FlowCache:
             return
         rev, pos, offset = self._rev, self._pos, self._pos_offset
         hit = sorted(hits, key=pos.__getitem__)
-        new: list[int] = []
-        runs = []  # (length, start, j): unhit run j is rev[start:start + length], if not empty
-        start = 0
-        for j, mid in enumerate(hit):
-            end = pos[mid] - offset
-            if start < end:
-                new += rev[start:end]
-                runs.append((end - start, start, j))
-            start = end + 1
-        if start < len(rev):
+        n, k = len(rev), len(hit)
+        unhit = n - k
+        blocks = []  # (a, b, c): hit[a:b] is a block with c unhit masks stored below it
+        a = moved = 0
+        while a < k:
+            p = pos[hit[a]] - a  # the same for every hit in a's block, larger above it
+            last, step = a, 1  # hit[last] is in the block; gallop, then bisect, for its end b
+            while last + step < k and pos[hit[last + step]] - last - step == p:
+                last, step = last + step, step + step
+            b = min(last + step, k)
+            while b - last > 1:
+                mid = (last + b) // 2
+                last, b = (mid, b) if pos[hit[mid]] - mid == p else (last, mid)
+            blocks.append((a, b, c := p - offset))
+            moved += unhit - c  # what deleting this block moves, the blocks above it gone
+            a = b
+        keep = lo = hi = below = 0  # the longest unhit run: hits below it, new span [lo, hi)
+        for a, _, c in blocks + [(k, k, unhit)]:
+            if below < c and c - below >= hi - lo:
+                keep, lo, hi = a, below, c
+            below = c
+        if moved <= 2 * unhit:
+            for a, b, c in reversed(blocks):
+                del rev[c + a:c + b]
+        else:
+            new, start = [], 0
+            for a, b, c in blocks:
+                new += rev[start:c + a]
+                start = c + b
             new += rev[start:]
-            runs.append((len(rev) - start, start, len(hit)))
-        keep = max(runs)[2] if runs else 0
-        self._pos_offset = offset = offset + keep
-        for length, start, j in runs:
-            if j != keep:
-                first = start - j + offset
-                pos.update(zip(rev[start:start + length], range(first, first + length)))
+            self._rev = rev = new
         hit.sort(key=hits.__getitem__)
-        pos.update(zip(hit, range(len(new) + offset, len(rev) + offset)))
-        new += hit
-        self._rev = new
+        rev += hit
+        self._pos_offset = offset = offset + keep
+        pos.update(zip(rev[:lo], range(offset, offset + lo)))
+        pos.update(zip(rev[hi:], range(offset + hi, offset + n)))
         hits.clear()
 
     # -- engine fast paths ---------------------------------------------------

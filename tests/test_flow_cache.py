@@ -1,3 +1,4 @@
+import functools
 import gc
 import random
 import sys
@@ -259,6 +260,90 @@ def test_rebalance_all_zero_is_stable():
     before = subtables(cache)
     cache.rebalance(1.0)
     assert subtables(cache) == before
+
+
+@functools.cache
+def _sip_sp_dp_runs():
+    """The `sip_sp_dp` ACL and its probe trace as runs of one, compiled once (8209 masks)."""
+    acl = use_case_acl(UseCase.SIP_SP_DP)
+    packets = build_trace(UseCase.SIP_SP_DP, acl).packets
+    return acl, list(zip(packets, FlowTable.of(acl).trace_ids(packets), [1] * len(packets)))
+
+
+def _long_cache(first, second):
+    """A `sip_sp_dp` cache holding the masks of trace runs [first:first + second], from 5 s.
+
+    Runs [:first] are installed at 0 s and expired at 10 s.  The trace's
+    first 289 runs cycle through 17 masks that recur later, so with `first`
+    from 300 up the expiry removes subtables and leaves a nonzero offset.
+    """
+    acl, runs = _sip_sp_dp_runs()
+    cache = FlowCache(acl, emc_enabled=False)
+    cache.classify_batch(runs[:first], now=0.0)
+    cache.classify_batch(runs[first:first + second], now=5.0)
+    cache.expire(10.0)
+    return cache
+
+
+def _credit_storage(cache, counts, now):
+    """Credit counts[i] hits to the subtable at storage index i (index 0 searched last)."""
+    fid_of = {cache.table.mask_of[fid]: fid for fid in cache._idle}
+    for i, count in sorted(counts.items()):
+        cache.credit_hits([fid_of[cache._rev[i]]], count, now)
+
+
+@settings(max_examples=25, deadline=None)
+@given(first=st.just(0) | st.integers(300, 900), second=st.integers(300, 2500), data=st.data())
+def test_rebalance_of_long_storage_is_a_stable_sort_by_hits(first, second, data):
+    """Hundreds to thousands of subtables, hit in blocks, singletons or both, with tied counts.
+
+    Blocks may touch the bottom or the top of storage, and a prior expiry
+    or rebalance leaves a nonzero position offset.  After each rebalance
+    the search order is the prior one stably sorted by hits, descending.
+    """
+    cache = _long_cache(first, second)
+    assert first == 0 or cache._pos_offset > 0
+    now = 10.0
+    for _ in range(2):
+        n = cache.subtable_count
+        hit = set()
+        for start, length in data.draw(st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(1, n)), max_size=5), label="blocks"):
+            hit.update(range(start, min(start + length, n)))
+        for edge in data.draw(st.sets(st.sampled_from(["bottom", "top"])), label="edges"):
+            length = data.draw(st.integers(1, n), label=f"{edge} block")
+            hit.update(range(length) if edge == "bottom" else range(n - length, n))
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        hit.update(rng.sample(range(n), min(n, data.draw(st.integers(0, 1500), label="singletons"))))
+        most = data.draw(st.sampled_from([1, 3, 1000]), label="most hits")
+        _credit_storage(cache, {i: rng.randint(1, most) for i in hit}, now)
+        prior = subtables(cache)
+        now += 1.0
+        cache.rebalance(now)
+        stable = sorted(prior, key=lambda s: -s.interval_hits)
+        assert [s.mask_id for s in subtables(cache)] == [s.mask_id for s in stable]
+        check_invariants(cache)
+
+
+def test_rebalance_of_one_block_edits_storage_in_place():
+    """Hits in one block: storage stays the same list, and no position of its longest unhit run is written.
+
+    Storage 100-199 are hit, so the masks from 200 up are the longest
+    unhit run.  Their positions are ints above 256, new objects whenever
+    written.
+    """
+    cache = _long_cache(0, 1000)
+    assert cache.subtable_count > 400
+    rev, pos = cache._rev, cache._pos
+    _credit_storage(cache, {i: i % 3 + 1 for i in range(100, 200)}, now=10.0)
+    kept = {mid: pos[mid] for mid in rev[200:]}
+    prior = subtables(cache)
+    cache.rebalance(11.0)
+    assert cache._rev is rev
+    assert all(pos[mid] is p for mid, p in kept.items())
+    stable = sorted(prior, key=lambda s: -s.interval_hits)
+    assert [s.mask_id for s in subtables(cache)] == [s.mask_id for s in stable]
+    check_invariants(cache)
 
 
 # -- classify -------------------------------------------------------------------
