@@ -292,7 +292,7 @@ def _credit_storage(cache, counts, now):
         cache.credit_hits([fid_of[cache._rev[i]]], count, now)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(first=st.just(0) | st.integers(300, 900), second=st.integers(300, 2500), data=st.data())
 def test_rebalance_of_long_storage_is_a_stable_sort_by_hits(first, second, data):
     """Hundreds to thousands of subtables, hit in blocks, singletons or both, with tied counts.
@@ -325,12 +325,13 @@ def test_rebalance_of_long_storage_is_a_stable_sort_by_hits(first, second, data)
         check_invariants(cache)
 
 
-def test_rebalance_of_one_block_edits_storage_in_place():
+def test_rebalance_of_few_blocks_edits_storage_in_place():
     """Hits in one block: storage stays the same list, and no position of its longest unhit run is written.
 
     Storage 100-199 are hit, so the masks from 200 up are the longest
     unhit run.  Their positions are ints above 256, new objects whenever
-    written.
+    written.  Then two blocks near the top: storage stays the same list,
+    its blocks deleted top first.
     """
     cache = _long_cache(0, 1000)
     assert cache.subtable_count > 400
@@ -341,6 +342,14 @@ def test_rebalance_of_one_block_edits_storage_in_place():
     cache.rebalance(11.0)
     assert cache._rev is rev
     assert all(pos[mid] is p for mid, p in kept.items())
+    stable = sorted(prior, key=lambda s: -s.interval_hits)
+    assert [s.mask_id for s in subtables(cache)] == [s.mask_id for s in stable]
+    check_invariants(cache)
+    n = cache.subtable_count
+    _credit_storage(cache, {i: 1 for i in (*range(n - 60, n - 50), *range(n - 30, n - 20))}, 11.0)
+    prior = subtables(cache)
+    cache.rebalance(12.0)
+    assert cache._rev is rev
     stable = sorted(prior, key=lambda s: -s.interval_hits)
     assert [s.mask_id for s in subtables(cache)] == [s.mask_id for s in stable]
     check_invariants(cache)
