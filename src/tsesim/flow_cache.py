@@ -30,7 +30,10 @@ walk splits at the layout's last field.  Probe traces vary that field
 fastest, so 94.1% of positions in the `dp`, `sp_dp` and `sip_sp_dp` traces
 repeat the previous header in every field above it; a run of such headers
 walks those fields once, and then tests only the rules still open on the
-last field.  The table memoizes whole compiled traces, not headers.
+last field.  When those are one last-field test and a rule the whole run
+matches, as in every run of these traces, each later header of the run is
+decided by that one test.  The table memoizes whole compiled traces, not
+headers.
 
 Neither a subtable nor the EMC is a Python object of its own.  The cache
 keeps subtable state in columns keyed by the table's dense mask ids, one
@@ -40,7 +43,9 @@ they hold and a slot memo.  The cache has no views of this state; the
 tests' oracle (`tests/oracle_cache.py`) reads it and checks its invariants.
 A subtable is live while it holds a megaflow; `expire` takes an emptied one
 out of the search order and drops its hits, and the next install of its
-mask puts it first in the order, as a brand-new subtable enters.
+mask puts it first in the order, as a brand-new subtable enters.  A
+batch's new and revived subtables enter storage once, when its pricing
+loop ends, in install order, so the last installed is searched first.
 Subtables are re-ranked by per-interval hit counts at each `rebalance`.
 Only masks hit since the last rebalance have a hit count, so those counts'
 keys are the hit subtables; the unhit ones keep their relative order and
@@ -136,9 +141,14 @@ class FlowTable:
         positions repeat the previous header in every upper field.  The
         first header of such a run walks the ACL's rules; the second reduces
         them, once for the run, to the few whose last field is still to test
-        (`_open_rules`), and it and the rest of the run walk only those.  A
-        trace whose consecutive headers differ above the last field walks
-        the ACL's rules at every position.
+        (`_open_rules`), and it and the rest of the run walk only those.
+        When they are two, one last-field test `(low, v, cut, d0)` and then
+        a rule every header of the run matches, with `decided` d1, the walk
+        is one test: `diff = (bits ^ v) & low`, and the mask is
+        `d1 | cut[diff.bit_length()]` if `diff` else `d0`.  In the probe
+        traces every run takes this path.  A trace whose consecutive
+        headers differ above the last field walks the ACL's rules at every
+        position.
         """
         flow_ids, whole, last = self._flow_ids, self.acl.packed, self._last
         shift = last.bit_length()
@@ -150,13 +160,20 @@ class FlowTable:
                 upper, rules = bits >> shift, whole
             elif rules is whole:
                 rules = self._open_rules(bits)
-            acc = 0
-            for m, value, prefix, decided in rules:
-                diff = (bits ^ value) & m
-                if not diff:
-                    break
-                acc |= prefix[diff.bit_length()]
-            if (fid := flow_ids.setdefault(bits & (m := acc | decided), flows)) == flows:
+                if len(rules) == 2:  # one last-field test, then a rule the run matches
+                    (low, v, cut, d0), (_, _, _, d1) = rules
+                    rules = None
+            if rules is None:
+                m = d1 | cut[diff.bit_length()] if (diff := (bits ^ v) & low) else d0
+            else:
+                acc = 0
+                for m, value, prefix, decided in rules:
+                    diff = (bits ^ value) & m
+                    if not diff:
+                        break
+                    acc |= prefix[diff.bit_length()]
+                m = acc | decided
+            if (fid := flow_ids.setdefault(bits & m, flows)) == flows:
                 flows += 1
                 if (mid := mask_ids.setdefault(m, masks)) == masks:
                     masks += 1
@@ -174,7 +191,9 @@ class FlowTable:
         of the rules abandoned before it, the upper masks of the open rules
         up to it and its own last-field mask.  The list ends at the first
         open rule without a last-field constraint, which every such header
-        matches.
+        matches; the ACL ends with a catch-all, so there is one.  A list of
+        two is one last-field test and that rule, which `flow_ids` decides
+        with one test per header.
         """
         last, acc, rules = self._last, 0, []
         for m, value, prefix, _ in self.acl.packed:
@@ -254,8 +273,8 @@ class FlowCache:
         self._rev: list[int] = []
         self._pos: dict[int, int] = {}
         self._pos_offset = 0
-        # Live megaflows by mask id, 0 out of storage; an install of a mask
-        # id past its end grows it to the table's mask count.
+        # Live megaflows by mask id, 0 out of storage; an install that reads
+        # a mask id past its end grows it to the table's mask count.
         self._size: list[int] = []
         # Hits since the last rebalance, by mask id, of stored masks only:
         # its keys are the hit subtables.  expire pops a mask it empties.
@@ -451,7 +470,12 @@ class FlowCache:
         the megaflow hits); `classify_batch` gives the price they make.  An
         EMC hit is `bits in resident`; a fill finds the slot (memo, then
         `header_hash64`) and swaps the slot's old occupant out of `resident`.
-        An install revives or creates the flow's subtable first in the order.
+        An install counts the flow into its subtable and lists a mask it
+        finds empty in `created`, which enters storage after the loop, first
+        in the order, in install order: the loop reads the positions of
+        megaflow hits only, whose masks were stored at batch start.  The
+        live-count column grows to the table's mask count when an install
+        reads past its end, as lazily read runs may intern masks mid-batch.
         """
         emc_on, capacity = self.emc_enabled, self.emc_capacity
         slots, resident, slot_of = self._emc_slots, self._resident, self._slot_of
@@ -486,13 +510,15 @@ class FlowCache:
                     continue
                 if fid not in batch_new:  # then it is not live either
                     batch_new.add(fid)
-                    if (mid := mask_of[fid]) >= len(size):
+                    mid = mask_of[fid]
+                    try:
+                        live = size[mid]
+                    except IndexError:  # a mask interned after the column last grew
                         size.extend([0] * (len(mask_bits) - len(size)))
-                    if not size[mid]:
-                        pos[mid] = len(rev) + offset
-                        rev.append(mid)
+                        live = 0
+                    if not live:
                         created.append(mid)
-                    size[mid] += 1
+                    size[mid] = live + 1
                     idle[fid] = now
             if emc_on:
                 slot = slot_of.get(bits)
@@ -501,6 +527,10 @@ class FlowCache:
                 resident.discard(slots.get(slot))
                 resident.add(bits)
                 slots[slot] = bits
+        if created:  # the new subtables enter the order first, in install order
+            top = len(rev) + offset
+            pos.update(zip(created, range(top, top + len(created))))
+            rev += created
         packets, c = emc_hits + mfc_hits + slow_path, self.costs
         cost = (c.c_emc * (packets if emc_on else 0) + c.c_sub * (lookups + slow_path * n0)
                 + c.c_slow * slow_path)

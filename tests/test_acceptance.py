@@ -289,8 +289,11 @@ def test_criterion_08_tse20_confs_no_recovery_and_conf3_recovers():
     res2, sched2 = conf_run(10.0, 2.0)
     res3, _ = conf_run(10.0, 3.0)
     masks1 = min(r.subtables for r in res1.series if r.second >= 34)
+    # "No recovery" needs a collapse first: a run that never collapses has no ttr either.
     ok = (
-        res1.metrics.ttr is None
+        res1.metrics.ttd is not None
+        and res2.metrics.ttd is not None
+        and res1.metrics.ttr is None
         and res2.metrics.ttr is None
         and res3.metrics.ttr is not None
         and masks1 >= 7000
@@ -298,10 +301,13 @@ def test_criterion_08_tse20_confs_no_recovery_and_conf3_recovers():
     report(
         8,
         ok,
-        f"attack/sleep 10/1 and 10/2: no sustained recovery over 60s "
+        f"attack/sleep 10/1 and 10/2: collapse at ttd={res1.metrics.ttd}s and "
+        f"{res2.metrics.ttd}s, no sustained recovery over 60s "
         f"(10/1 steady masks >= {masks1}); 10/3 recovers at ttr={res3.metrics.ttr}s; "
         f"10/2 mask floor checked separately",
     )
+    assert res1.metrics.ttd is not None
+    assert res2.metrics.ttd is not None
     assert res1.metrics.ttr is None
     assert res2.metrics.ttr is None
     assert res3.metrics.ttr is not None

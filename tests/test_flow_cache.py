@@ -1061,6 +1061,31 @@ def test_classify_batch_reads_a_one_shot_iterator_as_a_list(emc_enabled, capacit
     assert (sum(r.emc_hits for r in results) > 0) == emc_enabled
 
 
+@pytest.mark.parametrize("emc_enabled", [False, True])
+def test_classify_batch_reads_runs_that_intern_new_masks(emc_enabled):
+    """Runs whose generator interns masks the table has not seen price as the same runs listed.
+
+    Each cache has a table of its own.  The lazy one's generator calls
+    `flow_id` as `classify_batch` reads each run, so the table's mask count
+    grows during the batch, past what it was when the batch began.
+    """
+    rng = random.Random(43)
+    listed, lazy = (FlowCache(five_acl(), emc_enabled=emc_enabled) for _ in range(2))
+    assert listed.table is not lazy.table
+    pool = [rand_five(rng) for _ in range(40)]
+    grew = 0
+    for step in range(6):
+        batch = [(h, rng.randint(1, 3)) for h in rng.choices(pool, k=10)]
+        want = listed.classify_batch([(h, listed.flow_id(h), c) for h, c in batch], now=step * 0.5)
+        masks = len(lazy.table.mask_bits)
+        got = lazy.classify_batch(((h, lazy.flow_id(h), c) for h, c in batch), now=step * 0.5)
+        grew += len(lazy.table.mask_bits) > masks
+        assert got == want
+        assert cache_state(lazy) == cache_state(listed)
+        check_invariants(lazy)
+    assert grew >= 2
+
+
 def test_installing_subtables_makes_no_object_per_subtable():
     """One batch installing all 257 `sp_dp` masks adds a bounded number of GC-tracked objects.
 

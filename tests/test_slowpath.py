@@ -1,9 +1,10 @@
 import random
 import sys
+from itertools import groupby
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -275,6 +276,53 @@ def test_bulk_compile_of_runs_matches_independent_oracle(case):
     headers = [header(FIVE_TUPLE, **fields) for fields in trace]
     table = FlowTable(acl)
     ids = table.flow_ids(headers)
+    for _, run in groupby(headers, key=lambda h: h.bits >> WIDTH["dport"]):
+        if len(run := list(run)) > 1:
+            one_test = len(table._open_rules(run[0].bits)) == 2
+            event("run after its first header: " + ("one test" if one_test else "open-rule walk"))
+    for fields, h, fid in zip(trace, headers, ids):
+        o_key, o_mask, o_action = o_synthesize(fields, oracle_rules)
+        want = FIVE_TUPLE.pack(o_key), FIVE_TUPLE.pack(o_mask), o_action
+        key, mask, action = flow(table, fid)
+        assert (key, mask, action.value) == want
+        assert table.flow_id(h) == fid
+
+
+SRC = ip_to_int("10.0.0.1")
+UPPER_FIELDS = dict(ip_src=SRC, ip_dst=ip_to_int("10.0.0.2"), proto=17, sport=1000)
+DPORTS = [80, 81, 80, 443, 442, 0, 65535, 80 ^ 0x100, 443, 1, 80, 12345, 443 ^ 0x8000, 80]
+
+
+@pytest.mark.parametrize(
+    "rules, open_rules",
+    [
+        # one dport test, then a catch-all; rules abandoned above dport sit on both sides
+        ([(40, {"proto": 6, "dport": 22}, Action.DENY), (30, {"ip_src": SRC, "dport": 80}, Action.ALLOW),
+          (20, {"sport": 999}, Action.ALLOW)], 2),
+        # two open rules test dport
+        ([(30, {"ip_src": SRC, "dport": 80}, Action.ALLOW), (25, {"dport": 443}, Action.DENY),
+          (20, {"sport": 999}, Action.ALLOW)], 3),
+        # the first open rule has no dport constraint
+        ([(40, {"proto": 6, "dport": 22}, Action.DENY), (30, {"ip_src": SRC}, Action.ALLOW),
+          (25, {"dport": 443}, Action.DENY)], 1),
+    ],
+    ids=["one-test", "two-dport-tests", "no-dport-test"],
+)
+def test_bulk_compile_of_each_run_shape_matches_the_oracle(rules, open_rules):
+    """Runs of every open-rule shape compile, in one trace, to the reference walk's flows.
+
+    The trace holds a run over `UPPER_FIELDS`, a run whose `ip_src` differs,
+    and the first run again.  Only a run whose open rules are one dport test
+    and a rule it matches decides its later headers with one test.
+    """
+    acl, oracle_rules = _acl(rules)
+    other = {**UPPER_FIELDS, "ip_src": SRC + 1}
+    trace = ([{**UPPER_FIELDS, "dport": d} for d in DPORTS] + [{**other, "dport": d} for d in DPORTS[:5]]
+             + [{**UPPER_FIELDS, "dport": d} for d in reversed(DPORTS)])
+    headers = [header(FIVE_TUPLE, **fields) for fields in trace]
+    table = FlowTable(acl)
+    assert len(table._open_rules(headers[0].bits)) == open_rules
+    ids = table.flow_ids(headers)
     for fields, h, fid in zip(trace, headers, ids):
         o_key, o_mask, o_action = o_synthesize(fields, oracle_rules)
         want = FIVE_TUPLE.pack(o_key), FIVE_TUPLE.pack(o_mask), o_action
@@ -284,19 +332,25 @@ def test_bulk_compile_of_runs_matches_independent_oracle(case):
 
 
 def test_bulk_compile_on_the_one_field_layout_matches_the_oracle():
-    """On HYP the last field is the whole header, so every header shares its (no) upper fields."""
-    matches = [(3, 0b101, Action.ALLOW), (2, 0b100, Action.DENY), (1, 0b001, Action.ALLOW)]
-    acl = Acl.from_rules(HYP, [rule(HYP, p, a, hyp=v) for p, v, a in matches]
-                         + [rule(HYP, 0, Action.DENY)])
-    oracle_rules = [({"hyp": v}, a.value) for _, v, a in matches] + [({}, "deny")]
+    """On HYP the last field is the whole header, so every header shares its (no) upper fields.
+
+    With three rules a run walks four open rules; with one, each header
+    after the first is decided by the one test.
+    """
     values = [0b101, 0b100, 0b100, 0b000, 0b111, 0b001, 0b101, 0b011, 0b010, 0b110, 0b001]
-    table = FlowTable(acl)
-    ids = table.flow_ids([hv(v) for v in values])
-    for v, fid in zip(values, ids):
-        (o_key,), (o_mask,), o_action = o_synthesize({"hyp": v}, oracle_rules, (("hyp", 3),))
-        key, mask, action = flow(table, fid)
-        assert (key, mask, action.value) == (o_key, o_mask, o_action)
-        assert table.flow_id(hv(v)) == fid
+    three = [(3, 0b101, Action.ALLOW), (2, 0b100, Action.DENY), (1, 0b001, Action.ALLOW)]
+    for matches, open_rules in ((three, 4), (three[2:], 2)):
+        acl = Acl.from_rules(HYP, [rule(HYP, p, a, hyp=v) for p, v, a in matches]
+                             + [rule(HYP, 0, Action.DENY)])
+        oracle_rules = [({"hyp": v}, a.value) for _, v, a in matches] + [({}, "deny")]
+        table = FlowTable(acl)
+        assert len(table._open_rules(0)) == open_rules
+        ids = table.flow_ids([hv(v) for v in values])
+        for v, fid in zip(values, ids):
+            (o_key,), (o_mask,), o_action = o_synthesize({"hyp": v}, oracle_rules, (("hyp", 3),))
+            key, mask, action = flow(table, fid)
+            assert (key, mask, action.value) == (o_key, o_mask, o_action)
+            assert table.flow_id(hv(v)) == fid
 
 
 def test_synthesized_entries_same_acl_disjoint_or_identical():
