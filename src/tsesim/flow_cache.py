@@ -7,10 +7,10 @@ slow path, whose result is cached.  The matching entry is found through
 synthesis rather than by scanning, and charged the scan's probe count: each
 ACL's megaflows are interned as ints in a `FlowTable`, and a packet arrives
 with its megaflow's id.  The one record of a live megaflow is its id in a
-list kept in last-hit order: an install appends, a hit moves the id to the
-end, and expiry takes entries idle for the timeout from the front.  A
-flow's mask is read from the table, and a subtable's state from the
-cache's columns indexed by mask id.  No flow's action is kept: pricing
+dict kept in last-hit order: an install appends, a hit deletes the id and
+appends it again, and expiry takes entries idle for the timeout from the
+front.  A flow's mask is read from the table, and a subtable's state from
+the cache's columns indexed by mask id.  No flow's action is kept: pricing
 counts probes and never reads one.  Results are ids: new subtables' mask
 ids from `classify_batch`, expired flow ids and removed mask ids from
 `expire`.
@@ -23,7 +23,10 @@ is counted, then priced: the loop tallies the counters of OVS's
 hits, miss with success upcall), and the price is one linear function of
 them.  An EMC slot holds a header's bits, and an EMC hit is one lookup in
 the set of them.  `expire` deletes the idle list's front up to the first
-entry still young.
+entry still young.  A plain dict walks over the holes its deletes leave,
+so the cache keeps a lower bound on every live last hit, the last hit of
+the entry the last scan stopped at, and reads the front only once that
+bound is idle for the timeout.
 
 A trace compiles to flow ids in one pass of `FlowTable.flow_ids`, whose
 walk splits at the layout's last field.  Probe traces vary that field
@@ -57,7 +60,6 @@ few stored ids.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -280,9 +282,13 @@ class FlowCache:
         # its keys are the hit subtables.  expire pops a mask it empties.
         self._hits: dict[int, int] = {}
         # Flow id -> last hit of each live megaflow, in last-hit order, oldest
-        # first: a `now` below `_clock`, the latest one, is rejected.
-        self._idle: OrderedDict[int, float] = OrderedDict()
-        self._clock = float("-inf")
+        # first: a refresh deletes the id and inserts it again at the end.  A
+        # `now` below `_clock`, the latest one, is rejected, so no stamp falls
+        # below it.  _floor is at most every live last hit: the last hit of
+        # the entry the last expiry scan stopped at, or that scan's `now` if
+        # it emptied the list.
+        self._idle: dict[int, float] = {}
+        self._clock = self._floor = float("-inf")
 
     @property
     def subtable_count(self) -> int:
@@ -310,26 +316,37 @@ class FlowCache:
         Returns (expired flow ids in last-hit order, mask ids of the removed
         subtables).  An emptied subtable's mask leaves storage and the hit
         counts, with size 0 for an install to revive.
-        Costs O(expired + 1): the idle list is in last-hit order, so expiry
-        reads it from the front up to the first entry still young, then
-        deletes the entries before it.  Only the storage prefix up to the
-        highest removed mask is renumbered; expired subtables have gone
-        unhit, so they rank last and sit low in storage.
+        The idle list is in last-hit order, so expiry reads it from the
+        front up to the first entry still young, then deletes the entries
+        before it.  It reads nothing while `_floor`, a lower bound on every
+        live last hit, is still young: then no entry can pass the test.
+        Costs O(1) then, and otherwise O(expired + the holes that deletes
+        and refreshes left before the first young entry), which the dict
+        walks over.  Only the storage prefix up to the highest removed
+        mask is renumbered; expired subtables have gone unhit, so they rank
+        last and sit low in storage.
         """
         self._advance(now)
+        timeout = self.idle_timeout
+        # Not `last_hit <= now - timeout`: the two round differently.  The
+        # skip test is the loop's test on `_floor`, and float addition is
+        # monotone, so it skips only when the loop would break at once.
+        if not (self._floor + timeout <= now):
+            return [], []
         removed_entries: list[int] = []
         removed_masks: list[int] = []
-        idle, size, hits = self._idle, self._size, self._hits
-        mask_of, timeout = self.table.mask_of, self.idle_timeout
+        idle, size, hits, mask_of = self._idle, self._size, self._hits, self.table.mask_of
         for fid, last_hit in idle.items():
-            # Not `last_hit <= now - timeout`: the two round differently.
             if not (last_hit + timeout <= now):
+                self._floor = last_hit
                 break
             removed_entries.append(fid)
             size[mid := mask_of[fid]] -= 1
             if not size[mid]:
                 hits.pop(mid, None)
                 removed_masks.append(mid)
+        else:
+            self._floor = now  # the list is empty, and no later stamp is below now
         for fid in removed_entries:
             del idle[fid]
         if removed_masks:
@@ -481,7 +498,7 @@ class FlowCache:
         slots, resident, slot_of = self._emc_slots, self._resident, self._slot_of
         idle, rev, pos, size, hits = self._idle, self._rev, self._pos, self._size, self._hits
         mask_of, mask_bits = self.table.mask_of, self.table.mask_bits
-        move_to_end, hits_of = idle.move_to_end, hits.get
+        hits_of = hits.get
         # A stored mask's 1-based search position at batch start is base - pos[mid].
         n0, offset = len(rev), self._pos_offset
         base = n0 + offset
@@ -502,8 +519,8 @@ class FlowCache:
                 if probe:
                     continue
                 hits[mid] = hits_of(mid, 0) + count
+                del idle[fid]  # re-inserted at the end, the newest
                 idle[fid] = now
-                move_to_end(fid)
             else:
                 slow_path += count
                 if probe:
@@ -547,5 +564,5 @@ class FlowCache:
             if fid in idle:
                 mid = mask_of[fid]
                 hits[mid] = hits_of(mid, 0) + packets
+                del idle[fid]
                 idle[fid] = now
-                idle.move_to_end(fid)

@@ -21,8 +21,8 @@ The cache keeps its state in plain columns and has no views of it; this
 module holds them.  `subtables` lists the live subtables in search order as
 `Subtable` tuples, and `check_invariants` checks the cache's bookkeeping
 against its contents: subtable storage and positions, sizes against the
-live megaflows, hit counts, the idle list's order, and the EMC's slots
-against its resident set and slot hashes.
+live megaflows, hit counts, the idle list's order and floor, and the EMC's
+slots against its resident set and slot hashes.
 
 The cache and its `FlowTable` hold megaflows as ints and report ids; the
 helpers below map ids back to key and mask bits through the table, so tests
@@ -76,7 +76,8 @@ def check_invariants(cache: FlowCache) -> None:
     is the count of its live flows in the idle list (and not 0), a mask
     out of storage has size 0 and no hits, the hit counts hold only
     stored masks with a count above 0, last hits are non-decreasing
-    along the idle list, the EMC's resident set is the set of bits its
+    along the idle list, the idle floor is at most the first of them and
+    at most the clock, the EMC's resident set is the set of bits its
     slots hold, and each slot's bits hash to that slot.
     """
 
@@ -104,6 +105,9 @@ def check_invariants(cache: FlowCache) -> None:
     require(sizes.keys() <= stored, "idle list holds a flow whose subtable is absent")
     last = list(cache._idle.values())
     require(all(a <= b for a, b in zip(last, last[1:])), "idle list is out of last-hit order")
+    require(not last or cache._floor <= last[0],
+            f"idle floor {cache._floor} is above the first last hit {last[:1]}")
+    require(cache._floor <= cache._clock, f"idle floor {cache._floor} is above the clock")
     slots, resident, layout = cache._emc_slots, cache._resident, cache.table.acl.layout
     held = set(slots.values())
     require(not resident - held, "EMC resident set holds bits that no slot holds")
@@ -154,8 +158,8 @@ def intern(table: FlowTable, mask_bits: int, key_bits: int, action: Action) -> i
 
 class SequentialCache(FlowCache):
     def _refresh(self, fid: int, now: float) -> None:
+        del self._idle[fid]
         self._idle[fid] = now
-        self._idle.move_to_end(fid)
 
     def _install(self, fid: int, now: float) -> bool:
         """Make flow fid live; return whether that created (or revived) its subtable."""

@@ -591,8 +591,20 @@ def test_check_invariants_detects_corruption():
     cache = table_b_cache()
     cache.mfc_lookup(hv(0b000), now=5.0)
     check_invariants(cache)
-    cache._idle.move_to_end(next(reversed(cache._idle)), last=False)
+    *older, newest = cache._idle.items()
+    cache._idle.clear()
+    cache._idle.update([newest, *older])  # the newest entry first
     with pytest.raises(AssertionError, match="out of last-hit order"):
+        check_invariants(cache)
+    cache = table_b_cache()
+    cache.expire(5.0)  # stops at the first entry, last hit at 0.0
+    check_invariants(cache)
+    cache._floor = 1.0  # not a lower bound on the live last hits
+    with pytest.raises(AssertionError, match=r"idle floor 1.0 is above the first last hit \[0.0\]"):
+        check_invariants(cache)
+    cache = FlowCache(hyp_acl())
+    cache._floor = 1.0  # no entry, but a later install may stamp the clock
+    with pytest.raises(AssertionError, match="idle floor 1.0 is above the clock"):
         check_invariants(cache)
     cache = table_b_cache()
     cache._hits[cache._rev[-1]] = 0  # a hit mask with no hits
@@ -930,6 +942,37 @@ def test_expire_compares_last_hit_plus_timeout_with_now():
     assert expired == fids[:1] and removed == [cache.table.mask_of[fids[0]]]
     assert list(cache._idle.items()) == [(fids[1], 63 * tick), (fids[2], 64 * tick)]
     check_invariants(cache)
+
+
+def test_expire_sets_its_floor_where_the_scan_stops():
+    """The floor is the last hit of the entry a scan stopped at, and no entry outlives its timeout.
+
+    Flows a, b and c are installed at 0, 5 and 7 s.  A scan at 7 s stops at
+    a, so the floor is 0, not c's 7; at exactly 10 s, floor + timeout equals
+    now and a expires.  b is then refreshed at 12 s, which leaves the floor
+    below the new front, c, and c must still expire at 17 s.  b's expiry at
+    22 s empties the list and sets the floor to 22 s.
+    """
+    cache = FlowCache(five_acl(), emc_enabled=False)
+    a, b, c = (
+        header(FIVE_TUPLE, ip_src=9, ip_dst=2, proto=6, sport=3, dport=80),
+        header(FIVE_TUPLE, ip_src=ip_to_int("10.0.0.1"), ip_dst=2, proto=6, sport=3, dport=81),
+        header(FIVE_TUPLE, ip_src=9, ip_dst=2, proto=6, sport=12345, dport=81),
+    )
+    fa, fb, fc = fids = [cache.flow_id(h) for h in (a, b, c)]
+    assert len(set(fids)) == 3
+    for h, t in zip((a, b, c), (0.0, 5.0, 7.0)):
+        cache.classify_batch([(h, cache.flow_id(h), 1)], t)
+    steps = [(7.0, [], 0.0), (10.0, [fa], 5.0), (12.0, None, 5.0), (17.0, [fc], 12.0),
+             (21.0, [], 12.0), (22.0, [fb], 22.0), (31.0, [], 22.0)]
+    for now, expired, floor in steps:
+        if expired is None:
+            cache.credit_hits([fb], 1, now)
+            assert list(cache._idle) == [fc, fb]
+        else:
+            assert cache.expire(now)[0] == expired
+        assert cache._floor == floor
+        check_invariants(cache)
 
 
 def test_probe_cost_is_read_only():

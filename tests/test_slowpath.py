@@ -189,9 +189,13 @@ def _near(draw, rules, name):
 
 @st.composite
 def _rules(draw):
-    """1-6 rules on 1-3 fields each, as (priority, matches, action), with random priorities."""
+    """1-6 rules on 1-3 fields each, as (priority, matches, action), with random priorities.
+
+    Only the priorities' order matters, so they are 1..count in a drawn
+    order: every draw is distinct, and none is rejected as a repeat.
+    """
     count = draw(st.integers(1, 6))
-    priorities = draw(st.lists(st.integers(1, 1000), min_size=count, max_size=count, unique=True))
+    priorities = draw(st.permutations(range(1, count + 1)))
     rules = []
     for priority in priorities:
         names = draw(st.lists(st.sampled_from(ORDER), min_size=1, max_size=3, unique=True))
