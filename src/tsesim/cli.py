@@ -78,9 +78,6 @@ class Scenario:
     victim_offered: float = DEFAULT_VICTIM_OFFERED
     victim_flows: int = 2
     emc: bool = False
-    tick: float = 0.1
-    eps_down: float = 0.01
-    eps_up: float = 0.05
     out: str = ""  # not given: gen-trace writes <use_case>.trace, run out/, sweep no CSV
 
     def __post_init__(self) -> None:
@@ -124,10 +121,7 @@ class Scenario:
             budget_per_core=self.budget_per_core,
             victim_offered=self.victim_offered,
             emc_enabled=self.emc,
-            tick=self.tick,
             duration=self.duration,
-            eps_down=self.eps_down,
-            eps_up=self.eps_up,
             build_cache_map=build_cache_map,
         )
 
@@ -276,7 +270,7 @@ def cmd_sweep(scenario: Scenario, cores_list: list[int], rates_list: list[float]
         for rate, sched in zip(rates_list, schedules):
             result = run(replace(base, cores=cores), acl, [(trace, sched)], victims)
             mean = sum(result.fractions[s] for s in attack_secs) / len(attack_secs)
-            dos = mean <= scenario.eps_down
+            dos = mean <= base.eps_down
             if dos and cores not in min_rate:
                 min_rate[cores] = rate
             line = f"cores={cores} rate={rate:.0f} mean_attack_fraction={mean:.6f} dos={'yes' if dos else 'no'}"

@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import ClassVar, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .attack import AttackSchedule, Trace, simple_acl, use_case_acl, UseCase
 from .flow_cache import BatchResult, FlowCache, FlowTable, Run
@@ -29,7 +29,7 @@ from .headers import (
 )
 from .slowpath import Acl, Action, rule
 
-MAX_TICKS = 1_000_000  # per run; 60 s at the default 0.1 s tick is 600
+MAX_TICKS = 1_000_000  # per run; 60 s at the 0.1 s tick is 600
 
 # A tick replays an attack's emissions as runs, one list entry per distinct
 # emission (a clone group), each priced in Python: a tick's memory and time
@@ -62,27 +62,30 @@ MAX_VICTIM_FLOWS = VICTIM_PRIORITY - max(r.priority for r in simple_acl().rules)
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One run's settings; building one with a bad value raises ValueError."""
+    """One run's settings; building one with a bad value raises ValueError.
+
+    The time step and the DoS thresholds are model constants: a run steps in
+    0.1 s ticks, and a second at or below 1% of the victim's baseline
+    goodput is down, one at or above 5% up.
+    """
+
+    ticks_per_second: ClassVar[int] = 10
+    tick: ClassVar[float] = 1 / ticks_per_second
+    eps_down: ClassVar[float] = 0.01
+    eps_up: ClassVar[float] = 0.05
 
     cores: int = 1
     budget_per_core: float = DEFAULT_BUDGET_PER_CORE
     victim_offered: float = DEFAULT_VICTIM_OFFERED
     emc_enabled: bool = False
-    tick: float = 0.1
     duration: float = 60.0
-    eps_down: float = 0.01
-    eps_up: float = 0.05
     build_cache_map: bool = True
 
     def __post_init__(self) -> None:
         if self.cores < 1:
             raise ValueError("cores must be >= 1")
-        if self.tick <= 0 or self.duration < 0:
-            raise ValueError("tick must be positive and duration non-negative")
-        if not math.isfinite(1.0 / self.tick):  # round() below cannot take an infinite rate
-            raise ValueError(f"tick {self.tick:g} s is too short: 1 / tick is not finite")
-        if abs(1.0 / self.tick - self.ticks_per_second) > 1e-9:
-            raise ValueError("tick must divide 1.0 exactly")
+        if self.duration < 0:
+            raise ValueError("duration must be non-negative")
         if not float(self.duration).is_integer():  # the series has a row per whole second
             raise ValueError(f"duration must be a whole number of seconds, got {self.duration:g}")
         if (ticks := self.duration / self.tick) > MAX_TICKS:
@@ -92,12 +95,6 @@ class SimConfig:
             raise ValueError("budget_per_core must be > 0")
         if not self.victim_offered > 0:
             raise ValueError("victim_offered must be > 0")
-        if not (0 <= self.eps_down <= 1 and 0 <= self.eps_up <= 1):
-            raise ValueError("eps_down and eps_up must be in [0, 1]")
-
-    @property
-    def ticks_per_second(self) -> int:
-        return round(1.0 / self.tick)
 
 
 @dataclass(frozen=True)
@@ -209,16 +206,12 @@ SUSTAIN_SPAN_S = 2
 GOODPUT_FLOOR = 1e-3
 
 
-def metrics_extract(
-    fractions: Sequence[float],
-    attack_start: float,
-    eps_down: float = 0.01,
-    eps_up: float = 0.05,
-) -> Metrics:
+def metrics_extract(fractions: Sequence[float], attack_start: float) -> Metrics:
+    """ttd, ttr, DoSP and plateau of a per-second series, at SimConfig's thresholds."""
     start_s = max(0, math.ceil(attack_start))
     ttd_second = None
     for s in range(start_s, len(fractions)):
-        if fractions[s] <= eps_down:
+        if fractions[s] <= SimConfig.eps_down:
             ttd_second = s
             break
     if ttd_second is None:
@@ -228,7 +221,7 @@ def metrics_extract(
     ttr = None
     plateau = None
     for s in range(ttd_second + 1, len(fractions) + 1):
-        if s < len(fractions) and fractions[s] >= eps_up:
+        if s < len(fractions) and fractions[s] >= SimConfig.eps_up:
             if run_start is None:
                 run_start = s
             continue
@@ -379,6 +372,7 @@ def _ticks(config: SimConfig, cache: FlowCache, emitters: Sequence[_Emitter],
     first = emitters[0] if emitters else None
     lone = first if len(emitters) == 1 else None
     victim_ids = [fid for _, fid, _ in victims]
+    carry = 0.0  # served packets per victim flow not yet credited, under one
     for step in range(int(round(config.duration / tick))):
         t1 = (step + 1) * tick
         # Every emitter advances (and sets `last_pos`) here; its runs are read in classify_batch.
@@ -388,8 +382,12 @@ def _ticks(config: SimConfig, cache: FlowCache, emitters: Sequence[_Emitter],
         victim_cost = victim_cost_probe(cache, victims)
         victim_demand = offered * tick * victim_cost
         fraction = compute_goodput_fraction(budget_tick, batch.total_cost, victim_demand)
-        share = fraction * offered * tick / len(victims) if victims else 0.0
-        cache.credit_hits(victim_ids, int(round(share)), now=t1)
+        carry += fraction * offered * tick / len(victims) if victims else 0.0
+        served = int(carry)
+        carry -= served
+        if served:  # a served packet of a dead victim misses and installs its megaflow again
+            cache.warm([h for h, fid, _ in victims if not cache.is_live(fid)], now=t1)
+            cache.credit_hits(victim_ids, served, now=t1)
 
         _, removed_masks = cache.expire(t1)
         if (step + 1) % ticks_per_second == 0:
@@ -472,9 +470,7 @@ def run(
     if compiled and config.build_cache_map:
         frames = frames_of(ticks, config.ticks_per_second, compiled[0])
     attack_start = min((sched.start for _, sched in attacks), default=0.0)
-    metrics = metrics_extract(
-        [r.goodput_fraction for r in series], attack_start, config.eps_down, config.eps_up
-    )
+    metrics = metrics_extract([r.goodput_fraction for r in series], attack_start)
     masks_total = compiled[0].mask_count if compiled else 0
     return RunResult(ticks, series, metrics, frames, cache, masks_total)
 

@@ -302,6 +302,10 @@ class FlowCache:
         """The flow id of h's megaflow, the middle of a `(header, flow_id, count)` run."""
         return self.table.flow_id(h)
 
+    def is_live(self, fid: int) -> bool:
+        """Whether the megaflow of flow id `fid` is installed."""
+        return fid in self._idle
+
     # -- core operations -----------------------------------------------------
 
     def _advance(self, now: float) -> None:

@@ -45,6 +45,17 @@ def test_parse_config_rejects_unknown_key(tmp_path):
         parse_config(str(cfg), {})
 
 
+@pytest.mark.parametrize("key, value", [("tick", 0.25), ("eps_down", 0.02), ("eps_up", 0.1)])
+def test_model_constants_are_not_config_keys(key, value, tmp_path, capsys):
+    """The tick and the DoS thresholds are model constants: a config file naming one is rejected."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: unknown config key: {key!r}\n"
+    assert not out.exists()
+
+
 def test_parse_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         parse_config(None, {"tse": "3.0"})
@@ -278,16 +289,11 @@ def test_bad_budget_or_victim_value_exits_2(command, flag, value, message, tmp_p
         ("--duration", "nan", "duration must be a finite number, got nan"),
         ("--t-attack", "inf", "t_attack must be a finite number, got inf"),
         ("--t-sleep", "nan", "t_sleep must be a finite number, got nan"),
-        ("--tick", "nan", "tick must be a finite number, got nan"),
         ("--attack-start", "nan", "attack_start must be a finite number, got nan"),
         ("--budget-per-core", "inf", "budget_per_core must be a finite number, got inf"),
         ("--victim-offered", "nan", "victim_offered must be a finite number, got nan"),
-        ("--eps-down", "nan", "eps_down must be a finite number, got nan"),
-        ("--eps-down", "-1", "eps_down and eps_up must be in [0, 1]"),
-        ("--eps-up", "2", "eps_down and eps_up must be in [0, 1]"),
         ("--rate", "-1", "rate must be >= 0, duration > 0, cores >= 1"),
         ("--cores", "0", "rate must be >= 0, duration > 0, cores >= 1"),
-        ("--tick", "0", "tick must be positive and duration non-negative"),
     ],
 )
 def test_non_finite_or_out_of_range_value_exits_2(command, flag, value, message, tmp_path, capsys):
@@ -552,12 +558,12 @@ def test_sweep_cells_use_scenario_config(monkeypatch):
         return real_run(config, *args)
 
     monkeypatch.setattr(cli, "run", spy)
-    flags = ["--cores-list", "1,3", "--victim-flows", "4", "--eps-down", "0.02", "--tick", "0.25"]
+    flags = ["--cores-list", "1,3", "--victim-flows", "4", "--budget-per-core", "1e6"]
     assert main(SMALL_SWEEP + flags) == 0  # the later --cores-list wins
     scenario = parse_config(
         None,
         dict(use_case="dp", duration=20.0, attack_start=2.0, t_attack=5.0, t_sleep=1.0,
-             victim_flows=4, eps_down=0.02, tick=0.25, tse="2.1"),
+             victim_flows=4, budget_per_core=1e6, tse="2.1"),
     )
     base = scenario.sim_config(build_cache_map=False)
     assert seen == [replace(base, cores=1), replace(base, cores=3)]
@@ -594,8 +600,8 @@ def test_sweep_tse_20_is_not_the_clone_replay(monkeypatch, tmp_path, capsys):
 
 RUN_LENGTH_CASES = {
     "too_many_ticks": (
-        ["--duration", "60", "--tick", "1e-6"],
-        "duration 60 s at tick 1e-06 s asks for 60000000 ticks, more than 1000000",
+        ["--duration", "100001"],
+        "duration 100001 s at tick 0.1 s asks for 1000010 ticks, more than 1000000",
     ),
     "fractional_duration": (
         ["--duration", "2.5"], "duration must be a whole number of seconds, got 2.5"
@@ -768,9 +774,6 @@ def test_guarded_input_exits_2_with_one_line(args, message, tmp_path, capsys):
 @pytest.mark.parametrize(
     "args, message",
     [
-        pytest.param(["run", "--tick", "1e-320", "--duration", "1", "--attack-start", "0"],
-                     "tick 9.99989e-321 s is too short: 1 / tick is not finite",
-                     id="subnormal-tick"),
         pytest.param(["gen-trace", "--tse", "2.0", "--rate", "1e308"],
                      "attack phase of 10 s at 1e+308 pps holds too many packets to count",
                      id="huge-rate"),
@@ -783,7 +786,7 @@ def test_guarded_input_exits_2_with_one_line(args, message, tmp_path, capsys):
     ],
 )
 def test_input_that_overflows_an_int_exits_2_with_one_line(args, message, tmp_path, capsys):
-    """Finite values whose tick, phase or run count would round from infinity are range errors."""
+    """Finite values whose phase or run count would round from infinity are range errors."""
     out = tmp_path / "out"
     assert main([*args, "--use-case", "dp", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -820,9 +823,9 @@ def test_rate_past_the_per_tick_cap_exits_2_with_one_line(tmp_path):
     assert not out.exists()
 
 
-def _past_tick_cap(rate, tick, distinct):
+def _past_tick_cap(rate, distinct):
     return (f"attack at {rate} pps with clone factor 1 replays {distinct} distinct packets "
-            f"a {tick} s tick, more than {MAX_DISTINCT_PER_TICK}")
+            f"a 0.1 s tick, more than {MAX_DISTINCT_PER_TICK}")
 
 
 @pytest.mark.parametrize(
@@ -830,11 +833,8 @@ def _past_tick_cap(rate, tick, distinct):
     [
         pytest.param({"rate": 1e7}, None, id="at-tick-cap"),
         pytest.param({"rate": 9999999.0}, None, id="under-tick-cap"),
-        pytest.param({"rate": 10000001.0}, _past_tick_cap(10000001, 0.1, 1000000.1),
+        pytest.param({"rate": 10000001.0}, _past_tick_cap(10000001, 1000000.1),
                      id="past-tick-cap"),
-        pytest.param({"rate": 1e6, "tick": 1.0}, None, id="at-tick-cap-1s-tick"),
-        pytest.param({"rate": 1000001.0, "tick": 1.0}, _past_tick_cap(1000001, 1, 1000001),
-                     id="past-tick-cap-1s-tick"),
         pytest.param({"rate": 1e8, "tse": "2.1"}, None, id="clones-under-tick-cap"),
         pytest.param({"rate": 2.0**53, "tse": "2.1"}, None, id="at-run-count-cap"),
         pytest.param({"rate": 2.0**53 + 2, "tse": "2.1"},
@@ -866,23 +866,22 @@ _extreme = st.sampled_from([0.0, 5e-324, 1e-300, 1e-9, 0.1, 0.5, 1.0, 2.0, 1e3, 
 @given(
     tse=st.sampled_from(["1.0", "2.0", "2.1"]),
     rate=_extreme | st.floats(0, 1e12),
-    tick=_extreme | st.sampled_from([0.001, 0.01, 0.2, 0.25]),
     duration=_extreme | st.integers(1, 10**6).map(float),
     t_attack=_extreme,
     t_sleep=_extreme,
     attack_start=_extreme,
 )
-def test_extreme_scenarios_build_or_are_rejected(tse, rate, tick, duration, t_attack, t_sleep,
+def test_extreme_scenarios_build_or_are_rejected(tse, rate, duration, t_attack, t_sleep,
                                                  attack_start):
     """Every draw is built and counted within the bounds, or rejected with a ValueError."""
     try:
-        scenario = Scenario(use_case="dp", tse=tse, rate=rate, tick=tick, duration=duration,
+        scenario = Scenario(use_case="dp", tse=tse, rate=rate, duration=duration,
                             t_attack=t_attack, t_sleep=t_sleep, attack_start=attack_start)
         config, schedule = scenario.sim_config(), scenario.schedule()
         check_replay(config, schedule)
     except ValueError:
         return
-    assert rate * tick / schedule.clone <= MAX_DISTINCT_PER_TICK
+    assert rate * config.tick / schedule.clone <= MAX_DISTINCT_PER_TICK
     assert rate * duration <= MAX_RUN_EMISSIONS
     assert 0 <= schedule.emission_count(duration) <= rate * duration + 1
 
@@ -894,7 +893,6 @@ def test_extreme_scenarios_build_or_are_rejected(tse, rate, tick, duration, t_at
         ({"emc": "no"}, "emc must be true or false, got 'no'"),
         ({"victim_flows": -1}, "victim_flows must be >= 0"),
         ({"victim_flows": 901}, "victim_flows must be <= 900, got 901"),
-        ({"tick": 0.3}, "tick must divide 1.0 exactly"),
         ({"attack_start": -1}, "attack start must be >= 0, got -1"),
         ({"tse": "2.0", "rate": 1, "t_attack": 1e308, "t_sleep": 1e308},
          "duty cycle of 1e+308 s attack and 1e+308 s sleep is too long to time"),

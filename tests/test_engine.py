@@ -1,5 +1,6 @@
 import functools
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -520,6 +521,28 @@ def test_budget_monotonicity_law(use_case, emc, rate, timing, cores):
     assert all(a <= b for a, b in zip(fewer, more))
 
 
+@functools.cache
+def flow_count_metrics(use_case: UseCase, tse: str, budget: float, flows: int) -> Metrics:
+    scenario = Scenario(use_case=use_case.value, tse=tse, budget_per_core=budget, duration=30.0,
+                        attack_start=2.0, victim_flows=flows)
+    victims = victim_flow_headers(FIVE_TUPLE, flows)
+    acl = scenario_acl(use_case, victim_flows=victims)
+    return run(scenario.sim_config(build_cache_map=False), acl,
+               [(build_trace(use_case, acl), scenario.schedule())], victims).metrics
+
+
+@settings(max_examples=25, deadline=None)
+@given(use_case=st.sampled_from([UseCase.DP, UseCase.SP_DP]), tse=st.sampled_from(["1.0", "2.0"]),
+       budget=st.sampled_from([3e4, 1e5, 3e5, 1e6]), flows=st.integers(1, MAX_VICTIM_FLOWS))
+def test_victim_flow_count_law(use_case, tse, budget, flows):
+    """The number of victim flows changes neither ttd nor ttr.
+
+    The default budget does not collapse `dp` or `sp_dp`, so lower ones are drawn.
+    """
+    wide, narrow = (flow_count_metrics(use_case, tse, budget, n) for n in (flows, 2))
+    assert (wide.ttd, wide.ttr) == (narrow.ttd, narrow.ttr)
+
+
 def test_expiry_soundness_during_run():
     acl, trace, victims = reference_setup(UseCase.SP_DP)
     sched = AttackSchedule(rate=100, t_attack=3.0, t_sleep=2.0, start=1.0)
@@ -708,10 +731,10 @@ def test_cachemap_csv_format():
 
 
 def test_config_rejects_too_many_ticks_and_fractional_duration():
-    too_many = "^duration 60 s at tick 1e-06 s asks for 60000000 ticks, more than 1000000$"
+    too_many = "^duration 100001 s at tick 0.1 s asks for 1000010 ticks, more than 1000000$"
     with pytest.raises(ValueError, match=too_many):
-        SimConfig(duration=60.0, tick=1e-6)
-    SimConfig(duration=1000.0, tick=0.001)  # exactly the most ticks allowed
+        SimConfig(duration=100001.0)
+    SimConfig(duration=100000.0)  # exactly the most ticks allowed
     with pytest.raises(ValueError, match="^duration must be a whole number of seconds, got 2.5$"):
         SimConfig(duration=2.5)
 
@@ -793,6 +816,30 @@ def test_run_credits_victims_once_a_tick_by_flow_id(monkeypatch):
     assert sum(r.batch.packets for r in res.ticks) > 0
 
 
+def test_served_victims_keep_their_megaflows_at_any_flow_count():
+    """TSE 1.0 on `sip_sp_dp` with 900 victim flows decays and recovers as with 2.
+
+    At the goodput floor a tick serves 100 / flows packets per flow, under
+    one from about 200 flows on.  The fraction carries over to later ticks,
+    and a served victim whose megaflow expired installs it again, so the
+    victims' subtable keeps its ranking credit and the run recovers.
+    """
+    results = {}
+    for flows in (2, 900):
+        scenario = Scenario(victim_flows=flows)
+        victims = victim_flow_headers(FIVE_TUPLE, flows)
+        acl = scenario_acl(UseCase.SIP_SP_DP, victim_flows=victims)
+        trace = build_trace(UseCase.SIP_SP_DP, acl)
+        config = scenario.sim_config(build_cache_map=False)
+        results[flows] = run(config, acl, [(trace, scenario.schedule())], victims), victims
+    (wide, wide_victims), (narrow, _) = results[900], results[2]
+    assert (wide.metrics.ttd, wide.metrics.ttr) == (narrow.metrics.ttd, narrow.metrics.ttr)
+    assert (narrow.metrics.ttd, narrow.metrics.ttr) == (6.0, 10.0)
+    assert wide.metrics.plateau_fraction == pytest.approx(narrow.metrics.plateau_fraction,
+                                                          abs=1e-5)
+    assert all(wide.cache.is_live(wide.cache.flow_id(h)) for h in wide_victims)
+
+
 def test_run_classifies_every_attacks_emissions_each_tick():
     """With two attacks, a tick classifies what both schedules emitted in it."""
     acl, trace, victims = reference_setup(UseCase.DP)
@@ -808,11 +855,11 @@ def test_run_classifies_every_attacks_emissions_each_tick():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SimConfig(tick=0.3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cores must be >= 1$"):
         SimConfig(cores=0)
-    for bad in (dict(tick=0.0), dict(duration=-1.0)):
-        with pytest.raises(ValueError, match="tick must be positive and duration non-negative"):
-            SimConfig(**bad)
-    SimConfig()
+    with pytest.raises(ValueError, match="^duration must be non-negative$"):
+        SimConfig(duration=-1.0)
+    config = SimConfig()
+    assert (config.tick, config.ticks_per_second, config.eps_down, config.eps_up) == (
+        0.1, 10, 0.01, 0.05)
+    assert {f.name for f in fields(SimConfig)}.isdisjoint({"tick", "eps_down", "eps_up"})
