@@ -56,6 +56,22 @@ def test_model_constants_are_not_config_keys(key, value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen-trace", "run", "sweep"])
+@pytest.mark.parametrize("flag", ["--tick", "--eps-down", "--eps-up"])
+def test_model_constants_are_not_flags(command, flag, tmp_path, capsys):
+    """No command offers a flag for the tick or a DoS threshold, and argparse rejects one."""
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    assert flag not in capsys.readouterr().out
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exited:
+        main([command, flag, "0.5", "--out", str(out)])
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         parse_config(None, {"tse": "3.0"})

@@ -121,6 +121,22 @@ def test_metrics_recovery_at_series_end_counts_if_long_enough():
     assert m.ttr == 5.0
 
 
+@pytest.mark.parametrize(
+    "floor, plateau, metrics",
+    [
+        pytest.param(0.01, 0.05, Metrics(2.0, 5.0, 3.0, 0.05), id="both-at-threshold"),
+        pytest.param(0.0101, 0.05, Metrics(None, None, None, None), id="floor-over-eps-down"),
+        pytest.param(0.01, 0.0499, Metrics(2.0, None, None, None), id="plateau-under-eps-up"),
+        pytest.param(0.0, 1.0, Metrics(2.0, 5.0, 3.0, 1.0), id="full-collapse-and-recovery"),
+    ],
+)
+def test_metrics_thresholds_are_the_model_constants(floor, plateau, metrics):
+    """A second at or under 1% is down and one at or over 5% is up, both inclusive."""
+    assert (SimConfig.eps_down, SimConfig.eps_up) == (0.01, 0.05)
+    f = [1.0] * 12 + [floor] * 3 + [plateau] * 5
+    assert metrics_extract(f, attack_start=10) == metrics
+
+
 # -- emission counting -----------------------------------------------------------
 
 
